@@ -168,8 +168,7 @@ def hazard_point(dist: ValueDistribution, own_bid, own_weight, others_weighted_s
     return HazardPoint(H=H, h=h, sigma=sigma, clamped=clamped)
 
 
-def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
-    """Closed-form round-2 equilibrium bid for a local broker."""
+def _check_bid_inputs(rule, sigma, weight, q):
     if q < 1:
         raise ValueError("q must be at least 1")
     if weight <= 0:
@@ -178,13 +177,26 @@ def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_
         raise ValueError("sigma must be nonnegative")
     if rule not in ("nvcg", "dnvcg"):
         raise ValueError(f"unknown rule {rule!r}")
-    if alpha <= 0:
-        return 0
+
+
+def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
+    """alpha - phi, the shading of the closed-form bid at any valuation
+    alpha > 0; it does not depend on alpha, so a batch of bids shares it."""
+    _check_bid_inputs(rule, sigma, weight, q)
     if rule == "dnvcg" and in_qdown:
         if not sum_w_qdown or sum_w_qdown <= 0:
             raise ValueError("prudent-set weight must be positive")
-        return alpha - sigma * weight * (ell / sum_w_qdown + (q - 1))
-    return alpha - sigma * weight * (q - 1)
+        return sigma * weight * (ell / sum_w_qdown + (q - 1))
+    return sigma * weight * (q - 1)
+
+
+def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
+    """Closed-form round-2 equilibrium bid for a local broker."""
+    _check_bid_inputs(rule, sigma, weight, q)
+    if alpha <= 0:
+        return 0
+    return alpha - equilibrium_shading(
+        rule, sigma, weight, q, in_qdown=in_qdown, ell=ell, sum_w_qdown=sum_w_qdown)
 
 
 def _shading_coefficient(rule, own_weight, q, ell, sum_w_qdown, in_qdown):

@@ -316,10 +316,8 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
+    if isinstance(x, np.generic):
+        return x.item()  # numpy bool, integer or float scalar
     return x
 
 

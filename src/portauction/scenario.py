@@ -239,8 +239,11 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.append(f"$.seed: expected a nonnegative integer, got {seed!r}")
     replications = data.get("replications", 1)
-    if not isinstance(replications, int) or replications < 1:
+    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
         errors.append(f"$.replications: expected a positive integer, got {replications!r}")
+    correlated = data.get("correlated_locals", True)
+    if not isinstance(correlated, bool):
+        errors.append(f"$.correlated_locals: expected true or false, got {correlated!r}")
 
     output = data.get("output")
     if output is not None:
@@ -259,7 +262,7 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         strategies=strategies,
         seed=seed,
         replications=replications,
-        correlated_locals=bool(data.get("correlated_locals", True)),
+        correlated_locals=correlated,
         output=output,
         name=str(data.get("name", name)),
         digest=digest,

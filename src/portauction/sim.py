@@ -15,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import mechanism, pricing
+from . import mechanism
+from .batch import ExactSum, Kernel, row_chunks
 from .equilibrium import equilibrium_bid
 from .model import ConfigurationError
 
@@ -258,211 +259,13 @@ class SimDetails:
     local_values: list  # realized shared/first local valuation
 
 
-class _Runner:
-    """Precompiled per-scenario state for the replication loop."""
-
-    def __init__(self, scenario, profile):
-        self.scenario = scenario
-        self.rule = scenario.rule
-        self.w = tuple(float(x) for x in scenario.weights)
-        self.q = len(self.w)
-        pf = scenario.portfolio
-        self.pkg_values = tuple(float(pf.package_value(j)) for j in range(pf.q))
-        self.total_value = float(pf.total_value)
-
-        self.local_ids = []
-        self.local_pkg = []
-        self.global_ids = []
-        for b in scenario.brokers:
-            if b.role == "local":
-                self.local_ids.append(b.id)
-                self.local_pkg.append(b.package_index)
-            else:
-                self.global_ids.append(b.id)
-        self.ids = self.local_ids + self.global_ids
-        self.fixed_vals = {b.id: float(b.valuation) for b in scenario.brokers}
-        self.dist_l = scenario.distributions.get("local")
-        self.dist_g = scenario.distributions.get("global")
-        self.correlated = scenario.correlated_locals
-
-        self.pkg_members = [[] for _ in range(self.q)]
-        for idx, j in enumerate(self.local_pkg):
-            self.pkg_members[j].append(idx)
-        for j, members in enumerate(self.pkg_members):
-            if not members:
-                raise ConfigurationError(f"package {j} has no local bidder")
-            members.sort(key=lambda k: self.ids[k])
-        self.single_global = len(self.global_ids) == 1
-
-        def compile_round(strategy, weight):
-            kind = strategy.kind
-            if kind == "constant":
-                v = float(strategy.value)
-                return lambda val, cap: v
-            if kind == "truthful":
-                return lambda val, cap: val if val > 0 else 0.0
-            if kind == "offset":
-                off = float(strategy.offset)
-                return lambda val, cap: max(val + off, 0.0)
-            if kind == "capped-value":
-                return lambda val, cap: min(cap, val)
-            if kind == "equilibrium":
-                rule = self.rule if self.rule != "vcg" else "nvcg"
-                return lambda val, cap: max(
-                    equilibrium_bid(
-                        rule, val, strategy.sigma, weight, self.q,
-                        in_qdown=strategy.in_qdown, ell=strategy.ell,
-                        sum_w_qdown=strategy.sum_w_qdown,
-                    ),
-                    0.0,
-                )
-            raise ConfigurationError(f"unknown strategy kind {kind!r}")
-
-        self._compile_round = compile_round
-        self.bind(profile)
-
-    def bind(self, profile):
-        compile_round = self._compile_round
-        self.f1 = []
-        self.f2 = []
-        for k, bid in enumerate(self.ids):
-            weight = self.w[self.local_pkg[k]] if k < len(self.local_ids) else None
-            st = profile[bid]
-            self.f1.append(compile_round(st.round1, weight))
-            self.f2.append(compile_round(st.round2, weight))
-
-    # Draw-matrix layout per replication row:
-    #   [0:L)            local value uniforms (first one reused when correlated)
-    #   [L:L+G)          global value uniforms
-    #   [L+G:L+G+q+1)    tie coins, one per sealed auction
-    #   [L+G+q+1]        allocation tie coin
-    def row_width(self):
-        return len(self.local_ids) + len(self.global_ids) + self.q + 2
-
-    def run_rep(self, row, track=None):
-        L = len(self.local_ids)
-        G = len(self.global_ids)
-        q = self.q
-        w = self.w
-
-        vals = [0.0] * (L + G)
-        if self.dist_l is None:
-            for k in range(L):
-                vals[k] = self.fixed_vals[self.ids[k]]
-        elif self.correlated:
-            shared = self.dist_l.quantile(row[0])
-            for k in range(L):
-                vals[k] = shared
-        else:
-            for k in range(L):
-                vals[k] = self.dist_l.quantile(row[k])
-        if self.dist_g is None:
-            for k in range(G):
-                vals[L + k] = self.fixed_vals[self.ids[L + k]]
-        else:
-            for k in range(G):
-                vals[L + k] = self.dist_g.quantile(row[L + k])
-
-        bids1 = [self.f1[k](vals[k], None) for k in range(L + G)]
-
-        coin = L + G
-        winners = [0] * q
-        for j in range(q):
-            members = self.pkg_members[j]
-            if len(members) == 1:
-                winners[j] = members[0]
-            else:
-                low = min(bids1[k] for k in members)
-                pool = [k for k in members if bids1[k] == low]
-                winners[j] = pool[0] if len(pool) == 1 else pool[int(row[coin + j] * len(pool))]
-        if self.single_global:
-            g_idx = L
-        else:
-            low = min(bids1[L + k] for k in range(G))
-            pool = [L + k for k in range(G) if bids1[L + k] == low]
-            g_idx = pool[0] if len(pool) == 1 else pool[int(row[coin + q] * len(pool))]
-
-        bids2 = []
-        clamped = 0
-        for j in range(q):
-            k = winners[j]
-            raw = self.f2[k](vals[k], bids1[k])
-            b = min(max(raw, 0.0), bids1[k])
-            clamped += b != raw
-            bids2.append(b)
-        raw = self.f2[g_idx](vals[g_idx], bids1[g_idx])
-        g2 = min(max(raw, 0.0), bids1[g_idx])
-        clamped += g2 != raw
-
-        total = sum(w[j] * bids2[j] for j in range(q))
-        if total == g2:
-            coalition = row[coin + q + 1] < 0.5
-        else:
-            coalition = total < g2
-
-        fees = (0.0,) * q
-        seller_cost = 0.0
-        gap = 0.0
-        violations = 0
-        if coalition:
-            if total == g2:
-                fees = tuple(bids2)
-            elif self.rule == "vcg":
-                fees = pricing.vcg_fees(bids2, w, g2)
-            elif self.rule == "nvcg":
-                fees = pricing.nvcg_fees(bids2, w, g2)
-            else:
-                fees = pricing.dnvcg_fees(
-                    tuple(bids1[winners[j]] for j in range(q)), bids2, w, g2
-                ).fees
-            seller_cost = sum(w[j] * fees[j] for j in range(q))
-            gap = seller_cost - g2
-            report = pricing.validate_core_point(fees, bids2, w, g2)
-            violations = 0 if report.in_core else 1
-        else:
-            seller_cost = total
-
-        payoffs = {}
-        targets = range(L + G) if track is None else (track,)
-        for k in targets:
-            bid_id = self.ids[k]
-            if k < L:
-                j = self.local_pkg[k]
-                if coalition and winners[j] == k:
-                    payoffs[bid_id] = self.pkg_values[j] * (fees[j] - vals[k])
-                else:
-                    payoffs[bid_id] = 0.0
-            else:
-                if not coalition and k == g_idx:
-                    payoffs[bid_id] = self.total_value * (seller_cost - vals[k])
-                else:
-                    payoffs[bid_id] = 0.0
-
-        return {
-            "won": coalition,
-            "seller_cost": seller_cost,
-            "fees": fees,
-            "gap": gap,
-            "violations": violations,
-            "clamped": clamped,
-            "payoffs": payoffs,
-            "g2": g2,
-            "local_value": vals[0] if L else 0.0,
-        }
-
-
-def _draw_matrix(seed, n, width):
-    """Replication-major uniform draws: row k is replication k's budget,
-    independent of n. Returned as plain Python floats for the loop."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((n, width)).tolist()
-
-
 def simulate(scenario, profile=None, n=None, seed=None, collect=False):
     """Run n independent auctions and aggregate the outcomes.
 
-    Deterministic for fixed (scenario, profile, n, seed); means use
-    compensated summation so aggregation order cannot change results.
+    Deterministic for fixed (scenario, profile, n, seed). The batch
+    kernel settles the replications a chunk of rows at a time; means are
+    math.fsum over every replication, so neither the chunking nor the
+    aggregation order can change results.
     """
     profile = profile if profile is not None else scenario.strategies
     if profile is None:
@@ -472,41 +275,40 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
         raise ConfigurationError("replication count must be at least 1")
     seed = seed if seed is not None else scenario.seed
 
-    runner = _Runner(scenario, profile)
-    rows = _draw_matrix(seed, n, runner.row_width())
+    kernel = Kernel(scenario)
+    rules = kernel.compile(profile)
+    cols = range(len(kernel.ids))
 
-    wins = 0
-    costs = []
+    wins = violations = clamped = 0
     gaps_max = 0.0
-    violations = 0
-    clamped = 0
-    payoff_lists = {bid: [] for bid in runner.ids}
-    details = SimDetails([], [], [], {bid: [] for bid in runner.ids}, [], []) if collect else None
+    cost_sum = ExactSum()
+    payoff_sums = [ExactSum() for _ in cols]
+    details = SimDetails([], [], [], {bid: [] for bid in kernel.ids}, [], []) if collect else None
 
-    for k in range(n):
-        rep = runner.run_rep(rows[k])
-        wins += rep["won"]
-        costs.append(rep["seller_cost"])
-        if rep["won"]:
-            gaps_max = max(gaps_max, abs(rep["gap"]))
-        violations += rep["violations"]
-        clamped += rep["clamped"]
-        for bid, p in rep["payoffs"].items():
-            payoff_lists[bid].append(p)
+    for u in row_chunks(seed, n, kernel.width):
+        b = kernel.run(u, rules, cols)
+        wins += int(np.count_nonzero(b.won))
+        violations += int(np.count_nonzero(b.violations))
+        clamped += b.clamped
+        if b.won.any():
+            gaps_max = max(gaps_max, float(np.abs(b.gap[b.won]).max()))
+        cost_sum.add(b.seller_cost)
+        for total, p in zip(payoff_sums, b.payoffs):
+            total.add(p)
         if collect:
-            details.won.append(rep["won"])
-            details.seller_cost.append(rep["seller_cost"])
-            details.fees.append(rep["fees"])
-            details.global_bid2.append(rep["g2"])
-            details.local_values.append(rep["local_value"])
-            for bid, p in rep["payoffs"].items():
-                details.payoffs[bid].append(p)
+            details.won.extend(b.won.tolist())
+            details.seller_cost.extend(b.seller_cost.tolist())
+            details.fees.extend(map(tuple, b.fees.tolist()))
+            details.global_bid2.extend(b.g2.tolist())
+            details.local_values.extend(b.local_value.tolist())
+            for bid, p in zip(kernel.ids, b.payoffs):
+                details.payoffs[bid].extend(p.tolist())
 
     metrics = SimMetrics(
         replications=n,
         coalition_win_rate=wins / n,
-        mean_seller_cost=math.fsum(costs) / n,
-        mean_broker_payoff={bid: math.fsum(v) / n for bid, v in payoff_lists.items()},
+        mean_seller_cost=cost_sum.total() / n,
+        mean_broker_payoff={bid: s.total() / n for bid, s in zip(kernel.ids, payoff_sums)},
         core_violation_count=violations,
         frontier_gap_max=gaps_max,
         clamped_round2_count=clamped,
@@ -546,26 +348,31 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation."""
     broker = _differing_broker(baseline, deviation)
-    runner = _Runner(scenario, baseline)
-    rows = _draw_matrix(seed, n, runner.row_width())
-    track = runner.ids.index(broker)
+    kernel = Kernel(scenario)
+    profiles = (kernel.compile(baseline), kernel.compile(deviation))
+    track = (kernel.ids.index(broker),)
 
-    base_pay = []
-    for k in range(n):
-        base_pay.append(runner.run_rep(rows[k], track=track)["payoffs"][broker])
-    dev_pay = []
-    runner.bind(deviation)
-    for k in range(n):
-        dev_pay.append(runner.run_rep(rows[k], track=track)["payoffs"][broker])
+    base_sum, dev_sum, diff_sum = ExactSum(), ExactSum(), ExactSum()
+    diffs = []
+    for u in row_chunks(seed, n, kernel.width):
+        base, dev = (kernel.run(u, rules, track).payoffs[0] for rules in profiles)
+        diffs.append(dev - base)
+        base_sum.add(base)
+        dev_sum.add(dev)
+        diff_sum.add(diffs[-1])
 
-    diffs = [d - b for d, b in zip(dev_pay, base_pay)]
-    mean_diff = math.fsum(diffs) / n
-    var = math.fsum((d - mean_diff) ** 2 for d in diffs) / (n - 1) if n > 1 else 0.0
+    mean_diff = diff_sum.total() / n
+    var = 0.0
+    if n > 1:
+        squares = ExactSum()
+        for d in diffs:
+            squares.add(np.array([(x - mean_diff) ** 2 for x in d.tolist()]))
+        var = squares.total() / (n - 1)
     return DominanceReport(
         broker_id=broker,
         replications=n,
-        mean_baseline=math.fsum(base_pay) / n,
-        mean_deviation=math.fsum(dev_pay) / n,
+        mean_baseline=base_sum.total() / n,
+        mean_deviation=dev_sum.total() / n,
         mean_difference=mean_diff,
         paired_se=math.sqrt(var / n) if n > 1 else 0.0,
     )

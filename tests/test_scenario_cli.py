@@ -82,6 +82,28 @@ def test_validation_errors_accumulate():
         pytest.fail("expected ScenarioValidationError")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("correlated_locals", "false"),
+    ("correlated_locals", 0),
+    ("correlated_locals", None),
+    ("replications", True),
+    ("replications", 2.0),
+])
+def test_booleans_and_counts_are_not_coerced(key, value):
+    data = json.loads(_example1_text())
+    data[key] = value
+    with pytest.raises(ScenarioValidationError) as exc:
+        loads_scenario(json.dumps(data))
+    assert [e.split(": ")[0] for e in exc.value.errors] == [f"$.{key}"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_correlated_locals_takes_a_json_boolean(value):
+    data = json.loads(_example1_text())
+    data["correlated_locals"] = value
+    assert loads_scenario(json.dumps(data)).correlated_locals is value
+
+
 def test_bps_quantities_parse_exactly():
     sc = builtin_scenario("table1")
     assert sc.strategies["L3"].round1.value == F(36, 10_000)
@@ -123,6 +145,46 @@ def test_cli_simulate(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["result"]["replications"] == 50
     assert 0 <= doc["result"]["coalition_win_rate"] <= 1
+
+
+def _drawn_values_scenario(tmp_path):
+    """Two locals per package with drawn values and a power-law global:
+    the run engine's bids and diagnostics come out of numpy draws."""
+    data = json.loads(_example1_text())
+    data["brokers"] = [
+        {"id": "L1", "role": "local", "package_index": 0},
+        {"id": "L1b", "role": "local", "package_index": 0},
+        {"id": "L2", "role": "local", "package_index": 1},
+        {"id": "L2b", "role": "local", "package_index": 1},
+        {"id": "G", "role": "global"},
+    ]
+    data["distributions"] = {
+        "local": {"kind": "uniform", "lower_bps": 5, "upper_bps": 30},
+        "global": {"kind": "power-law", "upper_bps": 40, "shape": 2.0},
+    }
+    truthful = {"round1": {"kind": "offset", "offset_bps": 2}, "round2": {"kind": "truthful"}}
+    data["strategies"] = {b["id"]: truthful for b in data["brokers"][:4]}
+    data["strategies"]["G"] = {"round1": {"kind": "constant", "value_bps": 40},
+                               "round2": {"kind": "capped-value"}}
+    data["correlated_locals"] = False
+    path = tmp_path / "drawn.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_cli_records_with_drawn_values_round_trip(command, capsys, tmp_path):
+    path = _drawn_values_scenario(tmp_path)
+    for seed in range(3):
+        code, out, err = run_cli([command, str(path), "--seed", str(seed),
+                                  "--format", "records"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert json.loads(json.dumps(doc)) == doc
+        if command == "run":
+            assert isinstance(doc["result"]["outcome"]["diagnostics"]["tie"], bool)
+        else:
+            assert isinstance(doc["result"]["frontier_gap_max"], float)
 
 
 def test_cli_equilibrium_sweep(capsys):

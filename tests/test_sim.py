@@ -1,10 +1,12 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from portauction.batch import CHUNK
 from portauction.mechanism import run_auction
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
@@ -18,6 +20,8 @@ from portauction.sim import (
     simulate,
 )
 from portauction.units import BPS
+
+import pin_simulate
 
 pytestmark = pytest.mark.filterwarnings("ignore::portauction.model.ModelWarning")
 
@@ -227,3 +231,43 @@ def test_round2_bids_respect_round1_cap():
     t = run_auction(sc, strategies=profile, seed=2)
     assert t.ledger.round2["L1"] == t.ledger.round1["L1"]
     assert "clamped_round2_bids" in t.outcome.diagnostics
+
+
+def test_outputs_match_pins():
+    want = json.loads(pin_simulate.PINS.read_text())
+    got = pin_simulate.compute_pins()
+    assert sorted(got) == sorted(want)
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+def test_chunk_boundaries_keep_row_prefixes():
+    sc = _scenario(correlated=False,
+                   local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
+    runs = [simulate(sc, n=n, seed=4, collect=True)[1] for n in (5, CHUNK + 1, 2 * CHUNK + 3)]
+    for short, long in zip(runs, runs[1:]):
+        k = len(short.won)
+        for f in fields(short):
+            a, b = getattr(short, f.name), getattr(long, f.name)
+            if isinstance(a, dict):
+                assert {bid: v[:k] for bid, v in b.items()} == a
+            else:
+                assert b[:k] == a
+
+
+def _python_scalars(x):
+    if isinstance(x, dict):
+        return all(_python_scalars(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return all(_python_scalars(v) for v in x)
+    return type(x) in (bool, int, float, str)
+
+
+def test_results_hold_python_scalars_only():
+    metrics, details = simulate(_scenario(), n=300, seed=1, collect=True)
+    assert all(_python_scalars(getattr(metrics, f.name)) for f in fields(metrics))
+    assert all(_python_scalars(getattr(details, f.name)) for f in fields(details))
+    assert all(type(w) is bool for w in details.won)
+    sc = _scenario()
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
+    report = compare_strategies(sc, sc.strategies, dev, n=300, seed=2)
+    assert all(_python_scalars(getattr(report, f.name)) for f in fields(report))
