@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -146,6 +147,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Sweep parameters: what each value must be, besides a finite number.
+_SWEEP_DOMAINS = {
+    "shape": (lambda v: v > 1, "above 1"),
+    "q": (lambda v: v >= 1 and v.is_integer(), "a whole number of packages, at least 1"),
+    "alpha_bps": (lambda v: True, "finite"),
+    "upper_bps": (lambda v: v > 0, "positive"),
+}
+
+
 def _parse_sweep(expr: str) -> dict:
     grid = {}
     for part in expr.split(";"):
@@ -156,7 +166,7 @@ def _parse_sweep(expr: str) -> dict:
             raise ScenarioParseError(f"bad sweep term {part!r}; expected key=v1,v2,...")
         key, values = part.split("=", 1)
         key = key.strip()
-        if key not in ("shape", "q", "alpha_bps", "upper_bps"):
+        if key not in _SWEEP_DOMAINS:
             raise ScenarioParseError(f"unknown sweep parameter {key!r}")
         try:
             parsed = [float(v) for v in values.split(",") if v.strip()]
@@ -164,7 +174,12 @@ def _parse_sweep(expr: str) -> dict:
             raise ScenarioParseError(f"bad numeric value in sweep term {part!r}")
         if not parsed:
             raise ScenarioParseError(f"empty value list in sweep term {part!r}")
-        grid[key] = parsed
+        in_domain, wanted = _SWEEP_DOMAINS[key]
+        for v in parsed:
+            if not (math.isfinite(v) and in_domain(v)):
+                raise ScenarioParseError(
+                    f"bad value {v!r} in sweep term {part!r}: {key} must be {wanted}")
+        grid[key] = [int(v) for v in parsed] if key == "q" else parsed
     if not grid:
         raise ScenarioParseError("sweep grid is empty")
     return grid
@@ -199,7 +214,6 @@ def _cmd_equilibrium(args) -> int:
                     ["sweep needs a power-law global distribution or explicit "
                      "shape=/upper_bps= terms"]
                 )
-            q = int(q)
             d = ValueDistribution.power_law(upper=upper_bps, shape=shape)
             sol = solve_symmetric_equilibrium(d, alpha_bps, [1.0 / q] * q, rule=rule)
             rows.append([rule, shape, q, alpha_bps, sol.bid, sol.residual,

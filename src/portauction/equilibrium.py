@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,9 @@ class ValueDistribution:
     shape: Optional[float] = None
     lower: float = 0.0
     sample: Optional[tuple] = None
+    # (lowest, highest) value; set once by __post_init__, as cdf and pdf
+    # read it on every call.
+    support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "power-law":
@@ -50,15 +53,19 @@ class ValueDistribution:
                 raise ValueError("power-law needs upper > 0")
             if self.shape is None or self.shape <= 1:
                 raise ValueError("power-law needs shape > 1")
+            support = (0.0, self.upper)
         elif self.kind == "uniform":
             if self.upper is None or self.upper <= self.lower:
                 raise ValueError("uniform needs upper > lower")
+            support = (self.lower, self.upper)
         elif self.kind == "empirical":
             if not self.sample:
                 raise ValueError("empirical needs a nonempty sample")
             object.__setattr__(self, "sample", tuple(sorted(float(x) for x in self.sample)))
+            support = (self.sample[0], self.sample[-1])
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def power_law(cls, upper, shape):
@@ -71,14 +78,6 @@ class ValueDistribution:
     @classmethod
     def empirical(cls, sample):
         return cls(kind="empirical", sample=tuple(sample))
-
-    @property
-    def support(self) -> tuple:
-        if self.kind == "power-law":
-            return (0.0, self.upper)
-        if self.kind == "uniform":
-            return (self.lower, self.upper)
-        return (self.sample[0], self.sample[-1])
 
     def scaled(self, factor) -> "ValueDistribution":
         """The distribution of factor * X (unit changes, e.g. fraction<->bps)."""
@@ -199,14 +198,6 @@ def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_
         rule, sigma, weight, q, in_qdown=in_qdown, ell=ell, sum_w_qdown=sum_w_qdown)
 
 
-def _shading_coefficient(rule, own_weight, q, ell, sum_w_qdown, in_qdown):
-    if rule == "dnvcg" and in_qdown:
-        if not sum_w_qdown or sum_w_qdown <= 0:
-            raise ValueError("prudent-set weight must be positive")
-        return own_weight * (ell / sum_w_qdown + (q - 1))
-    return own_weight * (q - 1)
-
-
 def optimality_residual(
     rule,
     phi,
@@ -222,9 +213,15 @@ def optimality_residual(
     """LHS - RHS of the first-order optimality condition at the bid phi.
 
     (alpha - phi) f(total) - coef [F(phi) - F(total)], total the coalition's
-    weighted sum at phi; zero at an interior optimum, positive below it.
+    weighted sum at phi and coef the closed-form bid's shading at sigma = 1;
+    zero at an interior optimum, positive below it.
     """
-    coef = _shading_coefficient(rule, own_weight, q, ell, sum_w_qdown, in_qdown)
+    coef = equilibrium_shading(rule, 1, own_weight, q, in_qdown=in_qdown, ell=ell,
+                               sum_w_qdown=sum_w_qdown)
+    return _residual(phi, alpha, coef, own_weight, others_weighted_sum, dist)
+
+
+def _residual(phi, alpha, coef, own_weight, others_weighted_sum, dist):
     total = own_weight * phi + others_weighted_sum
     return (alpha - phi) * dist.pdf(total) - coef * (dist.cdf(phi) - dist.cdf(total))
 
@@ -276,30 +273,36 @@ def solve_symmetric_equilibrium(
 
     Iterates best responses: each broker's bid solves its optimality
     condition by bisection with the others held fixed, until the bid
-    vector stops moving. For the power-law family the fixed point is
-    truthful (alpha), which the solver recovers rather than assumes.
+    vector stops moving. Brokers with the same weight facing the same
+    weighted sum of the others' bids have the same best response, so a
+    round runs one bisection per distinct (weight, others) pair. For the
+    power-law family the fixed point is truthful (alpha), which the solver
+    recovers rather than assumes.
     """
     if alpha <= 0:
         return EquilibriumSolution(bid=0.0, residual=0.0, converged=True,
                                    at_boundary=False, iterations=0)
     w = tuple(float(x) for x in weights)
+    q = len(w)
+    coef = {wi: equilibrium_shading(rule, 1, wi, q, in_qdown=in_qdown, ell=ell,
+                                    sum_w_qdown=sum_w_qdown) for wi in set(w)}
     hi_support = dist.support[1]
     hi = min(float(round1_cap), hi_support) if round1_cap is not None else hi_support
-    bids = [0.5 * hi] * len(w)
+    bids = [0.5 * hi] * q
 
     boundary = False
     for it in range(1, max_outer + 1):
         new_bids = []
+        best = {}  # (w_i, others) -> (root, hit) within this round
         for i, wi in enumerate(w):
             others = sum(wj * bj for j, (wj, bj) in enumerate(zip(w, bids)) if j != i)
+            key = (wi, others)
+            if key not in best:
+                def f(phi, _c=coef[wi], _wi=wi, _others=others):
+                    return _residual(phi, alpha, _c, _wi, _others, dist)
 
-            def f(phi, _wi=wi, _others=others):
-                return optimality_residual(
-                    rule, phi, alpha, _wi, _others, dist, len(w),
-                    ell=ell, sum_w_qdown=sum_w_qdown, in_qdown=in_qdown,
-                )
-
-            root, hit = _bisect_root(f, 0.0, hi)
+                best[key] = _bisect_root(f, 0.0, hi)
+            root, hit = best[key]
             boundary = boundary or hit
             new_bids.append(root)
         move = max(abs(a - b) for a, b in zip(new_bids, bids))
@@ -309,10 +312,7 @@ def solve_symmetric_equilibrium(
     converged = move < tol
     bid = bids[0] if len(set(bids)) == 1 else sum(bids) / len(bids)
     others0 = sum(wj * bj for wj, bj in zip(w[1:], bids[1:]))
-    residual = optimality_residual(
-        rule, bid, alpha, w[0], others0, dist, len(w),
-        ell=ell, sum_w_qdown=sum_w_qdown, in_qdown=in_qdown,
-    )
+    residual = _residual(bid, alpha, coef[w[0]], w[0], others0, dist)
     return EquilibriumSolution(
         bid=bid,
         residual=residual,

@@ -159,20 +159,23 @@ class WeightVector:
     def __getitem__(self, i):
         return self.weights[i]
 
-    def warn_if_above_broker_bound(self, n_brokers: int) -> None:
-        """Warn when some weight exceeds 1/(n-1) for n participating brokers.
+    def warn_if_above_package_bound(self) -> None:
+        """Warn when some weight exceeds 1/(q-1) for q packages.
 
-        The bound is a modeling guideline, not a hard constraint; results
-        hold either way, so this is a lint warning only.
+        Above that bound the NVCG fees can leave the core by individual
+        rationality: the local on that package can be paid less than its
+        own bid. The rules stay defined either way, so this is a lint
+        warning only.
         """
-        if n_brokers < 2:
+        if self.q < 2:
             return
-        bound = Fraction(1, n_brokers - 1)
+        bound = Fraction(1, self.q - 1)
         for j, w in enumerate(self.weights):
             if w > bound:
                 warnings.warn(
-                    f"weight {j} = {float(w):.4f} exceeds 1/(n-1) = {float(bound):.4f} "
-                    f"for n = {n_brokers} brokers",
+                    f"weight {j} = {float(w):.4f} exceeds 1/(q-1) = {float(bound):.4f} "
+                    f"for q = {self.q} packages; NVCG can pay that package's local "
+                    f"less than its bid",
                     ModelWarning,
                     stacklevel=2,
                 )

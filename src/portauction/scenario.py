@@ -252,7 +252,7 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     if errors:
         raise ScenarioValidationError(errors)
 
-    weights.warn_if_above_broker_bound(len(brokers))
+    weights.warn_if_above_package_bound()
     return ScenarioConfig(
         portfolio=portfolio,
         weights=weights,

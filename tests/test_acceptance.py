@@ -28,8 +28,6 @@ from portauction.pricing import (
 from portauction.scenario import scenario_from_dict
 from portauction.sim import Strategy, compare_strategies
 
-pytestmark = pytest.mark.filterwarnings("ignore::portauction.model.ModelWarning")
-
 
 @contextmanager
 def criterion(name):

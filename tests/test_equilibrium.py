@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from portauction.equilibrium import (
     optimality_residual,
     solve_symmetric_equilibrium,
 )
+
+import pin_equilibrium
 
 
 def test_power_law_distribution():
@@ -172,6 +175,21 @@ def test_optimality_residual_decreasing_at_alpha():
         assert (up - dn) / (2 * h) <= 0
 
 
+def test_residual_and_solver_validate_rule_weight_and_q():
+    d = ValueDistribution.power_law(upper=1.0, shape=2.0)
+    for args, message in ((("vcg", 0.4, 0.5, 0.5, 0.25, d, 2), "unknown rule"),
+                          (("nvcg", 0.4, 0.5, 0.0, 0.25, d, 2), "weight"),
+                          (("nvcg", 0.4, 0.5, 0.5, 0.25, d, 0), "q must be")):
+        with pytest.raises(ValueError, match=message):
+            optimality_residual(*args)
+    with pytest.raises(ValueError, match="unknown rule"):
+        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], rule="vcg")
+    with pytest.raises(ValueError, match="weight"):
+        solve_symmetric_equilibrium(d, 0.4, [1.0, 0.0])
+    with pytest.raises(ValueError, match="prudent-set weight"):
+        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], rule="dnvcg", in_qdown=True)
+
+
 def test_solve_symmetric_equilibrium_grid():
     for lam in (1.5, 2.0, 3.0, 5.0):
         d = ValueDistribution.power_law(upper=1.0, shape=lam)
@@ -247,3 +265,10 @@ def test_expected_vcg_fee_against_quadrature():
 
     assert expected_qdown_membership(25.0, d, w, others, n=100_000, seed=4)
     assert not expected_qdown_membership(38.0, d, w, others, n=100_000, seed=4)
+
+
+def test_solver_outputs_match_pins():
+    want = json.loads(pin_equilibrium.PINS.read_text())
+    got = pin_equilibrium.compute_pins()
+    assert sorted(got) == sorted(want)
+    assert {k: v for k, v in got.items() if v != want[k]} == {}

@@ -17,7 +17,6 @@ from portauction.mechanism import (
 from portauction.model import ConfigurationError
 from portauction.scenario import builtin_scenario
 
-pytestmark = pytest.mark.filterwarnings("ignore::portauction.model.ModelWarning")
 
 WA = (F(3, 5), F(2, 5))
 

@@ -231,12 +231,13 @@ def test_weight_vector_validation():
         WeightVector((F(1, 2), F(1, 4)))  # does not sum to 1
     with pytest.raises(ConfigurationError):
         WeightVector((F(3, 2), F(-1, 2)))
-    w = WeightVector((F(3, 5), F(2, 5)))
-    with pytest.warns(ModelWarning):
-        w.warn_if_above_broker_bound(3)  # 0.6 > 1/2
+    with pytest.warns(ModelWarning, match=r"1/\(q-1\) = 0.5000 for q = 3 packages"):
+        WeightVector((F(3, 5), F(1, 5), F(1, 5))).warn_if_above_package_bound()  # 0.6 > 1/2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w.warn_if_above_broker_bound(2)  # bound is 1, nothing to warn
+        # q = 2: the bound is 1, nothing to warn
+        WeightVector((F(3, 5), F(2, 5))).warn_if_above_package_bound()
+        WeightVector((F(1, 1),)).warn_if_above_package_bound()
 
 
 def test_broker_profile_validation():

@@ -1,10 +1,14 @@
 import json
+import warnings
 from fractions import Fraction as F
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from portauction import cli
+from portauction.model import ModelWarning
+from portauction.pricing import nvcg_fees
 from portauction.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -13,7 +17,6 @@ from portauction.scenario import (
     loads_scenario,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::portauction.model.ModelWarning")
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +40,42 @@ def test_builtin_scenarios_load():
     )
     with pytest.raises(FileNotFoundError):
         builtin_scenario("nope")
+
+
+def test_builtin_scenarios_load_without_model_warnings():
+    names = [p.name[:-5] for p in resources.files("portauction").joinpath("scenarios").iterdir()
+             if p.name.endswith(".json")]
+    assert len(names) >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelWarning)
+        for name in names:
+            builtin_scenario(name)
+
+
+def test_weight_lint_marks_the_nvcg_ir_breach(tmp_path):
+    """q = 3 and w = (0.6, 0.2, 0.2): 0.6 > 1/(q-1), and NVCG pays broker 0
+    less than its bid."""
+    data = json.loads(_example1_text())
+    data["portfolio"] = {
+        "securities": ["A", "B", "C"],
+        "quantities": [3, 1, 1],
+        "agreed_prices": [1, 1, 1],
+        "anticipated_prices": [1, 1, 1],
+        "packages": [[3, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }
+    data["brokers"] = [
+        {"id": f"L{j}", "role": "local", "package_index": j, "valuation_bps": 10}
+        for j in range(3)
+    ] + [{"id": "G", "role": "global", "valuation_bps": 12}]
+    data.pop("strategies", None)
+    p = tmp_path / "q3.json"
+    p.write_text(json.dumps(data))
+    with pytest.warns(ModelWarning, match=r"weight 0 = 0\.6000 exceeds 1/\(q-1\) = 0\.5000"):
+        sc = load_scenario(p)
+    assert tuple(sc.weights) == (F(3, 5), F(1, 5), F(1, 5))
+    fees = nvcg_fees((10, 10, 10), sc.weights, 12)
+    assert fees == (F(28, 3), 16, 16)
+    assert fees[0] < 10
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -199,6 +238,25 @@ def test_cli_equilibrium_sweep(capsys):
     for row in lines[1:]:
         bid = float(row.split(",")[4])
         assert abs(bid - 15.0) < 1e-6
+
+
+@pytest.mark.parametrize("term", [
+    "q=0", "q=-1", "q=1e400", "q=2.5", "q=nan", "alpha_bps=nan", "alpha_bps=inf",
+    "shape=1", "shape=0.5", "shape=inf", "upper_bps=0", "upper_bps=-40", "upper_bps=inf",
+    "shape=2,3;q=2,0",
+])
+def test_cli_sweep_rejects_values_outside_their_domain(term, capsys):
+    code, out, err = run_cli(["equilibrium", "powerlaw", "--sweep", term], capsys)
+    assert code == 3
+    assert out == ""
+    assert repr(term.split(";")[-1]) in err
+
+
+def test_cli_sweep_takes_whole_float_package_counts(capsys):
+    code, out, _ = run_cli(
+        ["equilibrium", "powerlaw", "--sweep", "shape=2;q=3.0;alpha_bps=15"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "3"
 
 
 def test_cli_validate(capsys):

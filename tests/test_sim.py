@@ -23,8 +23,6 @@ from portauction.units import BPS
 
 import pin_simulate
 
-pytestmark = pytest.mark.filterwarnings("ignore::portauction.model.ModelWarning")
-
 
 def _scenario(rule="dnvcg", alpha_bps=20, upper_bps=40, shape=2.0, l1_r1=32, l2_r1=32,
               correlated=True, local_dist=None):
