@@ -28,6 +28,7 @@ from .mechanism import (
     run_round1,
     run_round2,
     serialize_transcript,
+    settle_row,
     validate_round2_bid,
 )
 from .model import (

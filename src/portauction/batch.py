@@ -3,8 +3,10 @@
 Kernel settles a chunk of replications at once, one row per replication
 and every stage column-wise: value draws, round-1 bids and qualification,
 round-2 bids, the allocation test, the payment rule, the core check and
-the payoffs. Its results are bit-identical to settling each row alone with
-the scalar rules of the pricing and equilibrium modules.
+the payoffs. mechanism.settle_row settles one row alone with the exact
+scalar rules and is the oracle for this kernel: the two agree on every
+winner, exactly on float inputs, and within 1e-12 where a Fraction
+constant stays exact in the scalar rules.
 """
 
 from __future__ import annotations
@@ -20,6 +22,18 @@ from .model import ConfigurationError
 # Replications are drawn and settled CHUNK rows at a time, so memory stays
 # bounded whatever n is. The draws do not depend on the chunking.
 CHUNK = 8192
+
+# A seed is a Philox key: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2**128
+
+
+def row_width(scenario):
+    """Uniforms per replication row. A row holds, in order: the locals'
+    value uniforms (the first one reused when correlated_locals), the
+    globals' value uniforms, q+1 round-1 tie coins (packages first, the
+    whole portfolio last), then the allocation tie coin; the coins start
+    at column len(scenario.brokers)."""
+    return len(scenario.brokers) + scenario.portfolio.q + 2
 
 
 def row_chunks(seed, n, width):
@@ -117,7 +131,7 @@ class Batch:
 class Kernel:
     """The auction over a chunk of rows, every stage column-wise.
 
-    Bit-identical to settling each row alone with the scalar rules:
+    On float inputs equal to settling each row alone with the scalar rules:
     weighted sums accumulate column by column in package order, the same
     operations run in the same order, and floors keep Python's choice of
     operand (so a VCG fee floored from a negative raw value is -0.0).
@@ -141,8 +155,7 @@ class Kernel:
         self.dist_g = scenario.distributions.get("global")
         self.correlated = scenario.correlated_locals
 
-        # Round-1 tie coins pick among tied locals in id order, among tied
-        # globals in scenario order.
+        # Round-1 tie coins pick among tied brokers in id order.
         self.pkg_members = [[] for _ in range(self.q)]
         for k, j in enumerate(self.local_pkg):
             self.pkg_members[j].append(k)
@@ -150,16 +163,8 @@ class Kernel:
             if not members:
                 raise ConfigurationError(f"package {j} has no local bidder")
             members.sort(key=lambda k: self.ids[k])
-        self.global_cols = list(range(self.L, self.L + self.G))
-
-    # Draw-matrix layout per replication row:
-    #   [0:L)            local value uniforms (first one reused when correlated)
-    #   [L:L+G)          global value uniforms
-    #   [L+G:L+G+q+1)    tie coins, one per sealed auction
-    #   [L+G+q+1]        allocation tie coin
-    @property
-    def width(self):
-        return self.L + self.G + self.q + 2
+        self.global_cols = sorted(range(self.L, self.L + self.G), key=lambda k: self.ids[k])
+        self.width = row_width(scenario)
 
     def compile(self, profile):
         """Per-broker (round 1, round 2) column rules; equilibrium

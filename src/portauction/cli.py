@@ -20,9 +20,11 @@ import sys
 from dataclasses import replace
 
 from . import __version__, reproduce
+from .batch import SEED_LIMIT
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
 from .mechanism import run_auction, transcript_dict
 from .model import ConfigurationError
+from .pricing import RULES
 from .scenario import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -59,6 +61,15 @@ def _emit(text: str, out_path):
         sys.stdout.write(data)
 
 
+def _seed(args, scenario):
+    """--seed, or the scenario's seed; a seed is a Philox key."""
+    if args.seed is None:
+        return scenario.seed
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ScenarioParseError(f"--seed must be an integer in [0, 2**128), got {args.seed}")
+    return args.seed
+
+
 def _records(command, scenario, seed, result) -> str:
     doc = {
         "command": command,
@@ -80,7 +91,7 @@ def _csv(header, rows) -> str:
 
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     t = run_auction(scenario, seed=seed, rule=args.rule)
     if args.format == "records":
         _emit(_records("run", scenario, seed, transcript_dict(t)), args.out)
@@ -111,7 +122,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     n = args.replications if args.replications is not None else scenario.replications
     if args.rule is not None:
         scenario = replace(scenario, rule=args.rule)
@@ -147,10 +158,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Sweep parameters: what each value must be, besides a finite number.
+# Sweep parameters: what each value must be, besides a finite number. q is
+# capped because each best-response round of the solver costs O(q^2).
 _SWEEP_DOMAINS = {
     "shape": (lambda v: v > 1, "above 1"),
-    "q": (lambda v: v >= 1 and v.is_integer(), "a whole number of packages, at least 1"),
+    "q": (lambda v: 1 <= v <= 1000 and v.is_integer(),
+          "a whole number of packages from 1 to 1000"),
     "alpha_bps": (lambda v: True, "finite"),
     "upper_bps": (lambda v: v > 0, "positive"),
 }
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one auction and report the transcript")
     common(p)
-    p.add_argument("--rule", choices=("vcg", "nvcg", "dnvcg"), default=None)
+    p.add_argument("--rule", choices=RULES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_run)
 
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--replications", "-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rule", choices=("vcg", "nvcg", "dnvcg"), default=None)
+    p.add_argument("--rule", choices=RULES, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="solve symmetric equilibrium bids")

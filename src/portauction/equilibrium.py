@@ -279,6 +279,10 @@ def solve_symmetric_equilibrium(
     power-law family the fixed point is truthful (alpha), which the solver
     recovers rather than assumes.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    if len(weights) == 0:
+        raise ValueError("weights must be nonempty")
     if alpha <= 0:
         return EquilibriumSolution(bid=0.0, residual=0.0, converged=True,
                                    at_boundary=False, iterations=0)
@@ -335,8 +339,7 @@ def expected_vcg_fee(
     The global is assumed to play its dominant strategy, bidding its value
     capped at its own round-1 bid.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
-    values = dist.draw(rng, size=n)
+    values = dist.draw(np.random.Generator(np.random.Philox(key=seed)), size=n)
     if round1_global_cap is not None:
         values = np.minimum(values, float(round1_global_cap))
     fees = np.maximum(0.0, (values - float(others_weighted_sum)) / float(own_weight))

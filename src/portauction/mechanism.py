@@ -7,42 +7,38 @@ single sealed contest between the qualified locals (jointly) and the
 qualified global, settled by a core-selecting payment rule; every round-2
 bid is capped by the bidder's own round-1 bid.
 
-All randomness (tie-breaking only) comes from a seeded counter-based
-generator, so a transcript is a pure function of (inputs, seed).
+settle_row runs one auction on one row of uniforms in the batch kernel's
+layout: the row fixes the drawn valuations and the tie coins, so a
+transcript is a pure function of (inputs, row). run_auction settles row 0
+of the seed's stream, which is replication 0 of simulate. The rules here
+are exact under Fraction inputs and are the oracle for the batch kernel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import pricing
+from . import pricing, sim
+from .batch import row_chunks, row_width
 from .model import ConfigurationError
 
-RULES = ("vcg", "nvcg", "dnvcg")
+
+def _check_coin(coin):
+    if not 0 <= coin < 1:
+        raise ConfigurationError(f"tie coin {coin!r} outside [0, 1)")
 
 
-# Distinct per-purpose substreams derived from one seed, so tie-break coins
-# never alias the valuation draws made elsewhere from the same seed.
-STREAM_VALUES = 0
-STREAM_ROUND1 = 1
-STREAM_ROUND2 = 2
-
-
-def _rng(seed, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-
-
-def _pick(candidates, rng: np.random.Generator):
-    """Uniform choice among tied bidders, canonicalized by id."""
-    pool = sorted(candidates)
-    if len(pool) == 1:
-        return pool[0]
-    return pool[rng.integers(len(pool))]
+def _lowest_bidder(bids: Mapping, coin):
+    """The lowest bidder; on an exact tie the int(coin * ties)-th tied
+    bidder in id order."""
+    low = min(bids.values())
+    tied = sorted(b for b, fee in bids.items() if fee == low)
+    return tied[int(coin * len(tied))]
 
 
 @dataclass(frozen=True)
@@ -111,22 +107,26 @@ class InfoUpdate:
     revealed_bids: tuple  # ((broker_id, bid), ...) for the q+1 winners
 
 
-def run_round1(package_bids: Sequence[Mapping], global_bids: Mapping, seed) -> QualificationResult:
-    """Qualify the lowest bidder of each sealed auction (ties: uniform)."""
-    rng = _rng(seed, STREAM_ROUND1)
+def run_round1(package_bids: Sequence[Mapping], global_bids: Mapping, coins) -> QualificationResult:
+    """Qualify the lowest bidder of each sealed auction. coins holds one
+    uniform in [0, 1) per auction, packages first and the whole portfolio
+    last; a tie goes to the int(coin * ties)-th tied bidder in id order."""
+    if len(coins) != len(package_bids) + 1:
+        raise ConfigurationError(
+            f"{len(coins)} tie coins for {len(package_bids) + 1} sealed auctions")
+    for coin in coins:
+        _check_coin(coin)
     winners = []
     winning_bids = []
-    for j, bids in enumerate(package_bids):
+    for j, (bids, coin) in enumerate(zip(package_bids, coins)):
         if not bids:
             raise ConfigurationError(f"package {j} has no bidders")
-        low = min(bids.values())
-        winner = _pick([b for b, fee in bids.items() if fee == low], rng)
+        winner = _lowest_bidder(bids, coin)
         winners.append(winner)
         winning_bids.append(bids[winner])
     if not global_bids:
         raise ConfigurationError("the whole-portfolio auction has no bidders")
-    low = min(global_bids.values())
-    g_winner = _pick([b for b, fee in global_bids.items() if fee == low], rng)
+    g_winner = _lowest_bidder(global_bids, coins[-1])
     return QualificationResult(
         qualified_locals=tuple(winners),
         local_bids=tuple(winning_bids),
@@ -181,16 +181,14 @@ def run_round2(
     ledger: BidLedger,
     weights,
     rule: str,
-    seed,
-    tie_break: str = "random",
+    coin,
 ) -> FeeOutcome:
-    """Settle the second round under the selected pricing rule.
-
-    tie_break resolves an exact allocation tie: "random" flips a fair
-    seeded coin, "coalition"/"global" force the side (for golden tests).
-    """
-    if rule not in RULES:
+    """Settle the second round under the selected pricing rule. coin, a
+    uniform in [0, 1), settles an exact allocation tie: the coalition wins
+    it iff coin < 0.5."""
+    if rule not in pricing.RULES:
         raise ConfigurationError(f"unknown pricing rule {rule!r}")
+    _check_coin(coin)
     locals_ = qualification.qualified_locals
     q = len(locals_)
     w = pricing._weights(weights)
@@ -208,15 +206,7 @@ def run_round2(
     total = pricing.weighted_total(bids2, w)
 
     tie = total == g2
-    if tie:
-        if tie_break == "random":
-            side = "coalition" if _rng(seed, STREAM_ROUND2).random() < 0.5 else "global"
-        elif tie_break in ("coalition", "global"):
-            side = tie_break
-        else:
-            raise ConfigurationError(f"unknown tie_break {tie_break!r}")
-    else:
-        side = "coalition" if total < g2 else "global"
+    side = "coalition" if (coin < 0.5 if tie else total < g2) else "global"
 
     zeros = tuple(0 * b for b in bids2)
     diagnostics = {"tie": tie, "dnvcg_fallback_empty_qdown": False, "core_violations": ()}
@@ -266,47 +256,79 @@ def run_round2(
     )
 
 
-def run_auction(scenario, strategies=None, seed=None, rule=None) -> AuctionTranscript:
-    """Run both rounds of one auction instance from a scenario.
+def settle_row(scenario, profile, u) -> AuctionTranscript:
+    """Settle one auction of the scenario under the strategy profile on one
+    row u of uniforms in the batch.row_width layout: the row fixes the
+    drawn valuations (sim.resolve_bids), the q+1 round-1 tie coins and the
+    allocation tie coin. Round-2 bids are clamped into [0, round-1 bid];
+    any clamping is flagged in the outcome diagnostics. rng_seed is left
+    None."""
+    u = [float(x) for x in u]  # quantiles on Python floats, as in the kernel
+    rule = scenario.rule
+    q = scenario.portfolio.q
+    weights = scenario.weights
+    width = row_width(scenario)
+    if len(u) != width:
+        raise ConfigurationError(f"a row of {len(u)} uniforms for width {width}")
 
-    strategies/seed/rule default to the scenario's own. Round-2 bids are
-    clamped into [0, round-1 bid]; any clamping is flagged in the outcome
-    diagnostics rather than silently accepted.
-    """
-    from .sim import resolve_bids  # local import: sim builds on this module
-
-    profile = strategies if strategies is not None else scenario.strategies
-    if profile is None:
-        raise ConfigurationError("no strategy profile supplied")
-    rng_seed = scenario.seed if seed is None else seed
-    rule = rule or scenario.rule
-
-    bids = resolve_bids(scenario, profile, rng_seed)
-    qualification = run_round1(bids.package_bids, bids.global_bids, rng_seed)
+    values, round1 = sim.resolve_bids(scenario, profile, u)
+    package_bids = [{} for _ in range(q)]
+    global_bids = {}
+    for b in scenario.brokers:
+        if b.role == "local":
+            package_bids[b.package_index][b.id] = round1[b.id]
+        else:
+            global_bids[b.id] = round1[b.id]
+    qualification = run_round1(package_bids, global_bids, u[len(scenario.brokers):-1])
     update = publish_update(qualification)
-    round2, clamped = bids.round2(qualification, update)
-    ledger = BidLedger(round1=bids.round1_map(), round2=round2)
-    outcome = run_round2(qualification, ledger, scenario.weights, rule, rng_seed)
+
+    round2 = {}
+    clamped = []
+    qualified = (*qualification.qualified_locals, qualification.qualified_global)
+    for j, broker_id in enumerate(qualified):
+        cap = round1[broker_id]
+        raw = sim.strategy_bid(profile[broker_id].round2, values[broker_id], cap,
+                               weights[j] if j < q else None, rule, q)
+        bid = raw
+        if bid < 0:
+            bid = 0 * bid
+        if bid > cap:
+            bid = cap
+        if bid != raw:
+            clamped.append(broker_id)
+        round2[broker_id] = bid
+    ledger = BidLedger(round1=round1, round2=round2)
+
+    outcome = run_round2(qualification, ledger, weights, rule, u[-1])
     if clamped:
-        diagnostics = dict(outcome.diagnostics)
-        diagnostics["clamped_round2_bids"] = tuple(sorted(clamped))
-        outcome = FeeOutcome(
-            winner=outcome.winner,
-            fees=outcome.fees,
-            global_payment=outcome.global_payment,
-            vcg_fees=outcome.vcg_fees,
-            delta=outcome.delta,
-            epsilons=outcome.epsilons,
-            diagnostics=diagnostics,
-        )
+        outcome = replace(outcome, diagnostics={
+            **outcome.diagnostics, "clamped_round2_bids": tuple(sorted(clamped))})
     return AuctionTranscript(
         qualification=qualification,
         update=update,
         ledger=ledger,
         outcome=outcome,
         rule=rule,
-        rng_seed=rng_seed,
+        rng_seed=None,
     )
+
+
+def run_auction(scenario, strategies=None, seed=None, rule=None) -> AuctionTranscript:
+    """Run both rounds of one auction instance from a scenario: row 0 of
+    the seed's row stream, so the transcript is replication 0 of
+    simulate(scenario, seed=seed) with the same rule.
+
+    strategies/seed/rule default to the scenario's own; rule sets both the
+    pricing rule and the rule equilibrium bids shade under.
+    """
+    profile = strategies if strategies is not None else scenario.strategies
+    if profile is None:
+        raise ConfigurationError("no strategy profile supplied")
+    rng_seed = scenario.seed if seed is None else seed
+    if rule is not None:
+        scenario = replace(scenario, rule=rule)
+    u = next(row_chunks(rng_seed, 1, row_width(scenario)))[0]
+    return replace(settle_row(scenario, profile, u), rng_seed=rng_seed)
 
 
 def _jsonable(x):

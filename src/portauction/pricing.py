@@ -28,6 +28,8 @@ from typing import Sequence
 
 from .model import WeightVector
 
+RULES = ("vcg", "nvcg", "dnvcg")
+
 FRONTIER_TOL = 1e-9
 
 

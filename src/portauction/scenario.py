@@ -21,6 +21,7 @@ from importlib import resources
 from typing import Optional
 
 from . import sim
+from .batch import SEED_LIMIT
 from .equilibrium import ValueDistribution
 from .model import (
     BrokerProfile,
@@ -29,11 +30,10 @@ from .model import (
     WeightVector,
     derive_weights,
 )
+from .pricing import RULES
 from .units import BPS
 
 SCHEMA_VERSION = 1
-
-RULES = ("vcg", "nvcg", "dnvcg")
 
 
 class ScenarioParseError(ValueError):
@@ -236,8 +236,8 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
                 errors.append(f"$.strategies: no strategy for broker {bid!r}")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append(f"$.seed: expected a nonnegative integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
+        errors.append(f"$.seed: expected an integer in [0, 2**128), got {seed!r}")
     replications = data.get("replications", 1)
     if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
         errors.append(f"$.replications: expected a positive integer, got {replications!r}")

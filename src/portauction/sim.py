@@ -4,7 +4,9 @@ Replication k draws its randomness from row k of a counter-based Philox
 stream keyed by the seed, so results do not depend on the replication
 count (beyond k) or on how work would be partitioned across workers, and
 two profiles simulated with the same seed share their random inputs
-(common random numbers).
+(common random numbers). mechanism.settle_row settles any one row with
+the exact scalar rules (resolve_bids and strategy_bid here); run_auction
+is row 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import mechanism
 from .batch import ExactSum, Kernel, row_chunks
 from .equilibrium import equilibrium_bid
 from .model import ConfigurationError
@@ -115,124 +116,49 @@ def profile_from_config(cfg: Mapping, bps) -> StrategyProfile:
     return StrategyProfile(out)
 
 
-def _bid_round1(strategy: Strategy, valuation, ctx) -> object:
-    if strategy.kind == "constant":
+def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q):
+    """One broker's bid under a strategy at its valuation, floored at zero
+    unless constant. round1_bid is the round-2 cap (None in round 1) and
+    weight the local's package weight (None for a global). Equilibrium
+    bids shade under rule, with VCG read as NVCG."""
+    kind = strategy.kind
+    if kind == "constant":
         return strategy.value
-    if strategy.kind == "truthful":
+    if kind == "capped-value":
+        return min(round1_bid, valuation)  # the global's dominant round-2 bid
+    if kind == "truthful":
         raw = valuation
-    elif strategy.kind == "offset":
+    elif kind == "offset":
         raw = valuation + strategy.offset
-    elif strategy.kind == "equilibrium":
-        raw = equilibrium_bid(
-            ctx["rule"] if ctx["rule"] != "vcg" else "nvcg",
-            valuation, strategy.sigma, ctx["weight"], ctx["q"],
-            in_qdown=strategy.in_qdown, ell=strategy.ell,
-            sum_w_qdown=strategy.sum_w_qdown,
-        )
     else:
-        raise ConfigurationError(f"{strategy.kind!r} not valid in round 1")
+        raw = equilibrium_bid(
+            rule if rule != "vcg" else "nvcg", valuation, strategy.sigma, weight, q,
+            in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
+        )
     return raw if raw > 0 else 0 * raw
 
 
-def _bid_round2(strategy: Strategy, valuation, round1_bid, ctx) -> object:
-    if strategy.kind == "capped-value":
-        return mechanism.global_round2_bid(round1_bid, valuation)
-    return _bid_round1(strategy, valuation, ctx)
-
-
-class BidPlan:
-    """Resolved valuations and round-1 bids for one auction instance."""
-
-    def __init__(self, scenario, profile, valuations):
-        self.scenario = scenario
-        self.profile = profile
-        self.valuations = valuations
-        q = scenario.portfolio.q
-        ctx = {"rule": scenario.rule, "q": q}
-        self.package_bids = [dict() for _ in range(q)]
-        self.global_bids = {}
-        self._round1 = {}
-        for broker in scenario.brokers:
-            val = valuations[broker.id]
-            weight = (
-                scenario.weights[broker.package_index]
-                if broker.role == "local"
-                else None
-            )
-            bid = _bid_round1(profile[broker.id].round1, val, {**ctx, "weight": weight})
-            self._round1[broker.id] = bid
-            if broker.role == "local":
-                self.package_bids[broker.package_index][broker.id] = bid
-            else:
-                self.global_bids[broker.id] = bid
-
-    def round1_map(self):
-        return dict(self._round1)
-
-    def round2(self, qualification, update):
-        q = self.scenario.portfolio.q
-        ctx = {"rule": self.scenario.rule, "q": q}
-        bids = {}
-        clamped = []
-        participants = list(qualification.qualified_locals)
-        weights = {b: self.scenario.weights[j] for j, b in enumerate(participants)}
-        participants.append(qualification.qualified_global)
-        weights[qualification.qualified_global] = None
-        for broker_id in participants:
-            cap = self._round1[broker_id]
-            raw = _bid_round2(
-                self.profile[broker_id].round2,
-                self.valuations[broker_id],
-                cap,
-                {**ctx, "weight": weights[broker_id]},
-            )
-            bid = raw
-            if bid < 0:
-                bid = 0 * bid
-            if bid > cap:
-                bid = cap
-            if bid != raw:
-                clamped.append(broker_id)
-            bids[broker_id] = bid
-        return bids, clamped
-
-
-def _draw_valuations(scenario, u_locals, u_globals):
-    """Map uniform draws to valuations; fixed profile values when no
-    distribution is configured for the role."""
-    vals = {}
+def resolve_bids(scenario, profile, u):
+    """(valuations, round-1 bids) by broker id for one row u of uniforms
+    in the batch.row_width layout, as the batch kernel maps a row. A
+    broker's fixed valuation is kept when its role has no distribution."""
+    rule, q, weights = scenario.rule, scenario.portfolio.q, scenario.weights
     dist_l = scenario.distributions.get("local")
     dist_g = scenario.distributions.get("global")
+    n_local = sum(1 for b in scenario.brokers if b.role == "local")
+    values, round1 = {}, {}
     li = gi = 0
-    shared = None
-    for broker in scenario.brokers:
-        if broker.role == "local":
-            if dist_l is None:
-                vals[broker.id] = broker.valuation
-            elif scenario.correlated_locals:
-                if shared is None:
-                    shared = dist_l.quantile(u_locals[0])
-                vals[broker.id] = shared
-            else:
-                vals[broker.id] = dist_l.quantile(u_locals[li])
+    for b in scenario.brokers:
+        if b.role == "local":
+            col = 0 if scenario.correlated_locals else li
+            dist, weight = dist_l, weights[b.package_index]
             li += 1
         else:
-            if dist_g is None:
-                vals[broker.id] = broker.valuation
-            else:
-                vals[broker.id] = dist_g.quantile(u_globals[gi])
+            dist, col, weight = dist_g, n_local + gi, None
             gi += 1
-    return vals
-
-
-def resolve_bids(scenario, profile, seed) -> BidPlan:
-    """Draw valuations (stream 0 of the seed) and fix round-1 bids."""
-    rng = mechanism._rng(seed, mechanism.STREAM_VALUES)
-    n_loc = sum(1 for b in scenario.brokers if b.role == "local")
-    n_glob = len(scenario.brokers) - n_loc
-    u = rng.random(n_loc + n_glob)
-    vals = _draw_valuations(scenario, u[:n_loc], u[n_loc:])
-    return BidPlan(scenario, profile, vals)
+        values[b.id] = b.valuation if dist is None else dist.quantile(u[col])
+        round1[b.id] = strategy_bid(profile[b.id].round1, values[b.id], None, weight, rule, q)
+    return values, round1
 
 
 @dataclass(frozen=True)

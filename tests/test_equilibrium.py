@@ -188,6 +188,10 @@ def test_residual_and_solver_validate_rule_weight_and_q():
         solve_symmetric_equilibrium(d, 0.4, [1.0, 0.0])
     with pytest.raises(ValueError, match="prudent-set weight"):
         solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], rule="dnvcg", in_qdown=True)
+    with pytest.raises(ValueError, match="max_outer"):
+        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], max_outer=0)
+    with pytest.raises(ValueError, match="weights"):
+        solve_symmetric_equilibrium(d, 0.4, [])
 
 
 def test_solve_symmetric_equilibrium_grid():

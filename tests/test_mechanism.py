@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from portauction.batch import row_width
 from portauction.mechanism import (
     BidLedger,
     global_round2_bid,
@@ -12,6 +13,7 @@ from portauction.mechanism import (
     run_round1,
     run_round2,
     serialize_transcript,
+    settle_row,
     validate_round2_bid,
 )
 from portauction.model import ConfigurationError
@@ -31,12 +33,12 @@ def _qual_a():
     return run_round1(
         [{"L1": 27}, {"L2": 19}],
         {"G": 22},
-        seed=0,
+        coins=(0.0, 0.0, 0.0),
     )
 
 
 def test_round1_unique_minimum():
-    qual = run_round1([{"a": 27, "b": 31, "c": 29}], {"g1": 20, "g2": 25}, seed=1)
+    qual = run_round1([{"a": 27, "b": 31, "c": 29}], {"g1": 20, "g2": 25}, coins=(0.9, 0.9))
     assert qual.qualified_locals == ("a",)
     assert qual.local_bids == (27,)
     assert qual.qualified_global == "g1"
@@ -46,17 +48,32 @@ def test_round1_unique_minimum():
 def test_round1_tie_probability():
     wins = 0
     n = 10_000
-    for seed in range(n):
-        qual = run_round1([{"a": 27, "b": 27}], {"g": 20}, seed=seed)
+    coins = np.random.Generator(np.random.Philox(key=0)).random(n).tolist()
+    for coin in coins:
+        qual = run_round1([{"b": 27, "a": 27}], {"g": 20}, coins=(coin, 0.0))
         wins += qual.qualified_locals[0] == "a"
     assert abs(wins / n - 0.5) < 0.02
+    # the int(coin * ties)-th tied bidder in id order, in every auction
+    qual = run_round1([{"c": 5, "b": 5, "a": 5}], {"h": 2, "g": 2}, coins=(0.5, 0.49))
+    assert qual.qualified_locals == ("b",)
+    assert qual.qualified_global == "g"
+    qual = run_round1([{"c": 5, "b": 5, "a": 5}], {"h": 2, "g": 2}, coins=(0.99, 0.5))
+    assert qual.qualified_locals == ("c",)
+    assert qual.qualified_global == "h"
 
 
 def test_round1_empty_auction_rejected():
     with pytest.raises(ConfigurationError):
-        run_round1([{}], {"g": 20}, seed=0)
+        run_round1([{}], {"g": 20}, coins=(0.0, 0.0))
     with pytest.raises(ConfigurationError):
-        run_round1([{"a": 1}], {}, seed=0)
+        run_round1([{"a": 1}], {}, coins=(0.0, 0.0))
+    with pytest.raises(ConfigurationError):
+        run_round1([{"a": 1}], {"g": 20}, coins=(0.0,))  # one coin per auction
+    for coin in (1.0, -0.5):  # each coin is a uniform in [0, 1)
+        with pytest.raises(ConfigurationError, match="outside"):
+            run_round1([{"a": 1, "b": 1}], {"g": 20}, coins=(coin, 0.0))
+        with pytest.raises(ConfigurationError, match="outside"):
+            run_round1([{"a": 1}], {"g": 20, "h": 20}, coins=(0.0, coin))
 
 
 def test_round1_worked_setup():
@@ -70,7 +87,7 @@ def test_publish_update_reveals_winners_only():
     qual = run_round1(
         [{"L1": 27, "L1b": 33}, {"L2": 19, "L2b": 21}],
         {"G": 22, "Gb": 30},
-        seed=3,
+        coins=(0.3, 0.3, 0.3),
     )
     update = publish_update(qual)
     assert update.revealed_bids == (("L1", 27), ("L2", 19), ("G", 22))
@@ -81,7 +98,7 @@ def test_publish_update_reveals_winners_only():
 
 
 def test_publish_update_single_package():
-    qual = run_round1([{"L1": 15}], {"G": 22}, seed=0)
+    qual = run_round1([{"L1": 15}], {"G": 22}, coins=(0.0, 0.0))
     update = publish_update(qual)
     assert len(update.revealed_bids) == 2
 
@@ -103,56 +120,63 @@ def test_validate_round2_bid():
 
 
 def test_run_round2_worked_instance():
-    outcome = run_round2(_qual_a(), _ledger_a(), WA, "nvcg", seed=0)
+    outcome = run_round2(_qual_a(), _ledger_a(), WA, "nvcg", coin=0.0)
     assert outcome.winner == "coalition"
     assert outcome.fees == (27, F(29, 2))
     assert outcome.global_payment == 0
     assert outcome.delta == 3
     assert outcome.vcg_fees == (30, F(35, 2))
 
-    outcome = run_round2(_qual_a(), _ledger_a(), WA, "dnvcg", seed=0)
+    outcome = run_round2(_qual_a(), _ledger_a(), WA, "dnvcg", coin=0.0)
     assert outcome.fees == (28, 13)
     assert outcome.epsilons == (0, F(3, 2))
 
-    outcome = run_round2(_qual_a(), _ledger_a(), WA, "vcg", seed=0)
+    outcome = run_round2(_qual_a(), _ledger_a(), WA, "vcg", coin=0.0)
     assert outcome.fees == (30, F(35, 2))
 
 
 def test_run_round2_global_win():
     ledger = _ledger_a(L1=27, L2=19, G=22)  # total 0.6*27+0.4*19 = 23.8 > 22
-    outcome = run_round2(_qual_a(), ledger, WA, "nvcg", seed=0)
+    outcome = run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.0)
     assert outcome.winner == "global"
     assert outcome.global_payment == F(119, 5)
     assert all(f == 0 for f in outcome.fees)
 
     # coalition total 30 against a global bid of 25: paid exactly 30
-    qual = run_round1([{"L1": 40}, {"L2": 40}], {"G": 25}, seed=0)
+    qual = run_round1([{"L1": 40}, {"L2": 40}], {"G": 25}, coins=(0.0, 0.0, 0.0))
     ledger = BidLedger(round1={"L1": 40, "L2": 40, "G": 25},
                        round2={"L1": 30, "L2": 30, "G": 25})
-    outcome = run_round2(qual, ledger, (F(1, 2), F(1, 2)), "dnvcg", seed=0)
+    outcome = run_round2(qual, ledger, (F(1, 2), F(1, 2)), "dnvcg", coin=0.0)
     assert outcome.winner == "global"
     assert outcome.global_payment == 30
 
 
 def test_run_round2_tie_paths():
     ledger = _ledger_a(L1=25, L2=F(35, 2))  # total = 22 exactly
-    out = run_round2(_qual_a(), ledger, WA, "nvcg", seed=0, tie_break="coalition")
+    out = run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.0)
     assert out.winner == "coalition"
     assert out.fees == (25, F(35, 2))  # every rule pays the bids at a tie
     assert out.diagnostics["tie"]
-    out = run_round2(_qual_a(), ledger, WA, "nvcg", seed=0, tie_break="global")
+    out = run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.75)
     assert out.winner == "global"
-    # a fair coin over seeds
-    sides = {
-        run_round2(_qual_a(), ledger, WA, "nvcg", seed=s).winner for s in range(40)
-    }
-    assert sides == {"coalition", "global"}
+    assert out.diagnostics["tie"]
+    # a fair coin: the coalition wins the tie iff coin < 0.5
+    sides = [run_round2(_qual_a(), ledger, WA, "nvcg", coin=k / 40).winner for k in range(40)]
+    assert sides == ["coalition"] * 20 + ["global"] * 20
+    # without a tie the coin is ignored
+    strict = _ledger_a(L1=25, L2=10)
+    assert {run_round2(_qual_a(), strict, WA, "nvcg", coin=c).winner
+            for c in (0.0, 0.75)} == {"coalition"}
 
 
 def test_run_round2_missing_bid_errors():
     ledger = BidLedger(round1={"L1": 27, "L2": 19, "G": 22}, round2={"L1": 25, "G": 22})
     with pytest.raises(ConfigurationError):
-        run_round2(_qual_a(), ledger, WA, "nvcg", seed=0)
+        run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.0)
+    tie = _ledger_a(L1=25, L2=F(35, 2))
+    for coin in (1.0, -0.5):
+        with pytest.raises(ConfigurationError, match="outside"):
+            run_round2(_qual_a(), tie, WA, "nvcg", coin=coin)
 
 
 def test_allocation_exclusivity_random():
@@ -162,9 +186,10 @@ def test_allocation_exclusivity_random():
         b1 = {k: v + float(u) for (k, v), u in zip(b2.items(), rng.uniform(0, 5, 2))}
         b1["G"] = 40.0
         g2 = float(rng.uniform(0, 30))
-        qual = run_round1([{"L0": b1["L0"]}, {"L1": b1["L1"]}], {"G": 40.0}, seed=1)
+        qual = run_round1([{"L0": b1["L0"]}, {"L1": b1["L1"]}], {"G": 40.0},
+                          coins=(0.5, 0.5, 0.5))
         ledger = BidLedger(round1=b1, round2={**b2, "G": g2})
-        out = run_round2(qual, ledger, (F(1, 2), F(1, 2)), "dnvcg", seed=1)
+        out = run_round2(qual, ledger, (F(1, 2), F(1, 2)), "dnvcg", coin=float(rng.random()))
         if out.winner == "coalition":
             assert out.global_payment == 0
         else:
@@ -175,7 +200,7 @@ def test_qualification_optimality_random():
     rng = np.random.default_rng(13)
     for trial in range(100):
         bids = {f"b{k}": float(x) for k, x in enumerate(rng.uniform(0, 50, 5))}
-        qual = run_round1([bids], {"g": 1.0}, seed=trial)
+        qual = run_round1([bids], {"g": 1.0}, coins=tuple(rng.random(2).tolist()))
         winner_bid = bids[qual.qualified_locals[0]]
         assert all(winner_bid <= v for v in bids.values())
 
@@ -197,6 +222,15 @@ def test_run_auction_table1_scenario():
     t = run_auction(sc, rule="dnvcg")
     got_bps = tuple(f * 10_000 for f in t.outcome.fees)
     assert got_bps == (F(6719, 279), F(7692, 341), F(232, 9), 25, F(9397, 341))
+
+
+def test_settle_row_takes_a_full_row():
+    sc = builtin_scenario("example1")  # 3 brokers, 2 packages: width 7
+    assert row_width(sc) == 7
+    assert settle_row(sc, sc.strategies, [0.5] * 7).outcome.winner == "coalition"
+    for width in (6, 8):
+        with pytest.raises(ConfigurationError, match="row of"):
+            settle_row(sc, sc.strategies, [0.5] * width)
 
 
 def test_transcript_determinism():

@@ -16,6 +16,9 @@ from portauction.scenario import (
     load_scenario,
     loads_scenario,
 )
+from portauction.sim import simulate
+
+import pin_simulate
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,6 +130,8 @@ def test_validation_errors_accumulate():
     ("correlated_locals", None),
     ("replications", True),
     ("replications", 2.0),
+    ("seed", -1),
+    ("seed", 2**128),
 ])
 def test_booleans_and_counts_are_not_coerced(key, value):
     data = json.loads(_example1_text())
@@ -134,6 +139,13 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     with pytest.raises(ScenarioValidationError) as exc:
         loads_scenario(json.dumps(data))
     assert [e.split(": ")[0] for e in exc.value.errors] == [f"$.{key}"]
+
+
+def test_seed_takes_any_philox_key():
+    data = json.loads(_example1_text())
+    for seed in (0, 2**128 - 1):
+        data["seed"] = seed
+        assert loads_scenario(json.dumps(data)).seed == seed
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -226,6 +238,41 @@ def test_cli_records_with_drawn_values_round_trip(command, capsys, tmp_path):
             assert isinstance(doc["result"]["frontier_gap_max"], float)
 
 
+@pytest.mark.parametrize("name", ["powerlaw", "market"])
+def test_cli_run_is_replication_zero_of_simulate(name, capsys, tmp_path):
+    if name == "powerlaw":
+        ref, config = name, builtin_scenario(name)
+    else:
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(pin_simulate._market()))
+        ref, config = str(path), load_scenario(path)
+    for seed in range(4):
+        code, out, err = run_cli(["run", ref, "--seed", str(seed), "--format", "records"],
+                                 capsys)
+        assert code == 0, err
+        run = json.loads(out)["result"]
+        code, out, err = run_cli(["simulate", ref, "-n", "1", "--seed", str(seed),
+                                  "--format", "records"], capsys)
+        assert code == 0, err
+        won = json.loads(out)["result"]["coalition_win_rate"] == 1.0
+        assert (run["outcome"]["winner"] == "coalition") is won
+        _, details = simulate(config, n=1, seed=seed, collect=True)
+        g2 = run["ledger"]["round2"][run["qualification"]["qualified_global"]]
+        assert g2 == details.global_bid2[0]
+        if (name, seed) == ("powerlaw", 0):
+            assert not won and round(g2 * 10_000, 2) == 13.35
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_cli_seed_is_a_philox_key(command, capsys):
+    extra = ["-n", "5"] if command == "simulate" else []
+    for seed, want in ((-1, 3), (2**128, 3), (0, 0), (2**128 - 1, 0)):
+        code, _, err = run_cli([command, "powerlaw", "--seed", str(seed), *extra], capsys)
+        assert code == want, err
+        if want:
+            assert "--seed" in err
+
+
 def test_cli_equilibrium_sweep(capsys):
     code, out, _ = run_cli(
         ["equilibrium", "powerlaw", "--sweep", "shape=2,3;q=2;alpha_bps=15"],
@@ -242,8 +289,8 @@ def test_cli_equilibrium_sweep(capsys):
 
 @pytest.mark.parametrize("term", [
     "q=0", "q=-1", "q=1e400", "q=2.5", "q=nan", "alpha_bps=nan", "alpha_bps=inf",
-    "shape=1", "shape=0.5", "shape=inf", "upper_bps=0", "upper_bps=-40", "upper_bps=inf",
-    "shape=2,3;q=2,0",
+    "q=1001", "shape=1", "shape=0.5", "shape=inf", "upper_bps=0", "upper_bps=-40",
+    "upper_bps=inf", "shape=2,3;q=2,0",
 ])
 def test_cli_sweep_rejects_values_outside_their_domain(term, capsys):
     code, out, err = run_cli(["equilibrium", "powerlaw", "--sweep", term], capsys)

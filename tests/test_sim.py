@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from portauction.batch import CHUNK
-from portauction.mechanism import run_auction
+from portauction.batch import CHUNK, row_chunks, row_width
+from portauction.mechanism import run_auction, settle_row
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
 from portauction.scenario import builtin_scenario, scenario_from_dict
@@ -269,3 +269,51 @@ def test_results_hold_python_scalars_only():
     dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
     report = compare_strategies(sc, sc.strategies, dev, n=300, seed=2)
     assert all(_python_scalars(getattr(report, f.name)) for f in fields(report))
+
+
+# settle_row keeps Fraction constants exact where the kernel rounds them to
+# floats first, so the two may differ by round-off, never by more than this.
+ORACLE_TOL = 1e-12
+
+
+def _oracle_cases():
+    cases = [(name, replace(config, rule=rule), seed)
+             for name, config, rule, _, seed in pin_simulate._simulate_cases()]
+    # Brokers listed against id order: both engines break ties in id order.
+    doc = pin_simulate._market()
+    doc["brokers"] = doc["brokers"][::-1]
+    cases.append(("market-reversed/dnvcg", pin_simulate._load(doc), 4))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, config, seed", _oracle_cases())
+def test_settle_row_matches_the_kernel(name, config, seed):
+    """Row k of row_chunks(seed, n, width) settled alone by the exact scalar
+    rules is replication k of simulate."""
+    rows = list(range(200))
+    if name == "powerlaw/dnvcg/long":
+        rows += [CHUNK - 1, CHUNK, CHUNK + 1]
+    n = rows[-1] + 1
+    u = np.concatenate(list(row_chunks(seed, n, row_width(config))))
+    _, details = simulate(config, n=n, seed=seed, collect=True)
+    w = config.weights.weights
+    clamped = {}
+    for k in rows:
+        t = settle_row(config, config.strategies, u[k])
+        o = t.outcome
+        assert (o.winner == "coalition") is details.won[k], k
+        g2 = t.ledger.round2[t.qualification.qualified_global]
+        assert abs(g2 - details.global_bid2[k]) <= ORACLE_TOL, k
+        assert len(o.fees) == len(details.fees[k])
+        for fee, want in zip(o.fees, details.fees[k]):
+            assert abs(fee - want) <= ORACLE_TOL, k
+        cost = sum(wj * f for wj, f in zip(w, o.fees)) if details.won[k] else o.global_payment
+        assert abs(cost - details.seller_cost[k]) <= ORACLE_TOL, k
+        clamped[k] = len(o.diagnostics.get("clamped_round2_bids", ()))
+    # simulate counts clamped bids per run: rows 0..199 together, and each
+    # later row as the difference of two prefixes
+    assert sum(clamped[k] for k in range(200)) == simulate(
+        config, n=200, seed=seed).clamped_round2_count
+    for k in rows[200:]:
+        assert clamped[k] == (simulate(config, n=k + 1, seed=seed).clamped_round2_count
+                              - simulate(config, n=k, seed=seed).clamped_round2_count)
