@@ -47,11 +47,12 @@ from .pricing import (
     AllocationError,
     CoreIntervals,
     CoreReport,
-    DnvcgFees,
+    Pricing,
     core_intervals,
     dnvcg_fees,
     marginal_fee,
     nvcg_fees,
+    price,
     validate_core_point,
     vcg_fees,
     weighted_total,
@@ -72,4 +73,4 @@ from .sim import (
     compare_strategies,
     simulate,
 )
-from .units import from_bps, to_bps
+from .units import to_bps

@@ -209,50 +209,25 @@ def run_round2(
     side = "coalition" if (coin < 0.5 if tie else total < g2) else "global"
 
     zeros = tuple(0 * b for b in bids2)
-    diagnostics = {"tie": tie, "dnvcg_fallback_empty_qdown": False, "core_violations": ()}
-
     if side == "global":
-        return FeeOutcome(
-            winner="global",
-            fees=zeros,
-            global_payment=total,
-            vcg_fees=zeros,
-            delta=0,
-            epsilons=zeros,
-            diagnostics=diagnostics,
-        )
-
-    if tie:
+        fees, cv, delta, epsilons, fell_back, violations = zeros, zeros, 0, zeros, False, ()
+    elif tie:
         # At an exact tie every rule degenerates to paying the bids.
-        fees = bids2
-        cv = bids2
-        delta = 0
-        epsilons = zeros
+        fees, cv, delta, epsilons, fell_back = bids2, bids2, 0, zeros, False
+        violations = pricing.validate_core_point(bids2, bids2, w, g2).violations()
     else:
-        cv = pricing.vcg_fees(bids2, w, g2)
-        delta = sum(wi * ci for wi, ci in zip(w, cv)) - g2
-        if rule == "vcg":
-            fees = cv
-            epsilons = zeros
-        elif rule == "nvcg":
-            fees = pricing.nvcg_fees(bids2, w, g2)
-            epsilons = zeros
-        else:
-            out = pricing.dnvcg_fees(bids1, bids2, w, g2)
-            fees = out.fees
-            epsilons = out.deviations
-            diagnostics["dnvcg_fallback_empty_qdown"] = out.fell_back
-
-    report = pricing.validate_core_point(fees, bids2, w, g2)
-    diagnostics["core_violations"] = report.violations()
+        p = pricing.price(rule, bids1, bids2, w, g2)
+        fees, cv, delta, epsilons, fell_back = p.fees, p.vcg_fees, p.delta, p.deviations, p.fell_back
+        violations = p.core.violations()
     return FeeOutcome(
-        winner="coalition",
+        winner=side,
         fees=fees,
-        global_payment=0,
+        global_payment=total if side == "global" else 0,
         vcg_fees=cv,
         delta=delta,
         epsilons=epsilons,
-        diagnostics=diagnostics,
+        diagnostics={"tie": tie, "dnvcg_fallback_empty_qdown": fell_back,
+                     "core_violations": violations},
     )
 
 

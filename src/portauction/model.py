@@ -12,6 +12,7 @@ function, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,13 @@ class ConfigurationError(ValueError):
 
 class ModelWarning(UserWarning):
     """Lint-level validation finding that does not block construction."""
+
+
+def is_number(x) -> bool:
+    """True for an int, a Fraction or a finite float; a bool is no number."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -201,15 +209,13 @@ class BrokerProfile:
 
     Locals bid on exactly one package (package_index); globals bid on the
     whole portfolio and carry no package_index. valuation is the broker's
-    private break-even fee fraction. signal_params optionally holds a
-    ValueDistribution describing how the valuation is drawn in simulations.
+    private break-even fee fraction.
     """
 
     id: str
     role: str  # "local" | "global"
     valuation: Value = 0
     package_index: Optional[int] = None
-    signal_params: object = None
 
     def __post_init__(self):
         if self.role not in ("local", "global"):

@@ -17,6 +17,11 @@ Both NVCG and D-NVCG keep the weighted fee total exactly at g, the
 bidder-optimal frontier. All functions are pure, unit-agnostic (any
 consistent fee unit works), and exact when fed Fractions.
 
+The rules form one chain, and price walks it once per coalition win: the
+VCG fees, D, the rule's fees, D-NVCG's round-1 decomposition and the core
+report all come from one vcg_fees call, returned as one Pricing.
+nvcg_fees and dnvcg_fees are views of it.
+
 These rules require a strict coalition win; exact allocation ties are the
 mechanism layer's job and are rejected here.
 """
@@ -49,26 +54,10 @@ def weighted_total(bids2: Sequence, weights) -> object:
     return sum(wi * bi for wi, bi in zip(w, bids2))
 
 
-def coalition_wins(bids2: Sequence, weights, global_bid) -> bool:
-    """True when the locals strictly underbid the global in aggregate."""
-    return weighted_total(bids2, weights) < global_bid
-
-
-def _require_coalition_win(bids2, w, global_bid):
-    total = sum(wi * bi for wi, bi in zip(w, bids2))
-    if not total < global_bid:
-        raise AllocationError(
-            f"rule undefined: coalition total {total} does not strictly "
-            f"undercut the global bid {global_bid}"
-        )
-
-
 def vcg_fees(bids2: Sequence, weights, global_bid) -> tuple:
     """Per-local VCG fee; independent of the broker's own bid."""
     w = _weights(weights)
-    if len(w) != len(bids2):
-        raise ValueError(f"{len(bids2)} bids for {len(w)} weights")
-    total = sum(wi * bi for wi, bi in zip(w, bids2))
+    total = weighted_total(bids2, w)
     fees = []
     for wi, bi in zip(w, bids2):
         raw = (global_bid - (total - wi * bi)) / wi
@@ -86,82 +75,10 @@ class CoreIntervals:
 
 
 def core_intervals(bids2: Sequence, weights, global_bid) -> CoreIntervals:
-    w = _weights(weights)
-    cv = vcg_fees(bids2, w, global_bid)
-    total = sum(wi * bi for wi, bi in zip(w, bids2))
+    cv = vcg_fees(bids2, weights, global_bid)
     return CoreIntervals(
         local_intervals=tuple((b, c) for b, c in zip(bids2, cv)),
-        global_interval=(total, global_bid),
-    )
-
-
-def nvcg_fees(bids2: Sequence, weights, global_bid) -> tuple:
-    """Frontier point nearest the VCG fees: uniform downward correction D."""
-    w = _weights(weights)
-    _require_coalition_win(bids2, w, global_bid)
-    cv = vcg_fees(bids2, w, global_bid)
-    delta = sum(wi * ci for wi, ci in zip(w, cv)) - global_bid
-    return tuple(ci - delta for ci in cv)
-
-
-@dataclass(frozen=True)
-class DnvcgFees:
-    """D-NVCG outcome plus its round-1 decomposition.
-
-    deviations holds the unweighted overbid (phi1 - cv) for overbidders and
-    zero elsewhere; bonus is the per-member increment paid to the prudent
-    set. fell_back is set when every local overbid in round 1 (empty
-    prudent set): the bonus denominator vanishes, so the plain NVCG fees
-    are returned to keep the frontier identity intact.
-    """
-
-    fees: tuple
-    q_up: tuple
-    q_down: tuple
-    deviations: tuple
-    bonus: object
-    fell_back: bool = False
-
-
-def dnvcg_fees(bids1: Sequence, bids2: Sequence, weights, global_bid) -> DnvcgFees:
-    """Two-round variant of nvcg_fees keyed to the round-1 reference bids."""
-    w = _weights(weights)
-    if len(bids1) != len(bids2):
-        raise ValueError(f"{len(bids1)} round-1 bids for {len(bids2)} round-2 bids")
-    _require_coalition_win(bids2, w, global_bid)
-    cv = vcg_fees(bids2, w, global_bid)
-    delta = sum(wi * ci for wi, ci in zip(w, cv)) - global_bid
-    base = [ci - delta for ci in cv]
-
-    q_up = tuple(j for j, (b1, c) in enumerate(zip(bids1, cv)) if b1 > c)
-    q_down = tuple(i for i in range(len(cv)) if i not in q_up)
-
-    if not q_down:
-        return DnvcgFees(
-            fees=tuple(base),
-            q_up=q_up,
-            q_down=q_down,
-            deviations=tuple(0 * c for c in cv),
-            bonus=0,
-            fell_back=True,
-        )
-
-    deviations = tuple(bids1[j] - cv[j] if j in q_up else 0 * cv[j] for j in range(len(cv)))
-    pooled = sum(w[j] * deviations[j] for j in q_up)
-    bonus = pooled / sum(w[i] for i in q_down) if q_up else 0
-
-    fees = []
-    for j in range(len(cv)):
-        if j in q_up:
-            fees.append(base[j] - deviations[j])
-        else:
-            fees.append(base[j] + bonus)
-    return DnvcgFees(
-        fees=tuple(fees),
-        q_up=q_up,
-        q_down=q_down,
-        deviations=deviations,
-        bonus=bonus,
+        global_interval=(weighted_total(bids2, weights), global_bid),
     )
 
 
@@ -205,12 +122,7 @@ class CoreReport:
         return tuple(out)
 
 
-def validate_core_point(fees: Sequence, bids2: Sequence, weights, global_bid) -> CoreReport:
-    """Check a proposed coalition fee vector against the core constraints."""
-    w = _weights(weights)
-    if not (len(fees) == len(bids2) == len(w)):
-        raise ValueError("fees, bids, and weights must have equal length")
-    cv = vcg_fees(bids2, w, global_bid)
+def _core_report(fees, bids2, w, global_bid, cv) -> CoreReport:
     paid = sum(wi * ci for wi, ci in zip(w, fees))
     gap = paid - global_bid
     return CoreReport(
@@ -222,38 +134,114 @@ def validate_core_point(fees: Sequence, bids2: Sequence, weights, global_bid) ->
     )
 
 
-def _fee_of(rule: str, broker: int, bids1, bids2, weights, global_bid):
-    if rule == "nvcg":
-        return nvcg_fees(bids2, weights, global_bid)[broker], None
+def validate_core_point(fees: Sequence, bids2: Sequence, weights, global_bid) -> CoreReport:
+    """Check a proposed coalition fee vector against the core constraints."""
+    w = _weights(weights)
+    if not (len(fees) == len(bids2) == len(w)):
+        raise ValueError("fees, bids, and weights must have equal length")
+    return _core_report(fees, bids2, w, global_bid, vcg_fees(bids2, w, global_bid))
+
+
+@dataclass(frozen=True)
+class Pricing:
+    """One coalition win priced under one rule.
+
+    vcg_fees and delta (D) are the chain's shared steps. For D-NVCG, q_up
+    holds the overbidders (phi1 > cv) and q_down the prudent set;
+    deviations holds the unweighted overbid (phi1 - cv) for overbidders and
+    zero elsewhere; bonus is the per-member increment paid to the prudent
+    set. fell_back is set when every local overbid in round 1 (empty
+    prudent set): the bonus denominator vanishes, so the plain NVCG fees
+    are returned to keep the frontier identity intact. Under VCG and NVCG
+    nobody is an overbidder. core checks fees against the same VCG fees.
+    """
+
+    fees: tuple
+    vcg_fees: tuple
+    delta: object
+    q_up: tuple
+    q_down: tuple
+    deviations: tuple
+    bonus: object
+    fell_back: bool
+    core: CoreReport
+
+
+def price(rule: str, bids1, bids2: Sequence, weights, global_bid) -> Pricing:
+    """Price a strict coalition win under rule in one pass. bids1, the
+    round-1 reference bids, is read only by dnvcg."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    w = _weights(weights)
+    total = weighted_total(bids2, w)
+    if not total < global_bid:
+        raise AllocationError(
+            f"rule undefined: coalition total {total} does not strictly "
+            f"undercut the global bid {global_bid}"
+        )
+    cv = vcg_fees(bids2, w, global_bid)
+    delta = sum(wi * ci for wi, ci in zip(w, cv)) - global_bid
+    fees = cv if rule == "vcg" else tuple(ci - delta for ci in cv)
+    q_up, q_down = (), tuple(range(len(cv)))
+    deviations, bonus = tuple(0 * b for b in bids2), 0
     if rule == "dnvcg":
-        out = dnvcg_fees(bids1, bids2, weights, global_bid)
-        return out.fees[broker], out.q_up
-    raise ValueError(f"unknown rule {rule!r}")
+        if len(bids1) != len(bids2):
+            raise ValueError(f"{len(bids1)} round-1 bids for {len(bids2)} round-2 bids")
+        q_up = tuple(j for j, (b1, c) in enumerate(zip(bids1, cv)) if b1 > c)
+        q_down = tuple(i for i in q_down if i not in q_up)
+        deviations = tuple(
+            bids1[j] - c if j in q_up and q_down else 0 * c for j, c in enumerate(cv))
+        if q_down:
+            if q_up:
+                bonus = sum(w[j] * deviations[j] for j in q_up) / sum(w[i] for i in q_down)
+            fees = tuple(f - d if j in q_up else f + bonus
+                         for j, (f, d) in enumerate(zip(fees, deviations)))
+    return Pricing(
+        fees=fees,
+        vcg_fees=cv,
+        delta=delta,
+        q_up=q_up,
+        q_down=q_down,
+        deviations=deviations,
+        bonus=bonus,
+        fell_back=not q_down,
+        core=_core_report(fees, bids2, w, global_bid, cv),
+    )
+
+
+def nvcg_fees(bids2: Sequence, weights, global_bid) -> tuple:
+    """Frontier point nearest the VCG fees: uniform downward correction D."""
+    return price("nvcg", None, bids2, weights, global_bid).fees
+
+
+def dnvcg_fees(bids1: Sequence, bids2: Sequence, weights, global_bid) -> Pricing:
+    """Two-round variant of nvcg_fees keyed to the round-1 reference bids."""
+    return price("dnvcg", bids1, bids2, weights, global_bid)
 
 
 def marginal_fee(rule: str, broker: int, bids1, bids2, weights, global_bid, step):
-    """Central-difference derivative of a broker's fee in their own round-2 bid.
+    """Central-difference derivative of a broker's fee in their own round-2 bid,
+    under nvcg or dnvcg.
 
     The step must keep the winner and, for D-NVCG, the overbidder/prudent
     partition unchanged at both evaluation points; otherwise the derivative
     straddles a kink and the call is rejected.
     """
+    if rule not in ("nvcg", "dnvcg"):
+        raise ValueError(f"marginal_fee takes nvcg or dnvcg, not {rule!r}")
     if step <= 0:
         raise ValueError("step must be positive")
-    w = _weights(weights)
     bids2 = list(bids2)
     evals = []
-    partitions = []
     for shift in (step, -step):
         shifted = list(bids2)
         shifted[broker] = bids2[broker] + shift
         if shifted[broker] < 0:
             raise ValueError("step drives the bid negative")
-        if not coalition_wins(shifted, w, global_bid):
-            raise ValueError("step flips the winner; use a smaller step")
-        fee, q_up = _fee_of(rule, broker, bids1, shifted, w, global_bid)
-        evals.append(fee)
-        partitions.append(q_up)
-    if rule == "dnvcg" and partitions[0] != partitions[1]:
+        try:
+            evals.append(price(rule, bids1, shifted, weights, global_bid))
+        except AllocationError:
+            raise ValueError("step flips the winner; use a smaller step") from None
+    if evals[0].q_up != evals[1].q_up:
         raise ValueError("step flips the round-1 partition; use a smaller step")
-    return (evals[0] - evals[1]) / (2 * step)
+    return (evals[0].fees[broker] - evals[1].fees[broker]) / (2 * step)

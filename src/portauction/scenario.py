@@ -29,6 +29,7 @@ from .model import (
     PortfolioSpec,
     WeightVector,
     derive_weights,
+    is_number,
 )
 from .pricing import RULES
 from .units import BPS
@@ -61,7 +62,6 @@ class ScenarioConfig:
     seed: int
     replications: int
     correlated_locals: bool = True
-    output: Optional[dict] = None
     name: str = ""
     digest: str = ""
     source_path: Optional[str] = None
@@ -74,6 +74,11 @@ class ScenarioConfig:
 
 
 def _require_keys(data, allowed, required, path, errors):
+    """False, with the findings in errors, unless data is an object holding
+    every required key; unknown keys are findings too."""
+    if not isinstance(data, dict):
+        errors.append(f"{path}: expected an object")
+        return False
     unknown = set(data) - set(allowed)
     for k in sorted(unknown):
         errors.append(f"{path}: unknown key {k!r}")
@@ -99,13 +104,14 @@ def _num_list(xs, path, errors):
 
 
 def _parse_portfolio(data, errors):
-    path = "portfolio"
-    if not isinstance(data, dict):
-        errors.append(f"{path}: expected an object")
-        return None
+    path = "$.portfolio"
     allowed = ("securities", "quantities", "agreed_prices", "anticipated_prices", "packages")
     if not _require_keys(data, allowed, allowed, path, errors):
         return None
+    for key in ("securities", "packages"):
+        if not isinstance(data[key], list):
+            errors.append(f"{path}.{key}: expected a list")
+            return None
     try:
         return PortfolioSpec(
             securities=tuple(str(s) for s in data["securities"]),
@@ -128,10 +134,14 @@ def _parse_distribution(data, path, errors):
     if data is None:
         return None
     allowed = ("kind", "upper_bps", "lower_bps", "shape", "sample_bps")
-    _require_keys(data, allowed, ("kind",), path, errors)
+    if not _require_keys(data, allowed, ("kind",), path, errors):
+        return None
     try:
         kind = data["kind"]
         if kind == "power-law":
+            if not is_number(data["shape"]):
+                errors.append(f"{path}.shape: expected a number, got {data['shape']!r}")
+                return None
             return ValueDistribution.power_law(
                 upper=float(_frac(data["upper_bps"]) * BPS), shape=float(data["shape"])
             )
@@ -151,7 +161,7 @@ def _parse_distribution(data, path, errors):
 
 
 def _parse_brokers(data, n_packages, errors):
-    path = "brokers"
+    path = "$.brokers"
     brokers = []
     seen = set()
     if not isinstance(data, list) or not data:
@@ -160,7 +170,12 @@ def _parse_brokers(data, n_packages, errors):
     for i, entry in enumerate(data):
         p = f"{path}[{i}]"
         allowed = ("id", "role", "package_index", "valuation_bps")
-        _require_keys(entry, allowed, ("id", "role"), p, errors)
+        if not _require_keys(entry, allowed, ("id", "role"), p, errors):
+            continue
+        index = entry.get("package_index")
+        if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
+            errors.append(f"{p}.package_index: expected an integer, got {index!r}")
+            continue
         try:
             broker = BrokerProfile(
                 id=str(entry["id"]),
@@ -195,7 +210,7 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     errors = []
     allowed = (
         "schema_version", "name", "portfolio", "brokers", "distributions", "rule",
-        "strategies", "seed", "replications", "correlated_locals", "output",
+        "strategies", "seed", "replications", "correlated_locals",
     )
     _require_keys(data, allowed, ("schema_version", "portfolio", "brokers", "rule"), "$", errors)
     if data.get("schema_version") not in (None, SCHEMA_VERSION):
@@ -215,18 +230,22 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         brokers = _parse_brokers(data["brokers"], portfolio.q, errors)
 
     dists = {"local": None, "global": None}
-    for role, cfg in (data.get("distributions") or {}).items():
-        if role not in dists:
-            errors.append(f"$.distributions: unknown role {role!r}")
-            continue
-        dists[role] = _parse_distribution(cfg, f"$.distributions.{role}", errors)
+    dist_cfg = data.get("distributions")
+    if dist_cfg is not None and _require_keys(dist_cfg, tuple(dists), (), "$.distributions",
+                                              errors):
+        for role in dists:
+            dists[role] = _parse_distribution(dist_cfg.get(role), f"$.distributions.{role}",
+                                              errors)
 
     strategies = None
-    if data.get("strategies") is not None:
+    strategy_cfg = data.get("strategies")
+    if strategy_cfg is not None and not isinstance(strategy_cfg, dict):
+        errors.append("$.strategies: expected an object")
+    elif strategy_cfg is not None:
         try:
-            strategies = sim.profile_from_config(data["strategies"], BPS)
-        except (ConfigurationError, KeyError, TypeError) as e:
-            errors.append(f"$.strategies: {e}")
+            strategies = sim.profile_from_config(strategy_cfg, BPS)
+        except ConfigurationError as e:
+            errors.append(f"$.strategies.{e}")
         if strategies is not None:
             broker_ids = {b.id for b in brokers}
             for bid in strategies.brokers:
@@ -245,10 +264,6 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     if not isinstance(correlated, bool):
         errors.append(f"$.correlated_locals: expected true or false, got {correlated!r}")
 
-    output = data.get("output")
-    if output is not None:
-        _require_keys(output, ("path", "format"), (), "$.output", errors)
-
     if errors:
         raise ScenarioValidationError(errors)
 
@@ -263,7 +278,6 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         seed=seed,
         replications=replications,
         correlated_locals=correlated,
-        output=output,
         name=str(data.get("name", name)),
         digest=digest,
         source_path=source_path,

@@ -12,14 +12,6 @@ from fractions import Fraction
 BPS = Fraction(1, 10_000)
 
 
-def from_bps(x):
-    """Convert a value quoted in basis points to a fee fraction.
-
-    Exact for int/Fraction inputs, float arithmetic for floats.
-    """
-    return x * BPS
-
-
 def to_bps(fee):
     """Express a fee fraction in basis points."""
     return fee * 10_000

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from portauction import pricing
 from portauction.batch import row_width
 from portauction.mechanism import (
     BidLedger,
@@ -177,6 +178,28 @@ def test_run_round2_missing_bid_errors():
     for coin in (1.0, -0.5):
         with pytest.raises(ConfigurationError, match="outside"):
             run_round2(_qual_a(), tie, WA, "nvcg", coin=coin)
+
+
+@pytest.mark.parametrize("rule", pricing.RULES)
+@pytest.mark.parametrize("round2, coin, winner, calls", [
+    ({}, 0.0, "coalition", 1),                      # strict win: 19 < 22
+    ({"L2": F(35, 2)}, 0.0, "coalition", 1),        # exact tie at 22
+    ({"L2": F(35, 2)}, 0.75, "global", 0),          # the global takes the tie
+    ({"L1": 27, "L2": 19}, 0.0, "global", 0),       # strict global win: 23.8 > 22
+])
+def test_run_round2_prices_each_coalition_win_once(monkeypatch, rule, round2, coin, winner,
+                                                    calls):
+    counted = []
+    vcg_fees = pricing.vcg_fees
+
+    def counting(*args):
+        counted.append(args)
+        return vcg_fees(*args)
+
+    monkeypatch.setattr(pricing, "vcg_fees", counting)
+    out = run_round2(_qual_a(), _ledger_a(**round2), WA, rule, coin=coin)
+    assert out.winner == winner
+    assert len(counted) == calls
 
 
 def test_allocation_exclusivity_random():

@@ -3,13 +3,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portauction.pricing import (
+    RULES,
     AllocationError,
     core_intervals,
     dnvcg_fees,
     marginal_fee,
     nvcg_fees,
+    price,
     validate_core_point,
     vcg_fees,
     weighted_total,
@@ -184,6 +188,9 @@ def test_marginal_fee_step_violations():
         marginal_fee("dnvcg", 0, bids1, A_B2, WA, A_G2, F(1, 10))
     with pytest.raises(ValueError):
         marginal_fee("nvcg", 0, None, A_B2, WA, A_G2, 0)
+    for rule in ("vcg", "bogus"):  # a VCG fee does not move with the own bid
+        with pytest.raises(ValueError, match=repr(rule)):
+            marginal_fee(rule, 0, None, A_B2, WA, A_G2, F(1, 100))
 
 
 def _random_instance(rng, q=None, exact=False):
@@ -327,3 +334,86 @@ def test_core_oracle_agreement_random():
         for fees in candidates:
             report = validate_core_point(fees, bids2, w, g)
             assert report.in_core == oracle_in_core(fees, bids2, w, g)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the one-pass pricing chain, in exact Fraction arithmetic.
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
+
+TENTHS = st.integers(0, 400).map(lambda n: F(n, 10))
+
+
+@st.composite
+def coalition_wins(draw):
+    """(weights, round-1 bids, round-2 bids, global bid) with a strict
+    coalition win and q from 1 to 8; round-1 bids sit at or above the
+    round-2 bids, so every partition (and the fallback) can occur."""
+    q = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.integers(1, 30), min_size=q, max_size=q))
+    w = tuple(F(x, sum(raw)) for x in raw)
+    bids2 = tuple(draw(st.lists(TENTHS, min_size=q, max_size=q)))
+    g = weighted_total(bids2, w) + F(draw(st.integers(1, 600)), 10)
+    bids1 = tuple(b + d for b, d in zip(bids2, draw(st.lists(TENTHS, min_size=q, max_size=q))))
+    return w, bids1, bids2, g
+
+
+@PROPERTY
+@given(coalition_wins(), st.sampled_from(("nvcg", "dnvcg")))
+def test_weighted_fees_hit_the_global_bid(win, rule):
+    w, bids1, bids2, g = win
+    assert weighted_total(price(rule, bids1, bids2, w, g).fees, w) == g
+
+
+@PROPERTY
+@given(coalition_wins())
+def test_dnvcg_decomposes_around_nvcg(win):
+    w, bids1, bids2, g = win
+    p = price("dnvcg", bids1, bids2, w, g)
+    base = nvcg_fees(bids2, w, g)
+    cv = p.vcg_fees
+    assert sorted(p.q_up + p.q_down) == list(range(len(w)))
+    assert all(bids1[j] > cv[j] for j in p.q_up)
+    assert all(bids1[i] <= cv[i] for i in p.q_down)
+    if p.fell_back:
+        assert p.q_down == () and p.fees == base
+        assert p.bonus == 0 and all(d == 0 for d in p.deviations)
+        return
+    for j in p.q_up:
+        assert p.deviations[j] == bids1[j] - cv[j]
+        assert p.fees[j] == base[j] - p.deviations[j]
+    for i in p.q_down:
+        assert p.deviations[i] == 0
+        assert p.fees[i] == base[i] + p.bonus
+    w_down = sum(w[i] for i in p.q_down)
+    assert p.bonus * w_down == sum(w[j] * p.deviations[j] for j in p.q_up)
+
+
+@PROPERTY
+@given(coalition_wins(), st.sampled_from(RULES))
+def test_pricing_carries_the_vcg_fees_and_correction(win, rule):
+    w, bids1, bids2, g = win
+    p = price(rule, bids1, bids2, w, g)
+    assert p.vcg_fees == vcg_fees(bids2, w, g)
+    assert p.delta == weighted_total(p.vcg_fees, w) - g
+    if rule == "vcg":
+        assert p.fees == p.vcg_fees
+    if rule != "dnvcg":
+        assert p.q_up == () and not p.fell_back and all(d == 0 for d in p.deviations)
+
+
+@PROPERTY
+@given(coalition_wins(), st.sampled_from(RULES))
+def test_pricing_core_report_matches_validate_core_point(win, rule):
+    w, bids1, bids2, g = win
+    p = price(rule, bids1, bids2, w, g)
+    assert p.core == validate_core_point(p.fees, bids2, w, g)
+
+
+def test_price_rejects_unknown_rules_and_non_wins():
+    with pytest.raises(ValueError, match="'bogus'"):
+        price("bogus", A_B1, A_B2, WA, A_G2)
+    for rule in RULES:
+        with pytest.raises(AllocationError):
+            price(rule, A_B1, (25, F(35, 2)), WA, A_G2)  # exact tie at 22

@@ -141,6 +141,43 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     assert [e.split(": ")[0] for e in exc.value.errors] == [f"$.{key}"]
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("output",), {"path": "out.json", "format": "records"}, "$"),  # no longer a key
+    (("output",), 5, "$"),
+    (("distributions",), 5, "$.distributions"),
+    (("distributions",), [1], "$.distributions"),
+    (("distributions", "global"), 5, "$.distributions.global"),
+    (("distributions", "global", "shape"), "2", "$.distributions.global.shape"),
+    (("brokers", 0), 5, "$.brokers[0]"),
+    (("brokers", 0, "package_index"), True, "$.brokers[0].package_index"),
+    (("portfolio", "packages"), 5, "$.portfolio.packages"),
+    (("portfolio", "securities"), 5, "$.portfolio.securities"),
+    (("strategies",), 5, "$.strategies"),
+    (("strategies", "L1", "round2", "ell"), "x", "$.strategies.L1.round2.ell"),
+    (("strategies", "L1", "round2", "ell"), -1, "$.strategies.L1.round2.ell"),
+    (("strategies", "L1", "round2", "in_qdown"), "false", "$.strategies.L1.round2.in_qdown"),
+    (("strategies", "L1", "round2", "sigma"), "x", "$.strategies.L1.round2.sigma"),
+    (("strategies", "L1", "round2", "sum_w_qdown"), "x", "$.strategies.L1.round2.sum_w_qdown"),
+    (("strategies", "L1", "round1", "value_bps"), "x", "$.strategies.L1.round1.value_bps"),
+])
+def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
+    data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
+                      .read_text())
+    *parents, last = keys
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ScenarioValidationError) as exc:
+        loads_scenario(json.dumps(data))
+    assert exc.value.errors[0].split(": ")[0] == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(["validate", str(bad)], capsys)
+    assert code == 4
+    assert f"- {path}: " in err
+
+
 def test_seed_takes_any_philox_key():
     data = json.loads(_example1_text())
     for seed in (0, 2**128 - 1):
