@@ -1,26 +1,35 @@
 """The batch kernel behind simulate and compare_strategies.
 
-Kernel settles a chunk of replications at once, one row per replication
-and every stage column-wise: value draws, round-1 bids and qualification,
+Kernel settles a chunk of replications at once. Its arrays are
+broker-major, one column per replication, and every stage is a few numpy
+operations over the chunk: value draws, round-1 bids and qualification,
 round-2 bids, the allocation test, the payment rule, the core check and
-the payoffs. mechanism.settle_row settles one row alone with the exact
-scalar rules and is the oracle for this kernel: the two agree on every
-winner, exactly on float inputs, and within 1e-12 where a Fraction
-constant stays exact in the scalar rules.
+the payoffs. Kernel.compile groups each round's brokers by strategy kind,
+so the bids cost one operation per kind (at most five) on that kind's
+slab of brokers, however many brokers there are, and qualification
+settles every sealed auction in one pass. Valuations depend on the rows
+alone, so compare_strategies draws them once per chunk for both profiles.
+
+mechanism.settle_row settles one row alone with the exact scalar rules and
+is the oracle for this kernel: the two agree on every winner, exactly on
+float inputs, and within 1e-12 where a Fraction constant stays exact in
+the scalar rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .equilibrium import equilibrium_shading
 from .model import ConfigurationError
 
-# Replications are drawn and settled CHUNK rows at a time, so memory stays
-# bounded whatever n is. The draws do not depend on the chunking.
+# Replications are drawn and settled CHUNK rows at a time, so a chunk's
+# arrays stay the same size whatever n is (compare_strategies keeps one
+# float per pair besides). The draws do not depend on the chunking.
 CHUNK = 8192
 
 # A seed is a Philox key: 0 <= seed < SEED_LIMIT.
@@ -46,11 +55,11 @@ def row_chunks(seed, n, width):
 
 def _quantiles(dist, u):
     """dist.quantile over an array of uniforms, bit for bit. Power-law
-    quantiles stay on Python's float ** (C pow): numpy's power and sqrt
-    round differently on a share of draws."""
+    quantiles stay on C pow (math.pow, as float ** calls it on [0, 1)):
+    numpy's power and sqrt round differently on a share of draws."""
     if dist.kind == "power-law":
-        upper, exponent = dist.upper, 1.0 / dist.shape
-        return np.array([upper * x ** exponent for x in u.ravel().tolist()]).reshape(u.shape)
+        powers = map(math.pow, u.ravel().tolist(), repeat(1.0 / dist.shape))
+        return float(dist.upper) * np.fromiter(powers, float, u.size).reshape(u.shape)
     if dist.kind == "uniform":
         return float(dist.lower) + u * float(dist.upper - dist.lower)
     sample = np.asarray(dist.sample)
@@ -62,24 +71,21 @@ def _floor0(x):
     return np.where(0.0 > x, 0.0, x)
 
 
-def _column_rule(strategy, weight, rule, q):
-    """A bid rule over columns of valuations and round-1 caps."""
-    kind = strategy.kind
+def _slab_bids(kind, brokers, param, vals, caps):
+    """One strategy kind's bids over its slab of brokers: vals and caps
+    (round-1 bids, round 2 only) are read at the brokers' rows, and param
+    holds each broker's constant value, offset or equilibrium shading."""
     if kind == "constant":
-        v = float(strategy.value)
-        return lambda val, cap: np.full(len(val), v)
+        return param
+    val = vals[brokers]
     if kind == "truthful":
-        return lambda val, cap: np.where(val > 0, val, 0.0)
+        return np.where(val > 0, val, 0.0)
     if kind == "offset":
-        off = float(strategy.offset)
-        return lambda val, cap: _floor0(val + off)
+        return _floor0(val + param)
     if kind == "capped-value":
-        return lambda val, cap: np.where(val < cap, val, cap)
-    shading = equilibrium_shading(
-        rule if rule != "vcg" else "nvcg", strategy.sigma, weight, q,
-        in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
-    )
-    return lambda val, cap: _floor0(np.where(val <= 0, 0.0, val - shading))
+        cap = caps[brokers]
+        return np.where(val < cap, val, cap)
+    return _floor0(np.where(val <= 0, 0.0, val - param))
 
 
 class ExactSum:
@@ -90,8 +96,11 @@ class ExactSum:
         self._terms = []
 
     def add(self, values):
-        if not values.any():
-            return  # zeros leave an exact sum unchanged
+        # fsum stores no zero partial, so dropping zeros (and -0.0) changes
+        # no bit of the total.
+        values = values[values != 0]
+        if not values.size:
+            return
         terms = self._terms + values.tolist()
         if self._terms:
             terms = self._exact_parts(terms)
@@ -115,26 +124,28 @@ class ExactSum:
 
 @dataclass
 class Batch:
-    """Outcomes of a chunk of replications, one row each."""
+    """Outcomes of a chunk of replications, one column each."""
 
     won: np.ndarray
     seller_cost: np.ndarray
-    fees: np.ndarray        # (rows, q); zeros on a global win
+    fees: np.ndarray        # (q, replications); zeros on a global win
     gap: np.ndarray         # weighted fee total minus the global bid
     violations: np.ndarray  # coalition win outside the core
     clamped: int            # round-2 bids clamped, summed over the chunk
     g2: np.ndarray
     local_value: np.ndarray
-    payoffs: list           # one array per requested broker column
+    payoffs: np.ndarray     # (brokers, replications), in Kernel.ids order
 
 
 class Kernel:
-    """The auction over a chunk of rows, every stage column-wise.
+    """The auction over a chunk of rows, every stage slab-wise.
 
-    On float inputs equal to settling each row alone with the scalar rules:
-    weighted sums accumulate column by column in package order, the same
-    operations run in the same order, and floors keep Python's choice of
-    operand (so a VCG fee floored from a negative raw value is -0.0).
+    Arrays are broker-major, one row per broker (or package) and one column
+    per replication. On float inputs equal to settling each replication
+    alone with the scalar rules: weighted sums accumulate package by
+    package from 0.0, the same operations run in the same order, and floors
+    keep Python's choice of operand (so a VCG fee floored from a negative
+    raw value is -0.0).
     """
 
     def __init__(self, scenario):
@@ -142,7 +153,7 @@ class Kernel:
         self.w = tuple(float(x) for x in scenario.weights)
         self.q = len(self.w)
         pf = scenario.portfolio
-        self.pkg_values = tuple(float(pf.package_value(j)) for j in range(pf.q))
+        self.pkg_values = np.array([[float(v)] for v in pf.package_values])
         self.total_value = float(pf.total_value)
 
         locals_ = [b for b in scenario.brokers if b.role == "local"]
@@ -150,116 +161,162 @@ class Kernel:
         self.L, self.G = len(locals_), len(globals_)
         self.ids = [b.id for b in locals_ + globals_]
         self.local_pkg = [b.package_index for b in locals_]
-        self.fixed_vals = np.array([float(b.valuation) for b in locals_ + globals_])
+        # A role without a distribution keeps its brokers' fixed valuations.
         self.dist_l = scenario.distributions.get("local")
         self.dist_g = scenario.distributions.get("global")
+        def fixed(brokers):
+            return np.array([[float(b.valuation)] for b in brokers])
+        self.fixed_l = fixed(locals_) if self.dist_l is None else None
+        self.fixed_g = fixed(globals_) if self.dist_g is None else None
         self.correlated = scenario.correlated_locals
 
-        # Round-1 tie coins pick among tied brokers in id order.
-        self.pkg_members = [[] for _ in range(self.q)]
+        # The q+1 sealed round-1 auctions, packages first. Column a of
+        # members lists auction a's bidders in id order (the order its tie
+        # coin counts in), padded to one depth with row L+G of the round-1
+        # bids, which is +inf and never the lowest.
+        auctions = [[] for _ in range(self.q)]
         for k, j in enumerate(self.local_pkg):
-            self.pkg_members[j].append(k)
-        for j, members in enumerate(self.pkg_members):
+            auctions[j].append(k)
+        for j, members in enumerate(auctions):
             if not members:
                 raise ConfigurationError(f"package {j} has no local bidder")
-            members.sort(key=lambda k: self.ids[k])
-        self.global_cols = sorted(range(self.L, self.L + self.G), key=lambda k: self.ids[k])
+        auctions.append(list(range(self.L, self.L + self.G)))
+        depth = max(map(len, auctions))
+        pad = self.L + self.G
+        self.members = np.array([sorted(m, key=lambda k: self.ids[k]) + [pad] * (depth - len(m))
+                                 for m in auctions]).T
+        self.contested = depth > 1
+        # Row p of running_count @ tied counts the ties among members 0..p.
+        self.running_count = np.tri(depth)
         self.width = row_width(scenario)
 
     def compile(self, profile):
-        """Per-broker (round 1, round 2) column rules; equilibrium
-        shading terms are computed, and validated, here once."""
-        rules = []
+        """The profile's (round 1, round 2) bid rules, each round's brokers
+        grouped by strategy kind as (kind, brokers, one parameter per
+        broker); equilibrium shading terms are computed, and validated,
+        here once."""
+        rounds = ({}, {})
         for k, bid in enumerate(self.ids):
             weight = self.w[self.local_pkg[k]] if k < self.L else None
             st = profile[bid]
-            rules.append((_column_rule(st.round1, weight, self.rule, self.q),
-                          _column_rule(st.round2, weight, self.rule, self.q)))
-        return rules
+            for groups, strategy in zip(rounds, (st.round1, st.round2)):
+                brokers, params = groups.setdefault(strategy.kind, ([], []))
+                brokers.append(k)
+                params.append([self._param(strategy, weight)])
+        return tuple(
+            tuple((kind, np.array(brokers), np.array(params))
+                  for kind, (brokers, params) in groups.items())
+            for groups in rounds)
 
-    def _values(self, u):
+    def _param(self, strategy, weight):
+        """The one number a strategy's bid rule reads besides the
+        valuation and the cap: its constant value, offset or equilibrium
+        shading (VCG shades as NVCG)."""
+        kind = strategy.kind
+        if kind == "constant":
+            return float(strategy.value)
+        if kind == "offset":
+            return float(strategy.offset)
+        if kind == "equilibrium":
+            return float(equilibrium_shading(
+                self.rule if self.rule != "vcg" else "nvcg", strategy.sigma, weight, self.q,
+                in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
+            ))
+        return 0.0
+
+    def values(self, u):
+        """The brokers' valuations on the rows of u, as (brokers,
+        replications) in Kernel.ids order; they do not depend on the
+        strategy profile."""
         L, G = self.L, self.G
-        vals = np.empty((len(u), L + G))
-        vals[:] = self.fixed_vals
-        if self.dist_l is not None:
-            if self.correlated:
-                vals[:, :L] = _quantiles(self.dist_l, u[:, :1])
-            else:
-                vals[:, :L] = _quantiles(self.dist_l, u[:, :L])
-        if self.dist_g is not None:
-            vals[:, L:] = _quantiles(self.dist_g, u[:, L:L + G])
+        vals = np.empty((L + G, len(u)))
+        if self.dist_l is None:
+            vals[:L] = self.fixed_l
+        else:
+            vals[:L] = _quantiles(self.dist_l, u[:, :1 if self.correlated else L].T)
+        if self.dist_g is None:
+            vals[L:] = self.fixed_g
+        else:
+            vals[L:] = _quantiles(self.dist_g, u[:, L:L + G].T)
         return vals
 
-    @staticmethod
-    def _pick(bids1, cols, coin):
-        """Lowest round-1 bid among cols; on an exact tie the
-        int(coin * ties)-th tied broker, in cols order."""
-        if len(cols) == 1:
-            return np.full(len(coin), cols[0])
-        b = bids1[:, cols]
-        tied = b == b.min(axis=1, keepdims=True)
-        rank = (coin * tied.sum(axis=1)).astype(np.intp)
-        return np.asarray(cols)[(tied.cumsum(axis=1) > rank[:, None]).argmax(axis=1)]
-
     def _weighted(self, x):
-        """sum_j w_j x_j per row, accumulated in package order from 0.0."""
-        acc = np.zeros(len(x))
+        """sum_j w_j x_j per column, accumulated in package order from 0.0."""
+        acc = np.zeros(x.shape[1])
         for j, wj in enumerate(self.w):
-            acc += wj * x[:, j]
+            acc += wj * x[j]
         return acc
 
-    def run(self, u, rules, cols) -> Batch:
-        """Settle one replication per row of u; payoffs for broker cols."""
-        L, G, q = self.L, self.G, self.q
-        w = np.array(self.w)
-        coin = L + G
+    def run(self, u, vals, strategies) -> Batch:
+        """Settle one replication per row of u, with the valuations vals
+        (Kernel.values of u) and the bid rules strategies (Kernel.compile)."""
+        N, q = self.L + self.G, self.q
+        w = np.array(self.w)[:, None]
+        coins = u[:, N:].T  # q+1 round-1 tie coins, then the allocation coin
+        round1_rules, round2_rules = strategies
 
-        vals = self._values(u)
-        bids1 = np.column_stack([r1(vals[:, k], None) for k, (r1, _) in enumerate(rules)])
+        bids1 = np.empty((N + 1, len(u)))
+        bids1[N] = np.inf
+        for kind, brokers, param in round1_rules:
+            bids1[brokers] = _slab_bids(kind, brokers, param, vals, None)
 
-        winners = np.column_stack([self._pick(bids1, members, u[:, coin + j])
-                                   for j, members in enumerate(self.pkg_members)])
-        g_idx = self._pick(bids1, self.global_cols, u[:, coin + q])
+        # Qualification: each auction's lowest round-1 bid; on an exact tie
+        # the int(coin * ties)-th tied bidder in id order. The winners'
+        # seats index flat(x) for any (brokers, replications) array x.
+        # When every auction has one bidder they are fixed rows. Otherwise
+        # they are flat indices from one pass over (depth, auction,
+        # replication) that takes the first member whose running tie count
+        # exceeds the rank: the counts are exact in floats, and numpy
+        # reduces fast across the leading axis.
+        if self.contested:
+            b = bids1[self.members]
+            tied = (b == b.min(axis=0)).astype(np.float64)
+            running = (self.running_count @ tied.reshape(len(tied), -1)).reshape(tied.shape)
+            rank = (coins[:q + 1] * running[-1]).astype(np.intp)
+            pick = (running <= rank).sum(axis=0)
+            seats = self.members[pick, np.arange(q + 1)[:, None]] * len(u) + np.arange(len(u))
+            flat = np.ravel
+        else:
+            seats = self.members[0]
+            flat = np.asarray
 
         # Round 2 for the q+1 qualified brokers: floor at zero, cap at round 1.
-        qualified = np.column_stack([winners, g_idx])
-        rows = np.arange(len(u))[:, None]
-        cap = bids1[rows, qualified]
-        raw = np.column_stack([r2(vals[:, k], bids1[:, k]) for k, (_, r2) in enumerate(rules)])
-        raw = raw[rows, qualified]
+        raw = np.empty((N, len(u)))
+        for kind, brokers, param in round2_rules:
+            raw[brokers] = _slab_bids(kind, brokers, param, vals, bids1)
+        cap = flat(bids1)[seats]
+        raw = flat(raw)[seats]
         floored = _floor0(raw)
         bid2 = np.where(cap < floored, cap, floored)
         clamped = int(np.count_nonzero(bid2 != raw))
-        round1, bids2, g2 = cap[:, :q], bid2[:, :q], bid2[:, q]
+        round1, bids2, g2 = cap[:q], bid2[:q], bid2[q]
 
         total = self._weighted(bids2)
         tie = total == g2
-        won = np.where(tie, u[:, coin + q + 1] < 0.5, total < g2)
+        won = np.where(tie, coins[q + 1] < 0.5, total < g2)
 
         # VCG fees, then the rule's fees; at an exact tie every rule pays the bids.
-        raw_cv = (g2[:, None] - (total[:, None] - w * bids2)) / w
+        raw_cv = (g2 - (total - w * bids2)) / w
         cv = np.where(raw_cv > 0, raw_cv, 0 * raw_cv)
         if self.rule == "vcg":
             fees = cv
         else:
-            fees = cv - (self._weighted(cv) - g2)[:, None]
+            fees = cv - (self._weighted(cv) - g2)
             if self.rule == "dnvcg":
                 fees = self._dnvcg(fees, cv, round1)
-        fees = np.where(won[:, None], np.where(tie[:, None], bids2, fees), 0.0)
+        fees = np.where(won, np.where(tie, bids2, fees), 0.0)
 
         paid = self._weighted(fees)
         seller_cost = np.where(won, paid, total)
-        in_core = (fees >= bids2).all(axis=1) & (fees <= cv).all(axis=1) & (paid <= g2)
+        in_core = (fees >= bids2).all(axis=0) & (fees <= cv).all(axis=0) & (paid <= g2)
 
-        payoffs = []
-        for k in cols:
-            if k < L:
-                j = self.local_pkg[k]
-                payoffs.append(np.where(won & (winners[:, j] == k),
-                                        self.pkg_values[j] * (fees[:, j] - vals[:, k]), 0.0))
-            else:
-                payoffs.append(np.where(~won & (g_idx == k),
-                                        self.total_value * (seller_cost - vals[:, k]), 0.0))
+        # Payoffs: the qualified locals' on a coalition win, the qualified
+        # global's otherwise, zero for every other broker.
+        value = flat(vals)[seats]
+        payoffs = np.zeros((N, len(u)))
+        seated = flat(payoffs)
+        seated[seats[:q]] = np.where(won, self.pkg_values * (fees - value[:q]), 0.0)
+        seated[seats[q]] = np.where(won, 0.0, self.total_value * (seller_cost - value[q]))
         return Batch(
             won=won,
             seller_cost=seller_cost,
@@ -268,7 +325,7 @@ class Kernel:
             violations=won & ~in_core,
             clamped=clamped,
             g2=g2,
-            local_value=vals[:, 0],
+            local_value=vals[0],
             payoffs=payoffs,
         )
 
@@ -281,7 +338,7 @@ class Kernel:
         # Masked-out terms add +0.0, which leaves these positive sums unchanged.
         pooled = self._weighted(np.where(up, dev, 0.0))
         w_down = self._weighted(np.where(up, 0.0, 1.0))
-        prudent = ~up.all(axis=1)
-        bonus = np.where(up.any(axis=1) & prudent, pooled / np.where(prudent, w_down, 1.0), 0.0)
-        split = np.where(up, base - dev, base + bonus[:, None])
-        return np.where(prudent[:, None], split, base)
+        prudent = ~up.all(axis=0)
+        bonus = np.where(up.any(axis=0) & prudent, pooled / np.where(prudent, w_down, 1.0), 0.0)
+        split = np.where(up, base - dev, base + bonus)
+        return np.where(prudent, split, base)

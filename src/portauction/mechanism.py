@@ -142,11 +142,6 @@ def publish_update(qualification: QualificationResult) -> InfoUpdate:
     return InfoUpdate(revealed_bids=tuple(revealed))
 
 
-def global_round2_bid(round1_bid, valuation):
-    """The global's dominant round-2 strategy: min{round-1 bid, valuation}."""
-    return min(round1_bid, valuation)
-
-
 @dataclass(frozen=True)
 class FeeOutcome:
     """Settlement of round 2. Exactly one side carries nonzero payments."""

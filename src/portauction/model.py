@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 Value = Union[int, float, Fraction]
@@ -110,8 +111,8 @@ class PortfolioSpec:
                     f"{self.securities[k]!r} sums to {total}, expected {self.quantities[k]}"
                 )
 
-        for j, pkg in enumerate(self.packages):
-            if _dot(self.agreed_prices, pkg) <= 0:
+        for j, value in enumerate(self.package_values):
+            if value <= 0:
                 raise ConfigurationError(f"package {j} has nonpositive agreed value")
 
     @property
@@ -122,14 +123,20 @@ class PortfolioSpec:
     def q(self) -> int:
         return len(self.packages)
 
-    @property
+    # The spec is frozen, so its values are computed once, on first use.
+    @cached_property
     def total_value(self):
         """Agreed value of the whole portfolio."""
         return _dot(self.agreed_prices, self.quantities)
 
+    @cached_property
+    def package_values(self) -> tuple:
+        """Agreed value of each package, in package order."""
+        return tuple(_dot(self.agreed_prices, pkg) for pkg in self.packages)
+
     def package_value(self, j: int):
         """Agreed value of package j."""
-        return _dot(self.agreed_prices, self.packages[j])
+        return self.package_values[j]
 
     def price_deltas(self) -> tuple:
         """Per-security agreed-minus-anticipated price differences."""
@@ -236,9 +243,7 @@ def derive_weights(spec: PortfolioSpec) -> WeightVector:
     total = spec.total_value
     if total <= 0:
         raise ConfigurationError("portfolio has zero agreed value")
-    return WeightVector(
-        tuple(_div(_dot(spec.agreed_prices, pkg), total) for pkg in spec.packages)
-    )
+    return WeightVector(tuple(_div(value, total) for value in spec.package_values))
 
 
 def expected_price_change(spec: PortfolioSpec) -> PriceChange:

@@ -89,9 +89,10 @@ def _require_keys(data, allowed, required, path, errors):
 
 
 def _frac(x):
-    """Exact numeric conversion; JSON floats were already parsed as Fraction."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"expected a number, got {type(x).__name__}")
+    """Exact numeric conversion of an int, a Fraction (as JSON floats parse)
+    or a finite float, which keeps its exact binary value."""
+    if not is_number(x):
+        raise TypeError(f"expected a number, got {x!r}")
     return Fraction(x)
 
 
@@ -112,9 +113,14 @@ def _parse_portfolio(data, errors):
         if not isinstance(data[key], list):
             errors.append(f"{path}.{key}: expected a list")
             return None
+    bad = [(k, s) for k, s in enumerate(data["securities"]) if not isinstance(s, str)]
+    for k, s in bad:
+        errors.append(f"{path}.securities[{k}]: expected a string, got {s!r}")
+    if bad:
+        return None
     try:
         return PortfolioSpec(
-            securities=tuple(str(s) for s in data["securities"]),
+            securities=tuple(data["securities"]),
             quantities=_num_list(data["quantities"], f"{path}.quantities", errors),
             agreed_prices=_num_list(data["agreed_prices"], f"{path}.agreed_prices", errors),
             anticipated_prices=_num_list(
@@ -130,14 +136,33 @@ def _parse_portfolio(data, errors):
         return None
 
 
+# The keys each distribution kind reads besides "kind", and those it needs.
+_DISTRIBUTION_KEYS = {
+    "power-law": (("upper_bps", "shape"), ("upper_bps", "shape")),
+    "uniform": (("lower_bps", "upper_bps"), ("upper_bps",)),
+    "empirical": (("sample_bps",), ("sample_bps",)),
+}
+
+
 def _parse_distribution(data, path, errors):
     if data is None:
         return None
-    allowed = ("kind", "upper_bps", "lower_bps", "shape", "sample_bps")
-    if not _require_keys(data, allowed, ("kind",), path, errors):
+    if not isinstance(data, dict):
+        errors.append(f"{path}: expected an object")
+        return None
+    if "kind" not in data:
+        errors.append(f"{path}: missing key 'kind'")
+        return None
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _DISTRIBUTION_KEYS:
+        errors.append(f"{path}: unknown kind {kind!r}")
+        return None
+    allowed, required = _DISTRIBUTION_KEYS[kind]
+    found = len(errors)
+    _require_keys(data, ("kind", *allowed), required, path, errors)
+    if len(errors) > found:
         return None
     try:
-        kind = data["kind"]
         if kind == "power-law":
             if not is_number(data["shape"]):
                 errors.append(f"{path}.shape: expected a number, got {data['shape']!r}")
@@ -150,12 +175,10 @@ def _parse_distribution(data, path, errors):
                 lower=float(_frac(data.get("lower_bps", 0)) * BPS),
                 upper=float(_frac(data["upper_bps"]) * BPS),
             )
-        if kind == "empirical":
-            return ValueDistribution.empirical(
-                tuple(float(_frac(x) * BPS) for x in data["sample_bps"])
-            )
-        errors.append(f"{path}: unknown kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as e:
+        return ValueDistribution.empirical(
+            tuple(float(_frac(x) * BPS) for x in data["sample_bps"])
+        )
+    except (TypeError, ValueError) as e:
         errors.append(f"{path}: {e}")
     return None
 
@@ -172,13 +195,16 @@ def _parse_brokers(data, n_packages, errors):
         allowed = ("id", "role", "package_index", "valuation_bps")
         if not _require_keys(entry, allowed, ("id", "role"), p, errors):
             continue
+        if not isinstance(entry["id"], str):
+            errors.append(f"{p}.id: expected a string, got {entry['id']!r}")
+            continue
         index = entry.get("package_index")
         if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
             errors.append(f"{p}.package_index: expected an integer, got {index!r}")
             continue
         try:
             broker = BrokerProfile(
-                id=str(entry["id"]),
+                id=entry["id"],
                 role=entry["role"],
                 package_index=entry.get("package_index"),
                 valuation=_frac(entry.get("valuation_bps", 0)) * BPS,
@@ -215,6 +241,8 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     _require_keys(data, allowed, ("schema_version", "portfolio", "brokers", "rule"), "$", errors)
     if data.get("schema_version") not in (None, SCHEMA_VERSION):
         errors.append(f"$.schema_version: unsupported version {data.get('schema_version')!r}")
+    if not isinstance(data.get("name", name), str):
+        errors.append(f"$.name: expected a string, got {data['name']!r}")
 
     portfolio = _parse_portfolio(data.get("portfolio"), errors) if "portfolio" in data else None
     weights = None
@@ -278,7 +306,7 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         seed=seed,
         replications=replications,
         correlated_locals=correlated,
-        name=str(data.get("name", name)),
+        name=data.get("name", name),
         digest=digest,
         source_path=source_path,
     )

@@ -220,17 +220,16 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
     seed = seed if seed is not None else scenario.seed
 
     kernel = Kernel(scenario)
-    rules = kernel.compile(profile)
-    cols = range(len(kernel.ids))
+    strategies = kernel.compile(profile)
 
     wins = violations = clamped = 0
     gaps_max = 0.0
     cost_sum = ExactSum()
-    payoff_sums = [ExactSum() for _ in cols]
+    payoff_sums = [ExactSum() for _ in kernel.ids]
     details = SimDetails([], [], [], {bid: [] for bid in kernel.ids}, [], []) if collect else None
 
     for u in row_chunks(seed, n, kernel.width):
-        b = kernel.run(u, rules, cols)
+        b = kernel.run(u, kernel.values(u), strategies)
         wins += int(np.count_nonzero(b.won))
         violations += int(np.count_nonzero(b.violations))
         clamped += b.clamped
@@ -242,11 +241,11 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
         if collect:
             details.won.extend(b.won.tolist())
             details.seller_cost.extend(b.seller_cost.tolist())
-            details.fees.extend(map(tuple, b.fees.tolist()))
+            details.fees.extend(map(tuple, b.fees.T.tolist()))
             details.global_bid2.extend(b.g2.tolist())
             details.local_values.extend(b.local_value.tolist())
-            for bid, p in zip(kernel.ids, b.payoffs):
-                details.payoffs[bid].extend(p.tolist())
+            for bid, p in zip(kernel.ids, b.payoffs.tolist()):
+                details.payoffs[bid].extend(p)
 
     metrics = SimMetrics(
         replications=n,
@@ -290,16 +289,19 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 
 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
-    """Common-random-numbers payoff comparison for a unilateral deviation."""
+    """Common-random-numbers payoff comparison for a unilateral deviation:
+    each chunk's rows and drawn values are shared by both profiles. The
+    paired differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = Kernel(scenario)
     profiles = (kernel.compile(baseline), kernel.compile(deviation))
-    track = (kernel.ids.index(broker),)
+    col = kernel.ids.index(broker)
 
     base_sum, dev_sum, diff_sum = ExactSum(), ExactSum(), ExactSum()
     diffs = []
     for u in row_chunks(seed, n, kernel.width):
-        base, dev = (kernel.run(u, rules, track).payoffs[0] for rules in profiles)
+        vals = kernel.values(u)
+        base, dev = (kernel.run(u, vals, strategies).payoffs[col] for strategies in profiles)
         diffs.append(dev - base)
         base_sum.add(base)
         dev_sum.add(dev)
@@ -310,7 +312,11 @@ def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceRepor
     if n > 1:
         squares = ExactSum()
         for d in diffs:
-            squares.add(np.array([(x - mean_diff) ** 2 for x in d.tolist()]))
+            # Python's ** (C pow) once per distinct difference: numpy's
+            # square rounds differently on a share of values.
+            distinct, index = np.unique(d, return_inverse=True)
+            squared = np.array([(x - mean_diff) ** 2 for x in distinct.tolist()])
+            squares.add(squared[index])
         var = squares.total() / (n - 1)
     return DominanceReport(
         broker_id=broker,

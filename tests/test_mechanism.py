@@ -8,7 +8,6 @@ from portauction import pricing
 from portauction.batch import row_width
 from portauction.mechanism import (
     BidLedger,
-    global_round2_bid,
     publish_update,
     run_auction,
     run_round1,
@@ -19,6 +18,7 @@ from portauction.mechanism import (
 )
 from portauction.model import ConfigurationError
 from portauction.scenario import builtin_scenario
+from portauction.sim import Strategy, strategy_bid
 
 
 WA = (F(3, 5), F(2, 5))
@@ -267,5 +267,7 @@ def test_transcript_determinism():
 
 
 def test_global_round2_helper():
-    assert global_round2_bid(22, 25) == 22
-    assert global_round2_bid(22, 18) == 18
+    # capped-value is the global's dominant round-2 bid: min{round-1 bid, valuation}
+    capped = Strategy(kind="capped-value")
+    assert strategy_bid(capped, 25, 22, None, "dnvcg", 2) == 22
+    assert strategy_bid(capped, 18, 22, None, "dnvcg", 2) == 18

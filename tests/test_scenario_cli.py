@@ -15,6 +15,7 @@ from portauction.scenario import (
     builtin_scenario,
     load_scenario,
     loads_scenario,
+    scenario_from_dict,
 )
 from portauction.sim import simulate
 
@@ -159,6 +160,16 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     (("strategies", "L1", "round2", "sigma"), "x", "$.strategies.L1.round2.sigma"),
     (("strategies", "L1", "round2", "sum_w_qdown"), "x", "$.strategies.L1.round2.sum_w_qdown"),
     (("strategies", "L1", "round1", "value_bps"), "x", "$.strategies.L1.round1.value_bps"),
+    (("distributions", "global", "sample_bps"), [5], "$.distributions.global"),  # not read
+    (("distributions", "global", "lower_bps"), 0, "$.distributions.global"),  # not read
+    (("distributions", "global", "kind"), ["power-law"], "$.distributions.global"),
+    (("distributions", "global", "upper_bps"), float("nan"), "$.distributions.global"),
+    (("distributions", "global", "upper_bps"), float("inf"), "$.distributions.global"),
+    (("brokers", 0, "valuation_bps"), float("-inf"), "$.brokers[0]"),
+    (("brokers", 0, "id"), 5, "$.brokers[0].id"),
+    (("brokers", 2, "id"), ["G"], "$.brokers[2].id"),
+    (("name",), 5, "$.name"),
+    (("portfolio", "securities", 1), 5, "$.portfolio.securities[1]"),
 ])
 def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
     data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
@@ -176,6 +187,23 @@ def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, c
     code, _, err = run_cli(["validate", str(bad)], capsys)
     assert code == 4
     assert f"- {path}: " in err
+
+
+def test_python_floats_parse_exactly():
+    # A document built in Python may hold floats where JSON text gives
+    # Fractions: each parses to its exact binary value.
+    data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
+                      .read_text())
+    data["distributions"]["local"] = {"kind": "uniform", "lower_bps": 0.5, "upper_bps": 30.25}
+    data["distributions"]["global"]["upper_bps"] = 40.5
+    data["brokers"][0]["valuation_bps"] = 0.1
+    data["portfolio"]["agreed_prices"] = [1.5, 1.0, 1.0]
+    sc = scenario_from_dict(data)
+    assert sc.brokers[0].valuation == F(0.1) * F(1, 10_000)
+    assert sc.portfolio.agreed_prices == (F(3, 2), 1, 1)
+    # binary fractions read the same from either form
+    del data["brokers"][0]["valuation_bps"]
+    assert scenario_from_dict(data).distributions == loads_scenario(json.dumps(data)).distributions
 
 
 def test_seed_takes_any_philox_key():

@@ -5,13 +5,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from portauction.batch import CHUNK, row_chunks, row_width
+from portauction.batch import CHUNK, ExactSum, row_chunks, row_width
 from portauction.mechanism import run_auction, settle_row
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
 from portauction.scenario import builtin_scenario, scenario_from_dict
 from portauction.sim import (
+    ROUND2_KINDS,
     BrokerStrategy,
     Strategy,
     StrategyProfile,
@@ -283,7 +286,22 @@ def _oracle_cases():
     doc = pin_simulate._market()
     doc["brokers"] = doc["brokers"][::-1]
     cases.append(("market-reversed/dnvcg", pin_simulate._load(doc), 4))
+    mixed = pin_simulate._load(_mixed_market())
+    cases += [(f"mixed/{rule}", replace(mixed, rule=rule), 11) for rule in pin_simulate.RULES]
     return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def _mixed_market():
+    """The pinned market with one local left on packages 1 and 2, three on
+    package 0, and every strategy kind in play: P1L0 bids a constant in
+    round 1 and capped-value in round 2."""
+    doc = pin_simulate._market()
+    gone = {"P1L1", "P1L2", "P2L1", "P2L2"}
+    doc["brokers"] = [b for b in doc["brokers"] if b["id"] not in gone]
+    doc["strategies"] = {k: v for k, v in doc["strategies"].items() if k not in gone}
+    doc["strategies"]["P1L0"] = {"round1": {"kind": "constant", "value_bps": 18},
+                                 "round2": {"kind": "capped-value"}}
+    return doc
 
 
 @pytest.mark.parametrize("name, config, seed", _oracle_cases())
@@ -317,3 +335,49 @@ def test_settle_row_matches_the_kernel(name, config, seed):
     for k in rows[200:]:
         assert clamped[k] == (simulate(config, n=k + 1, seed=seed).clamped_round2_count
                               - simulate(config, n=k, seed=seed).clamped_round2_count)
+
+
+def test_mixed_market_uses_every_strategy_kind():
+    config = pin_simulate._load(_mixed_market())
+    kinds = {s.kind for b in config.strategies.brokers.values() for s in (b.round1, b.round2)}
+    assert kinds == set(ROUND2_KINDS)
+    sizes = [sum(b.role == "local" and b.package_index == j for b in config.brokers)
+             for j in range(config.portfolio.q)]
+    assert sizes == [3, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["market", "powerlaw"])
+def test_compare_strategies_means_are_simulate_means(name):
+    """The values compare_strategies draws once per chunk and shares
+    between its profiles are the ones simulate draws for each profile."""
+    if name == "market":
+        config = pin_simulate._load(pin_simulate._market())
+        broker, deviation = "P0L2", config.strategies.with_strategy(
+            "P0L2", round1=Strategy(kind="truthful"))
+    else:
+        config = builtin_scenario("powerlaw")
+        broker, deviation = "L1", config.strategies.with_strategy(
+            "L1", round2=Strategy(kind="offset", offset=F(4, 10_000)))
+    n, seed = CHUNK + 5, 12
+    report = compare_strategies(config, config.strategies, deviation, n, seed)
+    base = simulate(config, profile=config.strategies, n=n, seed=seed)
+    dev = simulate(config, profile=deviation, n=n, seed=seed)
+    assert report.mean_baseline.hex() == base.mean_broker_payoff[broker].hex()
+    assert report.mean_deviation.hex() == dev.mean_broker_payoff[broker].hex()
+    assert report.mean_difference != 0.0
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(_SPECIAL_FLOATS,
+                                 st.floats(min_value=-1e300, max_value=1e300)), max_size=60),
+       cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6))
+def test_exact_sum_over_any_chunking_is_fsum(values, cuts):
+    total = ExactSum()
+    bounds = [0, *sorted(c for c in cuts if c <= len(values)), len(values)]
+    for a, b in zip(bounds, bounds[1:]):
+        total.add(np.array(values[a:b], dtype=float))
+    assert total.total().hex() == math.fsum(values).hex()
