@@ -29,7 +29,6 @@ from .mechanism import (
     run_round2,
     serialize_transcript,
     settle_row,
-    validate_round2_bid,
 )
 from .model import (
     BrokerProfile,

@@ -8,7 +8,8 @@ the payoffs. Kernel.compile groups each round's brokers by strategy kind,
 so the bids cost one operation per kind (at most five) on that kind's
 slab of brokers, however many brokers there are, and qualification
 settles every sealed auction in one pass. Valuations depend on the rows
-alone, so compare_strategies draws them once per chunk for both profiles.
+alone, so compare_strategies draws them once per chunk for both profiles,
+and it qualifies once per chunk too when the profiles share round 1.
 
 mechanism.settle_row settles one row alone with the exact scalar rules and
 is the oracle for this kernel: the two agree on every winner, exactly on
@@ -51,6 +52,14 @@ def row_chunks(seed, n, width):
     gen = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, n, CHUNK):
         yield gen.random((min(CHUNK, n - start), width))
+
+
+def check_weight(broker, strategy, weight):
+    """An equilibrium bid shades by the bidder's package weight, which a
+    global broker (weight None) does not have."""
+    if strategy.kind == "equilibrium" and weight is None:
+        raise ConfigurationError(
+            f"{broker!r} is a global broker: an equilibrium bid needs a local's package weight")
 
 
 def _quantiles(dist, u):
@@ -200,6 +209,7 @@ class Kernel:
             weight = self.w[self.local_pkg[k]] if k < self.L else None
             st = profile[bid]
             for groups, strategy in zip(rounds, (st.round1, st.round2)):
+                check_weight(bid, strategy, weight)
                 brokers, params = groups.setdefault(strategy.kind, ([], []))
                 brokers.append(k)
                 params.append([self._param(strategy, weight)])
@@ -250,11 +260,16 @@ class Kernel:
     def run(self, u, vals, strategies) -> Batch:
         """Settle one replication per row of u, with the valuations vals
         (Kernel.values of u) and the bid rules strategies (Kernel.compile)."""
-        N, q = self.L + self.G, self.q
-        w = np.array(self.w)[:, None]
-        coins = u[:, N:].T  # q+1 round-1 tie coins, then the allocation coin
         round1_rules, round2_rules = strategies
+        return self.settle(u, vals, self.qualify(u, vals, round1_rules), round2_rules)
 
+    def qualify(self, u, vals, round1_rules):
+        """Round 1 on the rows of u: (bids1, seats), every broker's round-1
+        bid (row L+G is +inf padding) and the q+1 qualified brokers' seats.
+        It reads only round-1 rules, so profiles that differ in round 2
+        alone can share it."""
+        N, q = self.L + self.G, self.q
+        coins = u[:, N:N + q + 1].T  # the q+1 round-1 tie coins
         bids1 = np.empty((N + 1, len(u)))
         bids1[N] = np.inf
         for kind, brokers, param in round1_rules:
@@ -262,23 +277,28 @@ class Kernel:
 
         # Qualification: each auction's lowest round-1 bid; on an exact tie
         # the int(coin * ties)-th tied bidder in id order. The winners'
-        # seats index flat(x) for any (brokers, replications) array x.
-        # When every auction has one bidder they are fixed rows. Otherwise
-        # they are flat indices from one pass over (depth, auction,
-        # replication) that takes the first member whose running tie count
-        # exceeds the rank: the counts are exact in floats, and numpy
-        # reduces fast across the leading axis.
-        if self.contested:
-            b = bids1[self.members]
-            tied = (b == b.min(axis=0)).astype(np.float64)
-            running = (self.running_count @ tied.reshape(len(tied), -1)).reshape(tied.shape)
-            rank = (coins[:q + 1] * running[-1]).astype(np.intp)
-            pick = (running <= rank).sum(axis=0)
-            seats = self.members[pick, np.arange(q + 1)[:, None]] * len(u) + np.arange(len(u))
-            flat = np.ravel
-        else:
-            seats = self.members[0]
-            flat = np.asarray
+        # seats index any (brokers, replications) array x, as settle's
+        # flat(x). When every auction has one bidder they are fixed rows
+        # of x itself. Otherwise they are flat indices from one pass over
+        # (depth, auction, replication) that takes the first member whose
+        # running tie count exceeds the rank: the counts are exact in
+        # floats, and numpy reduces fast across the leading axis.
+        if not self.contested:
+            return bids1, self.members[0]
+        b = bids1[self.members]
+        tied = (b == b.min(axis=0)).astype(np.float64)
+        running = (self.running_count @ tied.reshape(len(tied), -1)).reshape(tied.shape)
+        rank = (coins * running[-1]).astype(np.intp)
+        pick = (running <= rank).sum(axis=0)
+        return bids1, self.members[pick, np.arange(q + 1)[:, None]] * len(u) + np.arange(len(u))
+
+    def settle(self, u, vals, qualified, round2_rules) -> Batch:
+        """Round 2, pricing and payoffs on the rows of u, after the round 1
+        qualified (Kernel.qualify of the same rows)."""
+        N, q = self.L + self.G, self.q
+        w = np.array(self.w)[:, None]
+        bids1, seats = qualified
+        flat = np.ravel if self.contested else np.asarray
 
         # Round 2 for the q+1 qualified brokers: floor at zero, cap at round 1.
         raw = np.empty((N, len(u)))
@@ -293,7 +313,7 @@ class Kernel:
 
         total = self._weighted(bids2)
         tie = total == g2
-        won = np.where(tie, coins[q + 1] < 0.5, total < g2)
+        won = np.where(tie, u[:, -1] < 0.5, total < g2)  # the allocation coin
 
         # VCG fees, then the rule's fees; at an exact tie every rule pays the bids.
         raw_cv = (g2 - (total - w * bids2)) / w

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -70,13 +71,14 @@ def _seed(args, scenario):
     return args.seed
 
 
-def _records(command, scenario, seed, result) -> str:
+def _records(command, scenario, seed, result, **envelope) -> str:
     doc = {
         "command": command,
         "engine_version": __version__,
         "scenario_digest": scenario.digest if scenario is not None else None,
         "seed": seed,
         "result": result,
+        **envelope,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -92,15 +94,19 @@ def _csv(header, rows) -> str:
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
     seed = _seed(args, scenario)
-    t = run_auction(scenario, seed=seed, rule=args.rule)
+    k = args.replication
+    if k < 0:
+        raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
+    t = run_auction(scenario, seed=seed, rule=args.rule, replication=k)
     if args.format == "records":
-        _emit(_records("run", scenario, seed, transcript_dict(t)), args.out)
+        _emit(_records("run", scenario, seed, transcript_dict(t), replication=k), args.out)
         return EXIT_OK
     o = t.outcome
     lines = [
         f"engine: portauction {__version__}",
         f"scenario: {scenario.name or args.scenario} (digest {scenario.digest})",
         f"seed: {seed}   rule: {t.rule}",
+        *([f"replication: {k}"] if k else []),
         f"qualified locals: {', '.join(t.qualification.qualified_locals)}",
         f"qualified global: {t.qualification.qualified_global}",
         f"winner: {o.winner}",
@@ -285,7 +291,12 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later main call in the process: parse_args writes each call's values
+    into a fresh namespace and leaves the parser unchanged, and help text
+    reads the terminal width when it is formatted."""
     parser = argparse.ArgumentParser(
         prog="portauction",
         description="Two-round core-selecting portfolio auction toolkit",
@@ -303,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rule", choices=RULES, default=None)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--replication", type=int, default=0,
+                   help="settle row k of the seed's stream, replication k of simulate")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("simulate", help="run replicated auctions and aggregate metrics")

@@ -9,9 +9,10 @@ bid is capped by the bidder's own round-1 bid.
 
 settle_row runs one auction on one row of uniforms in the batch kernel's
 layout: the row fixes the drawn valuations and the tie coins, so a
-transcript is a pure function of (inputs, row). run_auction settles row 0
-of the seed's stream, which is replication 0 of simulate. The rules here
-are exact under Fraction inputs and are the oracle for the batch kernel.
+transcript is a pure function of (inputs, row). run_auction settles row k
+of the seed's stream (row 0 by default), which is replication k of
+simulate. The rules here are exact under Fraction inputs and are the
+oracle for the batch kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,8 +44,9 @@ def _lowest_bidder(bids: Mapping, coin):
 
 @dataclass(frozen=True)
 class BidLedger:
-    """Recorded bids per broker id. Round-2 entries may cover a subset of
-    round-1 entries (only qualified brokers bid again)."""
+    """Recorded bids per broker id, none negative. Round-2 entries may
+    cover a subset of round-1 entries (only qualified brokers bid again),
+    each at most the broker's round-1 bid."""
 
     round1: Mapping
     round2: Mapping
@@ -64,27 +66,6 @@ class BidLedger:
                     f"{broker!r} bids {fee} in round 2, above the round-1 cap "
                     f"{self.round1[broker]}"
                 )
-
-
-@dataclass(frozen=True)
-class Round2Check:
-    accepted: bool
-    violated_bound: Optional[str] = None
-
-
-def validate_round2_bid(broker, ledger: BidLedger) -> Round2Check:
-    """Accept iff 0 <= phi2 <= phi1 for the broker."""
-    if broker not in ledger.round1:
-        raise ConfigurationError(f"{broker!r} has no recorded round-1 bid")
-    if broker not in ledger.round2:
-        raise ConfigurationError(f"{broker!r} has no recorded round-2 bid")
-    bid = ledger.round2[broker]
-    cap = ledger.round1[broker]
-    if bid < 0:
-        return Round2Check(False, f"bid {bid} below zero")
-    if bid > cap:
-        return Round2Check(False, f"bid {bid} above the round-1 cap {cap}")
-    return Round2Check(True)
 
 
 @dataclass(frozen=True)
@@ -190,10 +171,10 @@ def run_round2(
     if len(w) != q:
         raise ConfigurationError(f"{q} qualified locals for {len(w)} weights")
 
+    # The ledger already holds each round-2 bid in [0, round-1 bid].
     for broker in (*locals_, qualification.qualified_global):
-        check = validate_round2_bid(broker, ledger)
-        if not check.accepted:
-            raise ConfigurationError(f"round-2 bid of {broker!r} rejected: {check.violated_bound}")
+        if broker not in ledger.round2:
+            raise ConfigurationError(f"{broker!r} has no recorded round-2 bid")
 
     bids2 = tuple(ledger.round2[b] for b in locals_)
     bids1 = tuple(ledger.round1[b] for b in locals_)
@@ -258,7 +239,7 @@ def settle_row(scenario, profile, u) -> AuctionTranscript:
     for j, broker_id in enumerate(qualified):
         cap = round1[broker_id]
         raw = sim.strategy_bid(profile[broker_id].round2, values[broker_id], cap,
-                               weights[j] if j < q else None, rule, q)
+                               weights[j] if j < q else None, rule, q, broker=broker_id)
         bid = raw
         if bid < 0:
             bid = 0 * bid
@@ -283,10 +264,12 @@ def settle_row(scenario, profile, u) -> AuctionTranscript:
     )
 
 
-def run_auction(scenario, strategies=None, seed=None, rule=None) -> AuctionTranscript:
-    """Run both rounds of one auction instance from a scenario: row 0 of
-    the seed's row stream, so the transcript is replication 0 of
-    simulate(scenario, seed=seed) with the same rule.
+def run_auction(scenario, strategies=None, seed=None, rule=None,
+                replication=0) -> AuctionTranscript:
+    """Run both rounds of one auction instance from a scenario: row
+    `replication` of the seed's row stream, so the transcript is that
+    replication of simulate(scenario, seed=seed) with the same rule. The
+    stream is walked a chunk at a time up to the row.
 
     strategies/seed/rule default to the scenario's own; rule sets both the
     pricing rule and the rule equilibrium bids shade under.
@@ -294,11 +277,14 @@ def run_auction(scenario, strategies=None, seed=None, rule=None) -> AuctionTrans
     profile = strategies if strategies is not None else scenario.strategies
     if profile is None:
         raise ConfigurationError("no strategy profile supplied")
+    if replication < 0:
+        raise ConfigurationError(f"replication must be at least 0, got {replication}")
     rng_seed = scenario.seed if seed is None else seed
     if rule is not None:
         scenario = replace(scenario, rule=rule)
-    u = next(row_chunks(rng_seed, 1, row_width(scenario)))[0]
-    return replace(settle_row(scenario, profile, u), rng_seed=rng_seed)
+    for chunk in row_chunks(rng_seed, replication + 1, row_width(scenario)):
+        pass
+    return replace(settle_row(scenario, profile, chunk[-1]), rng_seed=rng_seed)
 
 
 def _jsonable(x):

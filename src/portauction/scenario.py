@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Optional
 
 from . import sim
-from .batch import SEED_LIMIT
+from .batch import SEED_LIMIT, check_weight
 from .equilibrium import ValueDistribution
 from .model import (
     BrokerProfile,
@@ -281,6 +281,14 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
                     errors.append(f"$.strategies: unknown broker id {bid!r}")
             for bid in broker_ids - set(strategies.brokers):
                 errors.append(f"$.strategies: no strategy for broker {bid!r}")
+            for b in brokers:
+                if b.role != "global" or b.id not in strategies.brokers:
+                    continue
+                for name in ("round1", "round2"):
+                    try:
+                        check_weight(b.id, getattr(strategies[b.id], name), None)
+                    except ConfigurationError as e:
+                        errors.append(f"$.strategies.{b.id}.{name}: {e}")
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import ExactSum, Kernel, row_chunks
+from .batch import ExactSum, Kernel, check_weight, row_chunks
 from .equilibrium import equilibrium_bid
 from .model import ConfigurationError, is_number
 
@@ -134,11 +134,12 @@ def profile_from_config(cfg: Mapping, bps) -> StrategyProfile:
     return StrategyProfile(out)
 
 
-def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q):
-    """One broker's bid under a strategy at its valuation, floored at zero
+def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q, *, broker):
+    """The broker's bid under a strategy at its valuation, floored at zero
     unless constant. round1_bid is the round-2 cap (None in round 1) and
     weight the local's package weight (None for a global). Equilibrium
     bids shade under rule, with VCG read as NVCG."""
+    check_weight(broker, strategy, weight)
     kind = strategy.kind
     if kind == "constant":
         return strategy.value
@@ -175,7 +176,8 @@ def resolve_bids(scenario, profile, u):
             dist, col, weight = dist_g, n_local + gi, None
             gi += 1
         values[b.id] = b.valuation if dist is None else dist.quantile(u[col])
-        round1[b.id] = strategy_bid(profile[b.id].round1, values[b.id], None, weight, rule, q)
+        round1[b.id] = strategy_bid(profile[b.id].round1, values[b.id], None, weight, rule, q,
+                                    broker=b.id)
     return values, round1
 
 
@@ -290,18 +292,25 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
-    each chunk's rows and drawn values are shared by both profiles. The
-    paired differences are kept, one float per pair, for the variance."""
+    each chunk's rows and drawn values are shared by both profiles, and so
+    is its round-1 qualification when the deviation keeps its round-1
+    strategy. The paired differences are kept, one float per pair, for the
+    variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = Kernel(scenario)
-    profiles = (kernel.compile(baseline), kernel.compile(deviation))
+    (base1, base2), (dev1, dev2) = kernel.compile(baseline), kernel.compile(deviation)
+    shared_round1 = baseline[broker].round1 == deviation[broker].round1
     col = kernel.ids.index(broker)
 
     base_sum, dev_sum, diff_sum = ExactSum(), ExactSum(), ExactSum()
     diffs = []
     for u in row_chunks(seed, n, kernel.width):
         vals = kernel.values(u)
-        base, dev = (kernel.run(u, vals, strategies).payoffs[col] for strategies in profiles)
+        qualified = kernel.qualify(u, vals, base1)
+        base = kernel.settle(u, vals, qualified, base2).payoffs[col]
+        if not shared_round1:
+            qualified = kernel.qualify(u, vals, dev1)
+        dev = kernel.settle(u, vals, qualified, dev2).payoffs[col]
         diffs.append(dev - base)
         base_sum.add(base)
         dev_sum.add(dev)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from portauction import pricing
-from portauction.batch import row_width
+from portauction.batch import row_chunks, row_width
 from portauction.mechanism import (
     BidLedger,
     publish_update,
@@ -14,7 +14,6 @@ from portauction.mechanism import (
     run_round2,
     serialize_transcript,
     settle_row,
-    validate_round2_bid,
 )
 from portauction.model import ConfigurationError
 from portauction.scenario import builtin_scenario
@@ -110,14 +109,20 @@ def test_publish_update_deterministic():
     assert a == b
 
 
-def test_validate_round2_bid():
-    assert validate_round2_bid("L1", _ledger_a()).accepted
-    repeat = BidLedger(round1={"L2": 19}, round2={"L2": 19})
-    assert validate_round2_bid("L2", repeat).accepted
-    with pytest.raises(ConfigurationError):
+def test_bid_ledger_holds_round2_bids_in_zero_to_the_round1_cap():
+    assert _ledger_a().round2 == {"L1": 25, "L2": 10, "G": 22}
+    # repeating the round-1 bid is the cap itself, and run_round2 takes it
+    repeat = _ledger_a(L1=27, L2=19, G=22)
+    assert repeat.round2 == repeat.round1
+    assert run_round2(_qual_a(), repeat, WA, "nvcg", coin=0.0).winner == "global"
+    zero = _ledger_a(L1=0)
+    assert run_round2(_qual_a(), zero, WA, "nvcg", coin=0.0).winner == "coalition"
+    with pytest.raises(ConfigurationError, match="above the round-1 cap"):
         BidLedger(round1={"L2": 19}, round2={"L2": 20})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="round2 bid of 'L2' is negative"):
         BidLedger(round1={"L2": 19}, round2={"L2": -1})
+    with pytest.raises(ConfigurationError, match="no round-1 bid"):
+        BidLedger(round1={"L1": 19}, round2={"L2": 1})
 
 
 def test_run_round2_worked_instance():
@@ -172,7 +177,10 @@ def test_run_round2_tie_paths():
 
 def test_run_round2_missing_bid_errors():
     ledger = BidLedger(round1={"L1": 27, "L2": 19, "G": 22}, round2={"L1": 25, "G": 22})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'L2' has no recorded round-2 bid"):
+        run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.0)
+    ledger = BidLedger(round1={"L1": 27, "L2": 19, "G": 22}, round2={"L1": 25, "L2": 10})
+    with pytest.raises(ConfigurationError, match="'G' has no recorded round-2 bid"):
         run_round2(_qual_a(), ledger, WA, "nvcg", coin=0.0)
     tie = _ledger_a(L1=25, L2=F(35, 2))
     for coin in (1.0, -0.5):
@@ -256,6 +264,15 @@ def test_settle_row_takes_a_full_row():
             settle_row(sc, sc.strategies, [0.5] * width)
 
 
+def test_run_auction_settles_the_asked_replication():
+    sc = builtin_scenario("powerlaw")
+    u = next(row_chunks(sc.seed, 3, row_width(sc)))[2]
+    assert run_auction(sc, replication=2).outcome == settle_row(sc, sc.strategies, u).outcome
+    assert run_auction(sc, replication=2).outcome != run_auction(sc).outcome
+    with pytest.raises(ConfigurationError, match="replication"):
+        run_auction(sc, replication=-1)
+
+
 def test_transcript_determinism():
     sc = builtin_scenario("example1")
     a = serialize_transcript(run_auction(sc, seed=123))
@@ -269,5 +286,5 @@ def test_transcript_determinism():
 def test_global_round2_helper():
     # capped-value is the global's dominant round-2 bid: min{round-1 bid, valuation}
     capped = Strategy(kind="capped-value")
-    assert strategy_bid(capped, 25, 22, None, "dnvcg", 2) == 22
-    assert strategy_bid(capped, 18, 22, None, "dnvcg", 2) == 18
+    assert strategy_bid(capped, 25, 22, None, "dnvcg", 2, broker="G") == 22
+    assert strategy_bid(capped, 18, 22, None, "dnvcg", 2, broker="G") == 18

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from portauction import cli
+from portauction import __version__, cli
+from portauction.batch import CHUNK
 from portauction.model import ModelWarning
 from portauction.pricing import nvcg_fees
 from portauction.scenario import (
@@ -170,6 +171,9 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     (("brokers", 2, "id"), ["G"], "$.brokers[2].id"),
     (("name",), 5, "$.name"),
     (("portfolio", "securities", 1), 5, "$.portfolio.securities[1]"),
+    (("strategies", "G", "round1"), {"kind": "equilibrium", "sigma": 0.001},
+     "$.strategies.G.round1"),  # a global has no package weight to shade by
+    (("strategies", "G", "round2"), {"kind": "equilibrium"}, "$.strategies.G.round2"),
 ])
 def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
     data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
@@ -326,6 +330,86 @@ def test_cli_run_is_replication_zero_of_simulate(name, capsys, tmp_path):
         assert g2 == details.global_bid2[0]
         if (name, seed) == ("powerlaw", 0):
             assert not won and round(g2 * 10_000, 2) == 13.35
+
+
+@pytest.mark.parametrize("k", [0, 5, CHUNK - 1, CHUNK + 1])
+def test_cli_run_replication_is_that_replication_of_simulate(k, capsys):
+    code, out, err = run_cli(["run", "powerlaw", "--seed", "3", "--replication", str(k),
+                              "--format", "records"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["replication"] == k
+    run = doc["result"]
+    _, details = simulate(builtin_scenario("powerlaw"), n=k + 1, seed=3, collect=True)
+    assert (run["outcome"]["winner"] == "coalition") is details.won[k]
+    assert run["ledger"]["round2"][run["qualification"]["qualified_global"]] == \
+        details.global_bid2[k]
+
+
+def test_cli_run_replication_table_and_bounds(capsys):
+    code, default, _ = run_cli(["run", "powerlaw"], capsys)
+    assert code == 0
+    assert run_cli(["run", "powerlaw", "--replication", "0"], capsys)[1] == default
+    assert "replication" not in default
+    code, out, _ = run_cli(["run", "powerlaw", "--replication", "5"], capsys)
+    assert code == 0
+    assert "\nreplication: 5\n" in out
+    code, out, err = run_cli(["run", "powerlaw", "--replication", "-1"], capsys)
+    assert (code, out) == (3, "")
+    assert "--replication" in err
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_calls_share_no_parsed_values(capsys, tmp_path):
+    fresh = vars(cli.build_parser().parse_args(["run", "powerlaw"]))
+    out = tmp_path / "run.json"
+    code, stdout, err = run_cli(["run", "powerlaw", "--rule", "nvcg", "--seed", "5",
+                                 "--replication", "2", "--format", "records",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (0, ""), err
+    first = out.read_text()
+    doc = json.loads(first)
+    assert (doc["result"]["rule"], doc["seed"], doc["replication"]) == ("nvcg", 5, 2)
+
+    code, stdout, err = run_cli(["run", "powerlaw", "--format", "records"], capsys)
+    assert code == 0, err
+    doc = json.loads(stdout)
+    scenario = builtin_scenario("powerlaw")
+    assert scenario.rule != "nvcg"
+    assert (doc["result"]["rule"], doc["seed"], doc["replication"]) == \
+        (scenario.rule, scenario.seed, 0)
+    assert out.read_text() == first
+    assert vars(cli.build_parser().parse_args(["run", "powerlaw"])) == fresh
+
+
+def test_cli_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "powerlaw", "--rule", "third-price"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(["run", "powerlaw"], capsys)
+    assert code == 0
+    assert "winner: " in out
+
+
+def test_cli_version_after_run(capsys):
+    assert run_cli(["run", "powerlaw"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"portauction {__version__}\n"
+
+
+def test_cli_help_reads_the_terminal_width_when_formatted(monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = parser.format_help()
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = parser.format_help()
+    assert len(narrow.splitlines()) > len(wide.splitlines())
 
 
 @pytest.mark.parametrize("command", ["run", "simulate"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portauction.batch import CHUNK, ExactSum, row_chunks, row_width
+from portauction.batch import CHUNK, ExactSum, Kernel, row_chunks, row_width
 from portauction.mechanism import run_auction, settle_row
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
@@ -21,6 +21,7 @@ from portauction.sim import (
     compare_strategies,
     profile_from_config,
     simulate,
+    strategy_bid,
 )
 from portauction.units import BPS
 
@@ -219,6 +220,45 @@ def test_round2_underbid_never_helps():
     dev = base.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-6, 10_000)))
     report = compare_strategies(sc, base, dev, n=20_000, seed=22)
     assert report.mean_difference <= 3 * report.paired_se
+
+
+@pytest.mark.parametrize("deviation, qualifications", [
+    (BrokerStrategy(Strategy(kind="truthful"), Strategy(kind="truthful")), 4),
+    (BrokerStrategy(Strategy(kind="constant", value=F(32, 10_000)),
+                    Strategy(kind="offset", offset=F(-6, 10_000))), 2),
+])
+def test_compare_strategies_shares_round1_when_the_deviation_keeps_it(
+        monkeypatch, deviation, qualifications):
+    """Two chunks: a round-2 deviation qualifies once per chunk, a round-1
+    deviation once per chunk and profile."""
+    sc = _scenario()
+    calls = []
+    qualify = Kernel.qualify
+
+    def counting(self, *args):
+        calls.append(args)
+        return qualify(self, *args)
+
+    monkeypatch.setattr(Kernel, "qualify", counting)
+    dev = sc.strategies.with_strategy("L1", deviation.round1, deviation.round2)
+    report = compare_strategies(sc, sc.strategies, dev, n=CHUNK + 5, seed=3)
+    assert len(calls) == qualifications
+    assert report.mean_difference != 0.0
+
+
+def test_equilibrium_strategy_on_a_global_broker_is_rejected():
+    sc = _scenario()
+    eq = Strategy(kind="equilibrium", sigma=0.001)
+    for rounds in ({"round1": eq}, {"round2": eq}):
+        profile = sc.strategies.with_strategy("G", **rounds)
+        with pytest.raises(ConfigurationError, match="'G' is a global broker"):
+            simulate(sc, profile=profile, n=10, seed=0)
+        with pytest.raises(ConfigurationError, match="'G' is a global broker"):
+            run_auction(sc, strategies=profile, seed=0)
+        with pytest.raises(ConfigurationError, match="'G' is a global broker"):
+            compare_strategies(sc, sc.strategies, profile, n=10, seed=0)
+    with pytest.raises(ConfigurationError, match="'G' is a global broker"):
+        strategy_bid(eq, F(20, 10_000), None, None, "nvcg", 2, broker="G")
 
 
 def test_round2_bids_respect_round1_cap():
