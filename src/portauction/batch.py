@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -54,25 +53,21 @@ def row_chunks(seed, n, width):
         yield gen.random((min(CHUNK, n - start), width))
 
 
+def row(seed, k, width):
+    """Row k of the seed's stream, as row_chunks(seed, n, width) draws it for
+    any n > k, in O(1): Philox makes four doubles per counter step, so the
+    row starts k * width % 4 doubles into step k * width // 4."""
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(k * width // 4))
+    gen.random(k * width % 4)
+    return gen.random(width)
+
+
 def check_weight(broker, strategy, weight):
     """An equilibrium bid shades by the bidder's package weight, which a
     global broker (weight None) does not have."""
     if strategy.kind == "equilibrium" and weight is None:
         raise ConfigurationError(
             f"{broker!r} is a global broker: an equilibrium bid needs a local's package weight")
-
-
-def _quantiles(dist, u):
-    """dist.quantile over an array of uniforms, bit for bit. Power-law
-    quantiles stay on C pow (math.pow, as float ** calls it on [0, 1)):
-    numpy's power and sqrt round differently on a share of draws."""
-    if dist.kind == "power-law":
-        powers = map(math.pow, u.ravel().tolist(), repeat(1.0 / dist.shape))
-        return float(dist.upper) * np.fromiter(powers, float, u.size).reshape(u.shape)
-    if dist.kind == "uniform":
-        return float(dist.lower) + u * float(dist.upper - dist.lower)
-    sample = np.asarray(dist.sample)
-    return sample[np.minimum((u * len(sample)).astype(np.intp), len(sample) - 1)]
 
 
 def _floor0(x):
@@ -243,11 +238,11 @@ class Kernel:
         if self.dist_l is None:
             vals[:L] = self.fixed_l
         else:
-            vals[:L] = _quantiles(self.dist_l, u[:, :1 if self.correlated else L].T)
+            vals[:L] = self.dist_l.quantiles(u[:, :1 if self.correlated else L].T)
         if self.dist_g is None:
             vals[L:] = self.fixed_g
         else:
-            vals[L:] = _quantiles(self.dist_g, u[:, L:L + G].T)
+            vals[L:] = self.dist_g.quantiles(u[:, L:L + G].T)
         return vals
 
     def _weighted(self, x):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,16 +128,17 @@ class ValueDistribution:
         n = len(self.sample)
         return self.sample[min(int(u * n), n - 1)]
 
-    def draw(self, rng: np.random.Generator, size=None):
-        u = rng.random() if size is None else rng.random(size)
-        if size is None:
-            return self.quantile(u)
+    def quantiles(self, u):
+        """quantile over an array of uniforms, bit for bit. Power-law
+        quantiles stay on C pow (math.pow, as float ** calls it on [0, 1)):
+        numpy's power and sqrt round differently on a share of draws."""
         if self.kind == "power-law":
-            return self.upper * u ** (1.0 / self.shape)
+            powers = map(math.pow, u.ravel().tolist(), repeat(1.0 / self.shape))
+            return float(self.upper) * np.fromiter(powers, float, u.size).reshape(u.shape)
         if self.kind == "uniform":
-            return self.lower + u * (self.upper - self.lower)
-        idx = np.minimum((u * len(self.sample)).astype(int), len(self.sample) - 1)
-        return np.asarray(self.sample)[idx]
+            return float(self.lower) + u * float(self.upper - self.lower)
+        sample = np.asarray(self.sample)
+        return sample[np.minimum((u * len(sample)).astype(np.intp), len(sample) - 1)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,9 @@ def hazard_point(dist: ValueDistribution, own_bid, own_weight, others_weighted_s
     return HazardPoint(H=H, h=h, sigma=sigma, clamped=clamped)
 
 
-def _check_bid_inputs(rule, sigma, weight, q):
+def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
+    """alpha - phi, the shading of the closed-form bid at any valuation
+    alpha > 0; it does not depend on alpha, so a batch of bids shares it."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if weight <= 0:
@@ -176,12 +180,6 @@ def _check_bid_inputs(rule, sigma, weight, q):
         raise ValueError("sigma must be nonnegative")
     if rule not in ("nvcg", "dnvcg"):
         raise ValueError(f"unknown rule {rule!r}")
-
-
-def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
-    """alpha - phi, the shading of the closed-form bid at any valuation
-    alpha > 0; it does not depend on alpha, so a batch of bids shares it."""
-    _check_bid_inputs(rule, sigma, weight, q)
     if rule == "dnvcg" and in_qdown:
         if not sum_w_qdown or sum_w_qdown <= 0:
             raise ValueError("prudent-set weight must be positive")
@@ -191,11 +189,9 @@ def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdo
 
 def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
     """Closed-form round-2 equilibrium bid for a local broker."""
-    _check_bid_inputs(rule, sigma, weight, q)
-    if alpha <= 0:
-        return 0
-    return alpha - equilibrium_shading(
+    shading = equilibrium_shading(
         rule, sigma, weight, q, in_qdown=in_qdown, ell=ell, sum_w_qdown=sum_w_qdown)
+    return alpha - shading if alpha > 0 else 0
 
 
 def optimality_residual(
@@ -339,7 +335,7 @@ def expected_vcg_fee(
     The global is assumed to play its dominant strategy, bidding its value
     capped at its own round-1 bid.
     """
-    values = dist.draw(np.random.Generator(np.random.Philox(key=seed)), size=n)
+    values = dist.quantiles(np.random.Generator(np.random.Philox(key=seed)).random(n))
     if round1_global_cap is not None:
         values = np.minimum(values, float(round1_global_cap))
     fees = np.maximum(0.0, (values - float(others_weighted_sum)) / float(own_weight))

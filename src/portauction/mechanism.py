@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import pricing, sim
-from .batch import row_chunks, row_width
+from .batch import row, row_width
 from .model import ConfigurationError
 
 
@@ -268,8 +268,7 @@ def run_auction(scenario, strategies=None, seed=None, rule=None,
                 replication=0) -> AuctionTranscript:
     """Run both rounds of one auction instance from a scenario: row
     `replication` of the seed's row stream, so the transcript is that
-    replication of simulate(scenario, seed=seed) with the same rule. The
-    stream is walked a chunk at a time up to the row.
+    replication of simulate(scenario, seed=seed) with the same rule.
 
     strategies/seed/rule default to the scenario's own; rule sets both the
     pricing rule and the rule equilibrium bids shade under.
@@ -282,9 +281,8 @@ def run_auction(scenario, strategies=None, seed=None, rule=None,
     rng_seed = scenario.seed if seed is None else seed
     if rule is not None:
         scenario = replace(scenario, rule=rule)
-    for chunk in row_chunks(rng_seed, replication + 1, row_width(scenario)):
-        pass
-    return replace(settle_row(scenario, profile, chunk[-1]), rng_seed=rng_seed)
+    u = row(rng_seed, replication, row_width(scenario))
+    return replace(settle_row(scenario, profile, u), rng_seed=rng_seed)
 
 
 def _jsonable(x):

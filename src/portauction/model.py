@@ -12,7 +12,6 @@ function, so they are safe to share across threads.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,13 +27,6 @@ class ConfigurationError(ValueError):
 
 class ModelWarning(UserWarning):
     """Lint-level validation finding that does not block construction."""
-
-
-def is_number(x) -> bool:
-    """True for an int, a Fraction or a finite float; a bool is no number."""
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _dot(a: Sequence, b: Sequence):

@@ -7,34 +7,35 @@ replication count. All fees and valuations in files are quoted in basis
 points (keys carry a _bps suffix); numbers parse to exact Fractions so
 derived quantities stay bit-stable.
 
-Unknown keys are rejected. Validation failures raise ScenarioValidationError
-with one message per finding, each prefixed by its JSON path.
+One schema table, _SCENARIO, states each key's type, domain and whether it
+is required; distributions and strategies are kind-tagged, so a key the
+kind does not read is an unknown key. Every finding is reported at its
+JSON path, one message each in a ScenarioValidationError. The section
+code then only builds model objects and checks keys against one another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from . import sim
 from .batch import SEED_LIMIT, check_weight
 from .equilibrium import ValueDistribution
-from .model import (
-    BrokerProfile,
-    ConfigurationError,
-    PortfolioSpec,
-    WeightVector,
-    derive_weights,
-    is_number,
-)
+from .model import BrokerProfile, ConfigurationError, PortfolioSpec, WeightVector, derive_weights
 from .pricing import RULES
+from .sim import BrokerStrategy, Strategy, StrategyProfile
 from .units import BPS
 
 SCHEMA_VERSION = 1
+_REALS = (int, float, Fraction)
+_NO_OFFSET = 0 * BPS
 
 
 class ScenarioParseError(ValueError):
@@ -58,7 +59,7 @@ class ScenarioConfig:
     brokers: tuple
     distributions: dict
     rule: str
-    strategies: Optional[sim.StrategyProfile]
+    strategies: Optional[StrategyProfile]
     seed: int
     replications: int
     correlated_locals: bool = True
@@ -66,240 +67,310 @@ class ScenarioConfig:
     digest: str = ""
     source_path: Optional[str] = None
 
-    def broker(self, broker_id) -> BrokerProfile:
-        for b in self.brokers:
-            if b.id == broker_id:
-                return b
-        raise KeyError(broker_id)
 
-
-def _require_keys(data, allowed, required, path, errors):
-    """False, with the findings in errors, unless data is an object holding
-    every required key; unknown keys are findings too."""
-    if not isinstance(data, dict):
-        errors.append(f"{path}: expected an object")
+def _finite(x):
+    """x is an int, a Fraction or a float (no bool) within the float range."""
+    try:
+        return isinstance(x, _REALS) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int or Fraction beyond the float range
         return False
-    unknown = set(data) - set(allowed)
-    for k in sorted(unknown):
-        errors.append(f"{path}: unknown key {k!r}")
-    missing = set(required) - set(data)
-    for k in sorted(missing):
-        errors.append(f"{path}: missing key {k!r}")
-    return not missing
 
 
-def _frac(x):
-    """Exact numeric conversion of an int, a Fraction (as JSON floats parse)
-    or a finite float, which keeps its exact binary value."""
-    if not is_number(x):
-        raise TypeError(f"expected a number, got {x!r}")
-    return Fraction(x)
+def _show(value):
+    """A value for a message, a Fraction within the float range as a float."""
+    return reprlib.repr(float(value) if isinstance(value, Fraction) and _finite(value) else value)
 
 
-def _num_list(xs, path, errors):
-    try:
-        return tuple(_frac(x) for x in xs)
-    except TypeError as e:
-        errors.append(f"{path}: {e}")
-        return ()
+# Schema nodes are functions check(value, path, errors) that append one
+# message per finding. A leaf's check also carries its predicate as .ok, so
+# an object or a list can test a value without building its path.
+def _leaf(ok, wanted):
+    def check(value, path, errors):
+        if not ok(value):
+            errors.append(f"{path}: expected {wanted}, got {_show(value)}")
+    check.ok = ok
+    return check
 
 
-def _parse_portfolio(data, errors):
-    path = "$.portfolio"
-    allowed = ("securities", "quantities", "agreed_prices", "anticipated_prices", "packages")
-    if not _require_keys(data, allowed, allowed, path, errors):
-        return None
-    for key in ("securities", "packages"):
-        if not isinstance(data[key], list):
-            errors.append(f"{path}.{key}: expected a list")
-            return None
-    bad = [(k, s) for k, s in enumerate(data["securities"]) if not isinstance(s, str)]
-    for k, s in bad:
-        errors.append(f"{path}.securities[{k}]: expected a string, got {s!r}")
-    if bad:
-        return None
-    try:
-        return PortfolioSpec(
-            securities=tuple(data["securities"]),
-            quantities=_num_list(data["quantities"], f"{path}.quantities", errors),
-            agreed_prices=_num_list(data["agreed_prices"], f"{path}.agreed_prices", errors),
-            anticipated_prices=_num_list(
-                data["anticipated_prices"], f"{path}.anticipated_prices", errors
-            ),
-            packages=tuple(
-                _num_list(p, f"{path}.packages[{j}]", errors)
-                for j, p in enumerate(data["packages"])
-            ),
-        )
-    except ConfigurationError as e:
-        errors.append(f"{path}: {e}")
-        return None
+def _integer(lo, hi=math.inf, wanted="an integer >= {lo}"):
+    return _leaf(lambda x: type(x) is int and lo <= x < hi and _finite(x), wanted.format(lo=lo))
 
 
-# The keys each distribution kind reads besides "kind", and those it needs.
-_DISTRIBUTION_KEYS = {
-    "power-law": (("upper_bps", "shape"), ("upper_bps", "shape")),
-    "uniform": (("lower_bps", "upper_bps"), ("upper_bps",)),
-    "empirical": (("sample_bps",), ("sample_bps",)),
+def _one_of(values):
+    return _leaf(lambda x: isinstance(x, str) and x in values, f"one of {values}")
+
+
+def _list(item, nonempty=False):
+    ok = getattr(item, "ok", None)
+
+    def check(value, path, errors):
+        if not isinstance(value, list) or nonempty and not value:
+            errors.append(f"{path}: expected a {'nonempty ' * nonempty}list, got {_show(value)}")
+            return
+        if ok is None or not all(map(ok, value)):
+            for i, x in enumerate(value):
+                item(x, f"{path}[{i}]", errors)
+    return check
+
+
+def _is_object(value, path, errors):
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected an object, got {_show(value)}")
+    return isinstance(value, dict)
+
+
+def _fields(fields):
+    """The table _check_fields reads of fields, {key: (node, required)}."""
+    return ({key: (node, getattr(node, "ok", None)) for key, (node, _) in fields.items()},
+            frozenset(key for key, (_, required) in fields.items() if required))
+
+
+def _check_fields(table, value, path, errors, kind=None):
+    """Check the object value against a _fields table (of the given kind,
+    if tagged). Returns the keys whose values passed."""
+    nodes, required = table
+    passed = set()
+    for key, x in value.items():
+        if key not in nodes:
+            errors.append(f"{path}.{key}: unknown key" + (f" for kind {kind!r}" if kind else ""))
+            continue
+        node, ok = nodes[key]
+        if ok is None or not ok(x):
+            found = len(errors)
+            node(x, f"{path}.{key}", errors)
+            if len(errors) > found:
+                continue
+        passed.add(key)
+    if not value.keys() >= required:
+        errors.extend(f"{path}: missing key {key!r}" for key in sorted(required - value.keys()))
+    return passed
+
+
+def _object(fields):
+    table = _fields(fields)
+    return lambda value, path, errors: (_is_object(value, path, errors)
+                                        and _check_fields(table, value, path, errors))
+
+
+def _each(item):
+    """An object whose keys the document chooses (broker ids)."""
+    def check(value, path, errors):
+        for key, x in value.items() if _is_object(value, path, errors) else ():
+            item(x, f"{path}.{key}", errors)
+    return check
+
+
+def _kinds(kinds, default=None):
+    """A kind-tagged object: kinds maps each kind to the fields it reads
+    besides "kind", which is default when absent (required if None)."""
+    tables = {kind: _fields({"kind": (_STRING, False), **fields})
+              for kind, fields in kinds.items()}
+
+    def check(value, path, errors):
+        if not _is_object(value, path, errors):
+            return
+        if "kind" not in value and default is None:
+            errors.append(f"{path}: missing key 'kind'")
+            return
+        kind = value.get("kind", default)
+        if not (isinstance(kind, str) and kind in tables):
+            errors.append(f"{path}.kind: expected one of {tuple(tables)}, got {_show(kind)}")
+            return
+        _check_fields(tables[kind], value, path, errors, kind)
+    return check
+
+
+_STRING = _leaf(lambda x: isinstance(x, str), "a string")
+_BOOL = _leaf(lambda x: isinstance(x, bool), "true or false")
+_NUMBER = _leaf(_finite, "a finite float")
+_POSITIVE = _leaf(lambda x: _finite(x) and x > 0, "a positive finite float")
+_NONNEGATIVE = _leaf(lambda x: _finite(x) and x >= 0, "a finite float >= 0")
+
+_DISTRIBUTION = _kinds({
+    "power-law": {"upper_bps": (_POSITIVE, True),
+                  "shape": (_leaf(lambda x: _finite(x) and x > 1, "a finite float > 1"), True)},
+    "uniform": {"lower_bps": (_NUMBER, False), "upper_bps": (_NUMBER, True)},
+    "empirical": {"sample_bps": (_list(_NUMBER, nonempty=True), True)},
+})
+
+_STRATEGY_KINDS = {
+    "constant": {"value_bps": (_NONNEGATIVE, True)},
+    "truthful": {},
+    "offset": {"offset_bps": (_NUMBER, False)},
+    "equilibrium": {
+        "sigma": (_NONNEGATIVE, False),
+        "in_qdown": (_BOOL, False),
+        "ell": (_integer(0), False),
+        # and at least the bidder's own weight: the prudent set includes it
+        "sum_w_qdown": (_leaf(lambda x: _finite(x) and 0 < x <= 1, "a finite float in (0, 1]"),
+                        False),
+    },
 }
 
+_SCENARIO = _fields({
+    "schema_version": (_leaf(lambda x: type(x) is int and x == SCHEMA_VERSION,
+                             f"schema version {SCHEMA_VERSION}"), True),
+    "name": (_STRING, False),
+    "portfolio": (_object({
+        "securities": (_list(_STRING), True),
+        "quantities": (_list(_NONNEGATIVE), True),
+        "agreed_prices": (_list(_POSITIVE), True),
+        "anticipated_prices": (_list(_POSITIVE), True),
+        "packages": (_list(_list(_NONNEGATIVE)), True),
+    }), True),
+    "brokers": (_list(_object({
+        "id": (_STRING, True),
+        "role": (_one_of(("local", "global")), True),
+        "package_index": (_integer(0), False),
+        "valuation_bps": (_NUMBER, False),
+    }), nonempty=True), True),
+    "distributions": (_object({  # null: the role keeps its brokers' fixed valuations
+        role: (lambda v, p, e: v is None or _DISTRIBUTION(v, p, e), False)
+        for role in ("local", "global")}), False),
+    "rule": (_one_of(RULES), True),
+    "strategies": (_each(_object({
+        "round1": (_kinds(_STRATEGY_KINDS, default="constant"), True),
+        "round2": (_kinds({**_STRATEGY_KINDS, "capped-value": {}}, default="constant"), True),
+    })), False),
+    "seed": (_integer(0, SEED_LIMIT, "an integer in [0, 2**128)"), False),
+    "replications": (_integer(1, wanted="a positive integer"), False),
+    "correlated_locals": (_BOOL, False),
+})
 
-def _parse_distribution(data, path, errors):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        errors.append(f"{path}: expected an object")
-        return None
-    if "kind" not in data:
-        errors.append(f"{path}: missing key 'kind'")
-        return None
-    kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _DISTRIBUTION_KEYS:
-        errors.append(f"{path}: unknown kind {kind!r}")
-        return None
-    allowed, required = _DISTRIBUTION_KEYS[kind]
-    found = len(errors)
-    _require_keys(data, ("kind", *allowed), required, path, errors)
-    if len(errors) > found:
-        return None
+
+def _portfolio(data, errors):
+    """The portfolio and its weights, or (None, None) if they cannot be built."""
     try:
-        if kind == "power-law":
-            if not is_number(data["shape"]):
-                errors.append(f"{path}.shape: expected a number, got {data['shape']!r}")
-                return None
-            return ValueDistribution.power_law(
-                upper=float(_frac(data["upper_bps"]) * BPS), shape=float(data["shape"])
-            )
-        if kind == "uniform":
-            return ValueDistribution.uniform(
-                lower=float(_frac(data.get("lower_bps", 0)) * BPS),
-                upper=float(_frac(data["upper_bps"]) * BPS),
-            )
-        return ValueDistribution.empirical(
-            tuple(float(_frac(x) * BPS) for x in data["sample_bps"])
+        portfolio = PortfolioSpec(
+            securities=tuple(data["securities"]),
+            quantities=tuple(map(Fraction, data["quantities"])),
+            agreed_prices=tuple(map(Fraction, data["agreed_prices"])),
+            anticipated_prices=tuple(map(Fraction, data["anticipated_prices"])),
+            packages=tuple(tuple(map(Fraction, p)) for p in data["packages"]),
         )
-    except (TypeError, ValueError) as e:
-        errors.append(f"{path}: {e}")
-    return None
+        weights = derive_weights(portfolio)
+    except ConfigurationError as e:
+        errors.append(f"$.portfolio: {e}")
+        return None, None
+    # The float engines price package j at (g - (total - w_j b_j)) / w_j:
+    # below the float epsilon w_j b_j is lost in the total.
+    if not _finite(portfolio.total_value):
+        errors.append("$.portfolio: the agreed portfolio value overflows a float")
+    errors.extend(f"$.portfolio: package {j}'s weight {_show(w)} is below the float epsilon "
+                  f"2**-52" for j, w in enumerate(weights) if float(w) < sys.float_info.epsilon)
+    return portfolio, weights
 
 
-def _parse_brokers(data, n_packages, errors):
-    path = "$.brokers"
-    brokers = []
-    seen = set()
-    if not isinstance(data, list) or not data:
-        errors.append(f"{path}: expected a nonempty list")
-        return ()
+def _brokers(data, q, errors):
+    brokers, seen = [], set()
     for i, entry in enumerate(data):
-        p = f"{path}[{i}]"
-        allowed = ("id", "role", "package_index", "valuation_bps")
-        if not _require_keys(entry, allowed, ("id", "role"), p, errors):
-            continue
-        if not isinstance(entry["id"], str):
-            errors.append(f"{p}.id: expected a string, got {entry['id']!r}")
-            continue
-        index = entry.get("package_index")
-        if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
-            errors.append(f"{p}.package_index: expected an integer, got {index!r}")
-            continue
         try:
             broker = BrokerProfile(
                 id=entry["id"],
                 role=entry["role"],
                 package_index=entry.get("package_index"),
-                valuation=_frac(entry.get("valuation_bps", 0)) * BPS,
+                valuation=Fraction(entry.get("valuation_bps", 0)) * BPS,
             )
-        except (ConfigurationError, KeyError, TypeError) as e:
-            errors.append(f"{p}: {e}")
+        except ConfigurationError as e:
+            errors.append(f"$.brokers[{i}]: {e}")
             continue
         if broker.id in seen:
-            errors.append(f"{p}: duplicate broker id {broker.id!r}")
+            errors.append(f"$.brokers[{i}]: duplicate broker id {broker.id!r}")
         seen.add(broker.id)
-        if broker.role == "local" and broker.package_index >= n_packages:
-            errors.append(
-                f"{p}: package_index {broker.package_index} out of range "
-                f"(portfolio has {n_packages} packages)"
-            )
+        if broker.role == "local" and broker.package_index >= q:
+            errors.append(f"$.brokers[{i}]: package_index {broker.package_index} out of range "
+                          f"(portfolio has {q} packages)")
         brokers.append(broker)
-
     covered = {b.package_index for b in brokers if b.role == "local"}
-    for j in range(n_packages):
-        if j not in covered:
-            errors.append(f"{path}: package {j} has no local bidder")
+    errors.extend(f"$.brokers: package {j} has no local bidder"
+                  for j in range(q) if j not in covered)
     if not any(b.role == "global" for b in brokers):
-        errors.append(f"{path}: no global broker")
+        errors.append("$.brokers: no global broker")
     return tuple(brokers)
+
+
+def _distribution(data, path, errors):
+    def scaled(x_bps):
+        return float(Fraction(x_bps) * BPS)
+    try:
+        if data is None:
+            return None
+        if data["kind"] == "power-law":
+            return ValueDistribution.power_law(upper=scaled(data["upper_bps"]),
+                                               shape=float(data["shape"]))
+        if data["kind"] == "uniform":
+            return ValueDistribution.uniform(lower=scaled(data.get("lower_bps", 0)),
+                                             upper=scaled(data["upper_bps"]))
+        return ValueDistribution.empirical(tuple(scaled(x) for x in data["sample_bps"]))
+    except ValueError as e:
+        errors.append(f"{path}: {e}")
+
+
+def _strategy(data):
+    return Strategy(
+        kind=data.get("kind", "constant"),
+        value=data["value_bps"] * BPS if "value_bps" in data else None,
+        offset=data["offset_bps"] * BPS if "offset_bps" in data else _NO_OFFSET,
+        sigma=data.get("sigma", 0.0),
+        in_qdown=data.get("in_qdown", False),
+        ell=data.get("ell", 0),
+        sum_w_qdown=data.get("sum_w_qdown"),
+    )
+
+
+def _check_strategies(profile, brokers, weights, errors):
+    """Strategies match brokers one to one, and an equilibrium bid shades by
+    a local's weight w, with a prudent set that holds the bidder, by at most
+    sigma * (ell + q) >= sigma * w * (ell / sum_w_qdown + q - 1)."""
+    ids = {b.id for b in brokers}
+    errors.extend(f"$.strategies: unknown broker id {bid!r}"
+                  for bid in profile.brokers if bid not in ids)
+    for b in brokers:
+        rounds = profile.brokers.get(b.id)
+        if rounds is None:
+            errors.append(f"$.strategies: no strategy for broker {b.id!r}")
+            continue
+        for name, st in (("round1", rounds.round1), ("round2", rounds.round2)):
+            if st.kind != "equilibrium" or b.role == "local" and b.package_index >= len(weights):
+                continue  # an out-of-range package_index is reported at the broker
+            path = f"$.strategies.{b.id}.{name}"
+            weight = weights[b.package_index] if b.role == "local" else None
+            try:
+                check_weight(b.id, st, weight)
+            except ConfigurationError as e:
+                errors.append(f"{path}: {e}")
+                continue
+            if st.in_qdown and st.sum_w_qdown is None:
+                errors.append(f"{path}: missing key 'sum_w_qdown' (in_qdown reads it)")
+            elif st.in_qdown and st.sum_w_qdown < weight:
+                errors.append(f"{path}.sum_w_qdown: expected at least the broker's package "
+                              f"weight {_show(weight)}, got {_show(st.sum_w_qdown)}")
+            elif not float(st.sigma) * (float(st.ell) + len(weights)) < 1e308:
+                errors.append(f"{path}: sigma * (ell + q) must stay below 1e308, so that the "
+                              f"shading fits a float")
 
 
 def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> ScenarioConfig:
     """Validate a parsed scenario document and build the config."""
     errors = []
-    allowed = (
-        "schema_version", "name", "portfolio", "brokers", "distributions", "rule",
-        "strategies", "seed", "replications", "correlated_locals",
-    )
-    _require_keys(data, allowed, ("schema_version", "portfolio", "brokers", "rule"), "$", errors)
-    if data.get("schema_version") not in (None, SCHEMA_VERSION):
-        errors.append(f"$.schema_version: unsupported version {data.get('schema_version')!r}")
-    if not isinstance(data.get("name", name), str):
-        errors.append(f"$.name: expected a string, got {data['name']!r}")
+    good = _check_fields(_SCENARIO, data, "$", errors) if _is_object(data, "$", errors) else ()
 
-    portfolio = _parse_portfolio(data.get("portfolio"), errors) if "portfolio" in data else None
-    weights = None
-    if portfolio is not None:
-        weights = derive_weights(portfolio)
-
-    rule = data.get("rule")
-    if rule not in RULES:
-        errors.append(f"$.rule: expected one of {RULES}, got {rule!r}")
-
+    portfolio, weights = (_portfolio(data["portfolio"], errors) if "portfolio" in good
+                          else (None, None))
     brokers = ()
-    if portfolio is not None and "brokers" in data:
-        brokers = _parse_brokers(data["brokers"], portfolio.q, errors)
-
-    dists = {"local": None, "global": None}
-    dist_cfg = data.get("distributions")
-    if dist_cfg is not None and _require_keys(dist_cfg, tuple(dists), (), "$.distributions",
-                                              errors):
-        for role in dists:
-            dists[role] = _parse_distribution(dist_cfg.get(role), f"$.distributions.{role}",
-                                              errors)
-
+    if portfolio is not None and "brokers" in good:
+        brokers = _brokers(data["brokers"], portfolio.q, errors)
+    dists = {role: _distribution(data["distributions"].get(role), f"$.distributions.{role}",
+                                 errors) if "distributions" in good else None
+             for role in ("local", "global")}
     strategies = None
-    strategy_cfg = data.get("strategies")
-    if strategy_cfg is not None and not isinstance(strategy_cfg, dict):
-        errors.append("$.strategies: expected an object")
-    elif strategy_cfg is not None:
-        try:
-            strategies = sim.profile_from_config(strategy_cfg, BPS)
-        except ConfigurationError as e:
-            errors.append(f"$.strategies.{e}")
-        if strategies is not None:
-            broker_ids = {b.id for b in brokers}
-            for bid in strategies.brokers:
-                if bid not in broker_ids:
-                    errors.append(f"$.strategies: unknown broker id {bid!r}")
-            for bid in broker_ids - set(strategies.brokers):
-                errors.append(f"$.strategies: no strategy for broker {bid!r}")
-            for b in brokers:
-                if b.role != "global" or b.id not in strategies.brokers:
-                    continue
-                for name in ("round1", "round2"):
-                    try:
-                        check_weight(b.id, getattr(strategies[b.id], name), None)
-                    except ConfigurationError as e:
-                        errors.append(f"$.strategies.{b.id}.{name}: {e}")
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
-        errors.append(f"$.seed: expected an integer in [0, 2**128), got {seed!r}")
-    replications = data.get("replications", 1)
-    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
-        errors.append(f"$.replications: expected a positive integer, got {replications!r}")
-    correlated = data.get("correlated_locals", True)
-    if not isinstance(correlated, bool):
-        errors.append(f"$.correlated_locals: expected true or false, got {correlated!r}")
-
+    if "strategies" in good:
+        strategies = StrategyProfile({
+            bid: BrokerStrategy(round1=_strategy(rounds["round1"]),
+                                round2=_strategy(rounds["round2"]))
+            for bid, rounds in data["strategies"].items()})
+        if brokers:
+            _check_strategies(strategies, brokers, weights, errors)
     if errors:
         raise ScenarioValidationError(errors)
 
@@ -309,19 +380,15 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         weights=weights,
         brokers=brokers,
         distributions=dists,
-        rule=rule,
+        rule=data["rule"],
         strategies=strategies,
-        seed=seed,
-        replications=replications,
-        correlated_locals=correlated,
+        seed=data.get("seed", 0),
+        replications=data.get("replications", 1),
+        correlated_locals=data.get("correlated_locals", True),
         name=data.get("name", name),
         digest=digest,
         source_path=source_path,
     )
-
-
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
 
 
 def loads_scenario(text: str, name="", source_path=None) -> ScenarioConfig:
@@ -331,9 +398,8 @@ def loads_scenario(text: str, name="", source_path=None) -> ScenarioConfig:
         raise ScenarioParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioParseError("top-level value must be an object")
-    return scenario_from_dict(
-        data, name=name, digest=_digest(text.encode()), source_path=source_path
-    )
+    return scenario_from_dict(data, name=name, digest=hashlib.sha256(text.encode()).hexdigest(),
+                              source_path=source_path)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .batch import ExactSum, Kernel, check_weight, row_chunks
 from .equilibrium import equilibrium_bid
-from .model import ConfigurationError, is_number
+from .model import ConfigurationError
 
 ROUND1_KINDS = ("constant", "truthful", "offset", "equilibrium")
 ROUND2_KINDS = ROUND1_KINDS + ("capped-value",)
@@ -83,55 +83,6 @@ class StrategyProfile:
         out = dict(self.brokers)
         out[broker_id] = updated
         return StrategyProfile(out)
-
-
-def _strategy_from_config(cfg, bps, path) -> Strategy:
-    if not isinstance(cfg, Mapping):
-        raise ConfigurationError(f"{path}: expected an object")
-    known = {"kind", "value_bps", "offset_bps", "sigma", "in_qdown", "ell", "sum_w_qdown"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown strategy keys {sorted(unknown)}")
-    for key in ("value_bps", "offset_bps", "sigma", "sum_w_qdown"):
-        if key in cfg and not is_number(cfg[key]):
-            raise ConfigurationError(f"{path}.{key}: expected a number, got {cfg[key]!r}")
-    in_qdown = cfg.get("in_qdown", False)
-    if not isinstance(in_qdown, bool):
-        raise ConfigurationError(f"{path}.in_qdown: expected true or false, got {in_qdown!r}")
-    ell = cfg.get("ell", 0)
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
-        raise ConfigurationError(f"{path}.ell: expected a non-negative integer, got {ell!r}")
-    try:
-        return Strategy(
-            kind=cfg.get("kind", "constant"),
-            value=cfg["value_bps"] * bps if "value_bps" in cfg else None,
-            offset=cfg.get("offset_bps", 0) * bps,
-            sigma=cfg.get("sigma", 0.0),
-            in_qdown=in_qdown,
-            ell=ell,
-            sum_w_qdown=cfg.get("sum_w_qdown"),
-        )
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{path}: {e}") from None
-
-
-def profile_from_config(cfg: Mapping, bps) -> StrategyProfile:
-    """Strategies from their scenario-file form. An error names the path
-    of the offending value below cfg, as in L1.round2.ell."""
-    out = {}
-    for broker_id, rounds in cfg.items():
-        if not isinstance(rounds, Mapping):
-            raise ConfigurationError(f"{broker_id}: expected an object")
-        if set(rounds) != {"round1", "round2"}:
-            raise ConfigurationError(
-                f"{broker_id}: expected the keys round1 and round2, got {sorted(rounds)}")
-        round1, round2 = (_strategy_from_config(rounds[name], bps, f"{broker_id}.{name}")
-                          for name in ("round1", "round2"))
-        try:
-            out[broker_id] = BrokerStrategy(round1=round1, round2=round2)
-        except ConfigurationError as e:
-            raise ConfigurationError(f"{broker_id}.round1: {e}") from None
-    return StrategyProfile(out)
 
 
 def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q, *, broker):

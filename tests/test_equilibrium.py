@@ -41,7 +41,7 @@ def test_uniform_and_empirical_distributions():
     e = ValueDistribution.empirical(sample)
     assert e.cdf(0.5) == pytest.approx(0.5, abs=0.05)
     assert e.pdf(0.5) == pytest.approx(1.0, abs=0.15)
-    draws = e.draw(np.random.default_rng(1), size=100)
+    draws = e.quantiles(np.random.default_rng(1).random(100))
     assert all(0 <= x <= 1 for x in draws)
 
 
@@ -89,7 +89,7 @@ def test_hazard_matches_monte_carlo():
         if total >= own_bid:
             continue
         hp = hazard_point(d, own_bid, own_w, others)
-        draws = d.draw(np.random.default_rng(hash((own_bid, own_w)) % 2**32), size=n)
+        draws = d.quantiles(np.random.default_rng(hash((own_bid, own_w)) % 2**32).random(n))
         hits = np.mean((draws >= total) & (draws <= own_bid))
         se = math.sqrt(max(hits * (1 - hits), 1e-12) / n)
         assert abs(hp.H - hits) <= 3 * se

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import warnings
 from fractions import Fraction as F
@@ -5,6 +7,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portauction import __version__, cli
 from portauction.batch import CHUNK
@@ -144,8 +148,8 @@ def test_booleans_and_counts_are_not_coerced(key, value):
 
 
 @pytest.mark.parametrize("keys, value, path", [
-    (("output",), {"path": "out.json", "format": "records"}, "$"),  # no longer a key
-    (("output",), 5, "$"),
+    (("output",), {"path": "out.json", "format": "records"}, "$.output"),  # no longer a key
+    (("output",), 5, "$.output"),
     (("distributions",), 5, "$.distributions"),
     (("distributions",), [1], "$.distributions"),
     (("distributions", "global"), 5, "$.distributions.global"),
@@ -161,12 +165,16 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     (("strategies", "L1", "round2", "sigma"), "x", "$.strategies.L1.round2.sigma"),
     (("strategies", "L1", "round2", "sum_w_qdown"), "x", "$.strategies.L1.round2.sum_w_qdown"),
     (("strategies", "L1", "round1", "value_bps"), "x", "$.strategies.L1.round1.value_bps"),
-    (("distributions", "global", "sample_bps"), [5], "$.distributions.global"),  # not read
-    (("distributions", "global", "lower_bps"), 0, "$.distributions.global"),  # not read
-    (("distributions", "global", "kind"), ["power-law"], "$.distributions.global"),
-    (("distributions", "global", "upper_bps"), float("nan"), "$.distributions.global"),
-    (("distributions", "global", "upper_bps"), float("inf"), "$.distributions.global"),
-    (("brokers", 0, "valuation_bps"), float("-inf"), "$.brokers[0]"),
+    (("distributions", "global", "sample_bps"), [5],
+     "$.distributions.global.sample_bps"),  # not read
+    (("distributions", "global", "lower_bps"), 0,
+     "$.distributions.global.lower_bps"),  # not read
+    (("distributions", "global", "kind"), ["power-law"], "$.distributions.global.kind"),
+    (("distributions", "global", "upper_bps"), float("nan"),
+     "$.distributions.global.upper_bps"),
+    (("distributions", "global", "upper_bps"), float("inf"),
+     "$.distributions.global.upper_bps"),
+    (("brokers", 0, "valuation_bps"), float("-inf"), "$.brokers[0].valuation_bps"),
     (("brokers", 0, "id"), 5, "$.brokers[0].id"),
     (("brokers", 2, "id"), ["G"], "$.brokers[2].id"),
     (("name",), 5, "$.name"),
@@ -174,6 +182,22 @@ def test_booleans_and_counts_are_not_coerced(key, value):
     (("strategies", "G", "round1"), {"kind": "equilibrium", "sigma": 0.001},
      "$.strategies.G.round1"),  # a global has no package weight to shade by
     (("strategies", "G", "round2"), {"kind": "equilibrium"}, "$.strategies.G.round2"),
+    (("strategies", "L1", "round2"), {"kind": "equilibrium", "sigma": -0.5},
+     "$.strategies.L1.round2.sigma"),
+    (("strategies", "L1", "round2"), {"kind": "equilibrium", "sigma": 0.001, "in_qdown": True},
+     "$.strategies.L1.round2"),  # dnvcg reads sum_w_qdown for a prudent bidder
+    (("strategies", "L1", "round2"),
+     {"kind": "equilibrium", "sigma": 0.001, "in_qdown": True, "sum_w_qdown": 1e-320},
+     "$.strategies.L1.round2.sum_w_qdown"),  # below L1's own weight 0.6
+    (("strategies", "L1", "round1", "sigma"), 0.001, "$.strategies.L1.round1.sigma"),
+    pytest.param(("distributions", "global", "upper_bps"), 10**400,
+                 "$.distributions.global.upper_bps", id="upper_bps-10**400"),
+    pytest.param(("distributions", "global", "shape"), 10**400,
+                 "$.distributions.global.shape", id="shape-10**400"),
+    pytest.param(("portfolio", "agreed_prices", 0), 10**400,
+                 "$.portfolio.agreed_prices[0]", id="agreed_prices-10**400"),
+    pytest.param(("strategies", "L1", "round1", "value_bps"), 10**400,
+                 "$.strategies.L1.round1.value_bps", id="value_bps-10**400"),
 ])
 def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
     data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
@@ -191,6 +215,59 @@ def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, c
     code, _, err = run_cli(["validate", str(bad)], capsys)
     assert code == 4
     assert f"- {path}: " in err
+
+
+def _positions(node, path=()):
+    """The path of every value below node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _positions(value, path + (key,))
+
+
+_BUNDLED = {name: json.loads(resources.files("portauction")
+                             .joinpath(f"scenarios/{name}.json").read_text())
+            for name in ("example1", "table1", "powerlaw")}
+_WORDS = ["kind", "equilibrium", "uniform", "empirical", "global", "sigma", "in_qdown",
+          "sum_w_qdown", "upper_bps", "lower_bps", "sample_bps", "value_bps", "offset_bps"]
+_NUMBERS = st.integers(-2, 40) | st.sampled_from([10**400, -10**400, 1e308, -1e308, 5e-324, 0.5])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=2) | st.sampled_from(_WORDS),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3)),
+    max_leaves=5)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_fail_validation_or_run(data, tmp_path_factory):
+    """One value of a bundled scenario replaced by arbitrary JSON: the
+    document fails validation at a JSON path or runs; it never exits 5."""
+    name = data.draw(st.sampled_from(sorted(_BUNDLED)))
+    doc = json.loads(json.dumps(_BUNDLED[name]))
+    *parents, last = data.draw(st.sampled_from(list(_positions(doc))))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(_NUMBERS | _JSON)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+
+    def call(*args):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return cli.main([*args]), err.getvalue()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelWarning)
+        code, err = call("validate", str(path))
+        if code == 4:
+            assert "  - $" in err
+            return
+        assert code == 0, err
+        for args in (("run",), ("run", "--format", "records"), ("simulate", "-n", "20")):
+            assert call(args[0], str(path), *args[1:]) == (0, "")
 
 
 def test_python_floats_parse_exactly():

@@ -2,28 +2,33 @@ import json
 import math
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portauction.batch import CHUNK, ExactSum, Kernel, row_chunks, row_width
+from portauction.batch import CHUNK, ExactSum, Kernel, row, row_chunks, row_width
+from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import run_auction, settle_row
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
-from portauction.scenario import builtin_scenario, scenario_from_dict
+from portauction.scenario import (
+    ScenarioValidationError,
+    builtin_scenario,
+    loads_scenario,
+    scenario_from_dict,
+)
 from portauction.sim import (
     ROUND2_KINDS,
     BrokerStrategy,
     Strategy,
     StrategyProfile,
     compare_strategies,
-    profile_from_config,
     simulate,
     strategy_bid,
 )
-from portauction.units import BPS
 
 import pin_simulate
 
@@ -73,15 +78,13 @@ def test_strategy_validation():
     with pytest.raises(ConfigurationError):
         BrokerStrategy(round1=Strategy(kind="capped-value"),
                        round2=Strategy(kind="truthful"))
-    profile = profile_from_config(
-        {"L1": {"round1": {"kind": "constant", "value_bps": 10},
-                "round2": {"kind": "truthful"}}},
-        BPS,
-    )
-    assert profile["L1"].round1.value == F(10, 10_000)
-    with pytest.raises(ConfigurationError):
-        profile_from_config({"L1": {"round1": {"kind": "constant", "bid": 3},
-                                    "round2": {"kind": "truthful"}}}, BPS)
+    data = json.loads(resources.files("portauction").joinpath("scenarios/example1.json")
+                      .read_text())
+    data["strategies"]["L1"]["round1"] = {"kind": "constant", "value_bps": 10}
+    assert loads_scenario(json.dumps(data)).strategies["L1"].round1.value == F(10, 10_000)
+    data["strategies"]["L1"]["round1"] = {"kind": "constant", "bid": 3}
+    with pytest.raises(ScenarioValidationError):
+        loads_scenario(json.dumps(data))
 
 
 def test_simulate_single_replication_matches_transcript():
@@ -293,6 +296,34 @@ def test_chunk_boundaries_keep_row_prefixes():
                 assert {bid: v[:k] for bid, v in b.items()} == a
             else:
                 assert b[:k] == a
+
+
+@pytest.mark.parametrize("seed", [4, 2**128 - 1])
+def test_row_is_that_row_of_the_chunked_stream(seed):
+    n = 2 * CHUNK + 3
+    for width in range(5, 25):
+        u = np.concatenate(list(row_chunks(seed, n, width)))
+        for k in (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, n - 1):
+            assert np.array_equal(row(seed, k, width), u[k]), (width, k)
+
+
+_DISTRIBUTIONS = st.one_of(
+    st.builds(ValueDistribution.power_law, upper=st.floats(1e-6, 1e6),
+              shape=st.floats(1.0, 50.0, exclude_min=True)),
+    st.floats(-1e6, 1e6).flatmap(lambda lo: st.builds(
+        ValueDistribution.uniform, lower=st.just(lo),
+        upper=st.floats(lo, lo + 1e6, exclude_min=True))),
+    st.builds(ValueDistribution.empirical,
+              st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dist=_DISTRIBUTIONS,
+       u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+def test_quantiles_are_quantile_elementwise(dist, u):
+    got = dist.quantiles(np.array(u)).tolist()
+    assert [x.hex() for x in got] == [float(dist.quantile(x)).hex() for x in u]
 
 
 def _python_scalars(x):
