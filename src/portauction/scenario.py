@@ -82,14 +82,17 @@ def _show(value):
 
 
 # Schema nodes are functions check(value, path, errors) that append one
-# message per finding. A leaf's check also carries its predicate as .ok, so
-# an object or a list can test a value without building its path.
+# message per finding.
 def _leaf(ok, wanted):
     def check(value, path, errors):
         if not ok(value):
             errors.append(f"{path}: expected {wanted}, got {_show(value)}")
-    check.ok = ok
     return check
+
+
+def _optional(node):
+    """node, or null, which reads as an absent key."""
+    return lambda value, path, errors: value is None or node(value, path, errors)
 
 
 def _integer(lo, hi=math.inf, wanted="an integer >= {lo}"):
@@ -101,15 +104,12 @@ def _one_of(values):
 
 
 def _list(item, nonempty=False):
-    ok = getattr(item, "ok", None)
-
     def check(value, path, errors):
         if not isinstance(value, list) or nonempty and not value:
             errors.append(f"{path}: expected a {'nonempty ' * nonempty}list, got {_show(value)}")
             return
-        if ok is None or not all(map(ok, value)):
-            for i, x in enumerate(value):
-                item(x, f"{path}[{i}]", errors)
+        for i, x in enumerate(value):
+            item(x, f"{path}[{i}]", errors)
     return check
 
 
@@ -119,37 +119,26 @@ def _is_object(value, path, errors):
     return isinstance(value, dict)
 
 
-def _fields(fields):
-    """The table _check_fields reads of fields, {key: (node, required)}."""
-    return ({key: (node, getattr(node, "ok", None)) for key, (node, _) in fields.items()},
-            frozenset(key for key, (_, required) in fields.items() if required))
-
-
-def _check_fields(table, value, path, errors, kind=None):
-    """Check the object value against a _fields table (of the given kind,
-    if tagged). Returns the keys whose values passed."""
-    nodes, required = table
+def _check_fields(fields, value, path, errors, kind=None):
+    """Check the object value against fields, {key: (node, required)} (of
+    the given kind, if tagged). Returns the keys whose values passed."""
     passed = set()
     for key, x in value.items():
-        if key not in nodes:
+        if key not in fields:
             errors.append(f"{path}.{key}: unknown key" + (f" for kind {kind!r}" if kind else ""))
             continue
-        node, ok = nodes[key]
-        if ok is None or not ok(x):
-            found = len(errors)
-            node(x, f"{path}.{key}", errors)
-            if len(errors) > found:
-                continue
-        passed.add(key)
-    if not value.keys() >= required:
-        errors.extend(f"{path}: missing key {key!r}" for key in sorted(required - value.keys()))
+        found = len(errors)
+        fields[key][0](x, f"{path}.{key}", errors)
+        if len(errors) == found:
+            passed.add(key)
+    missing = [key for key, (_, required) in fields.items() if required and key not in value]
+    errors.extend(f"{path}: missing key {key!r}" for key in sorted(missing))
     return passed
 
 
 def _object(fields):
-    table = _fields(fields)
     return lambda value, path, errors: (_is_object(value, path, errors)
-                                        and _check_fields(table, value, path, errors))
+                                        and _check_fields(fields, value, path, errors))
 
 
 def _each(item):
@@ -163,8 +152,7 @@ def _each(item):
 def _kinds(kinds, default=None):
     """A kind-tagged object: kinds maps each kind to the fields it reads
     besides "kind", which is default when absent (required if None)."""
-    tables = {kind: _fields({"kind": (_STRING, False), **fields})
-              for kind, fields in kinds.items()}
+    tables = {kind: {"kind": (_STRING, False), **fields} for kind, fields in kinds.items()}
 
     def check(value, path, errors):
         if not _is_object(value, path, errors):
@@ -207,8 +195,8 @@ _STRATEGY_KINDS = {
     },
 }
 
-_SCENARIO = _fields({
-    "schema_version": (_leaf(lambda x: type(x) is int and x == SCHEMA_VERSION,
+_SCENARIO = {
+    "schema_version": (_leaf(lambda x: _finite(x) and x == SCHEMA_VERSION,
                              f"schema version {SCHEMA_VERSION}"), True),
     "name": (_STRING, False),
     "portfolio": (_object({
@@ -221,21 +209,20 @@ _SCENARIO = _fields({
     "brokers": (_list(_object({
         "id": (_STRING, True),
         "role": (_one_of(("local", "global")), True),
-        "package_index": (_integer(0), False),
+        "package_index": (_optional(_integer(0)), False),
         "valuation_bps": (_NUMBER, False),
     }), nonempty=True), True),
-    "distributions": (_object({  # null: the role keeps its brokers' fixed valuations
-        role: (lambda v, p, e: v is None or _DISTRIBUTION(v, p, e), False)
-        for role in ("local", "global")}), False),
+    "distributions": (_optional(_object({  # null: the role keeps its brokers' valuations
+        role: (_optional(_DISTRIBUTION), False) for role in ("local", "global")})), False),
     "rule": (_one_of(RULES), True),
-    "strategies": (_each(_object({
+    "strategies": (_optional(_each(_object({
         "round1": (_kinds(_STRATEGY_KINDS, default="constant"), True),
         "round2": (_kinds({**_STRATEGY_KINDS, "capped-value": {}}, default="constant"), True),
-    })), False),
+    }))), False),
     "seed": (_integer(0, SEED_LIMIT, "an integer in [0, 2**128)"), False),
     "replications": (_integer(1, wanted="a positive integer"), False),
     "correlated_locals": (_BOOL, False),
-})
+}
 
 
 def _portfolio(data, errors):
@@ -342,7 +329,9 @@ def _check_strategies(profile, brokers, weights, errors):
                 continue
             if st.in_qdown and st.sum_w_qdown is None:
                 errors.append(f"{path}: missing key 'sum_w_qdown' (in_qdown reads it)")
-            elif st.in_qdown and st.sum_w_qdown < weight:
+            # in float, with room for round-off: a decimal or a Python float
+            # rarely equals an exact weight such as 3/5 or 1/3
+            elif st.in_qdown and float(st.sum_w_qdown) < float(weight) * (1 - 2**-52):
                 errors.append(f"{path}.sum_w_qdown: expected at least the broker's package "
                               f"weight {_show(weight)}, got {_show(st.sum_w_qdown)}")
             elif not float(st.sigma) * (float(st.ell) + len(weights)) < 1e308:
@@ -360,11 +349,11 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
     brokers = ()
     if portfolio is not None and "brokers" in good:
         brokers = _brokers(data["brokers"], portfolio.q, errors)
-    dists = {role: _distribution(data["distributions"].get(role), f"$.distributions.{role}",
-                                 errors) if "distributions" in good else None
-             for role in ("local", "global")}
+    dist_cfg = data.get("distributions") if "distributions" in good else None
+    dists = {role: _distribution(dist_cfg.get(role), f"$.distributions.{role}", errors)
+             if dist_cfg is not None else None for role in ("local", "global")}
     strategies = None
-    if "strategies" in good:
+    if "strategies" in good and data["strategies"] is not None:
         strategies = StrategyProfile({
             bid: BrokerStrategy(round1=_strategy(rounds["round1"]),
                                 round2=_strategy(rounds["round2"]))

@@ -266,8 +266,12 @@ def test_fuzzed_scenarios_fail_validation_or_run(data, tmp_path_factory):
             assert "  - $" in err
             return
         assert code == 0, err
+        # a document may leave its strategies out (null reads as absent);
+        # run and simulate then ask for them
+        expected = (0, "") if doc.get("strategies") is not None else (
+            4, "validation error: no strategy profile supplied\n")
         for args in (("run",), ("run", "--format", "records"), ("simulate", "-n", "20")):
-            assert call(args[0], str(path), *args[1:]) == (0, "")
+            assert call(args[0], str(path), *args[1:]) == expected
 
 
 def test_python_floats_parse_exactly():
@@ -285,6 +289,55 @@ def test_python_floats_parse_exactly():
     # binary fractions read the same from either form
     del data["brokers"][0]["valuation_bps"]
     assert scenario_from_dict(data).distributions == loads_scenario(json.dumps(data)).distributions
+
+
+def test_prudent_set_of_the_bidder_alone_loads_as_written():
+    # sum_w_qdown written as the bidder's own weight, 3/5 here, as a Python
+    # float or in JSON text: neither equals the exact weight
+    doc = pin_simulate._equilibrium()
+    sc = scenario_from_dict(doc)
+    assert sc.weights[0] == F(3, 5)
+    assert sc.strategies["L1"].round2.sum_w_qdown == 0.6
+    assert scenario_from_dict(json.loads(json.dumps(doc), parse_float=F)).strategies == \
+        loads_scenario(json.dumps(doc)).strategies
+
+    # a weight of 1/3, which no decimal matches
+    data = json.loads(_example1_text())
+    data["portfolio"] = {"securities": ["A", "B", "C"], "quantities": [1, 1, 1],
+                         "agreed_prices": [1, 1, 1], "anticipated_prices": [1, 1, 1],
+                         "packages": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    data["brokers"] = [{"id": f"L{j}", "role": "local", "package_index": j} for j in range(3)] \
+        + [{"id": "G", "role": "global"}]
+    data["strategies"] = {b["id"]: {"round1": {"kind": "truthful"},
+                                    "round2": {"kind": "truthful"}} for b in data["brokers"]}
+    prudent = {"kind": "equilibrium", "sigma": 0.001, "in_qdown": True}
+    for sum_w_qdown in (0.3333333333333333, 1 / 3):
+        data["strategies"]["L0"]["round2"] = {**prudent, "sum_w_qdown": sum_w_qdown}
+        assert scenario_from_dict(data).weights[0] == F(1, 3)
+        assert loads_scenario(json.dumps(data)).weights[0] == F(1, 3)
+    data["strategies"]["L0"]["round2"] = {**prudent, "sum_w_qdown": 0.333333333333333}
+    with pytest.raises(ScenarioValidationError) as exc:
+        loads_scenario(json.dumps(data))
+    assert exc.value.errors == ("$.strategies.L0.round2.sum_w_qdown: expected at least the "
+                                "broker's package weight 0.3333333333333333, got "
+                                "0.333333333333333",)
+
+
+def test_null_optional_keys_read_as_absent():
+    data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
+                      .read_text())
+    base = scenario_from_dict(data)
+    g = next(i for i, b in enumerate(data["brokers"]) if b["role"] == "global")
+    data["brokers"][g]["package_index"] = None
+    data["schema_version"] = 1.0
+    assert scenario_from_dict(data) == base
+    assert scenario_from_dict(json.loads(json.dumps(data), parse_float=F)) == base
+    for key in ("distributions", "strategies"):
+        data[key] = None
+        sc = scenario_from_dict(data)
+        del data[key]
+        assert sc == scenario_from_dict(data)
+    assert sc.strategies is None and sc.distributions == {"local": None, "global": None}
 
 
 def test_seed_takes_any_philox_key():
