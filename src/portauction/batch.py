@@ -7,9 +7,11 @@ round-2 bids, the allocation test, the payment rule, the core check and
 the payoffs. Kernel.compile groups each round's brokers by strategy kind,
 so the bids cost one operation per kind (at most five) on that kind's
 slab of brokers, however many brokers there are, and qualification
-settles every sealed auction in one pass. Valuations depend on the rows
-alone, so compare_strategies draws them once per chunk for both profiles,
-and it qualifies once per chunk too when the profiles share round 1.
+settles every sealed auction in one pass. Kernel.chunks is the one
+replication loop: it settles K profiles on the same rows, drawing each
+chunk's valuations once (they depend on the rows alone) and qualifying
+once per chunk for every group of profiles that share round 1.
+simulate is its K = 1 case and compare_strategies its K = 2 case.
 
 mechanism.settle_row settles one row alone with the exact scalar rules and
 is the oracle for this kernel: the two agree on every winner, exactly on
@@ -137,7 +139,6 @@ class Batch:
     violations: np.ndarray  # coalition win outside the core
     clamped: int            # round-2 bids clamped, summed over the chunk
     g2: np.ndarray
-    local_value: np.ndarray
     payoffs: np.ndarray     # (brokers, replications), in Kernel.ids order
 
 
@@ -252,11 +253,25 @@ class Kernel:
             acc += wj * x[j]
         return acc
 
-    def run(self, u, vals, strategies) -> Batch:
-        """Settle one replication per row of u, with the valuations vals
-        (Kernel.values of u) and the bid rules strategies (Kernel.compile)."""
-        round1_rules, round2_rules = strategies
-        return self.settle(u, vals, self.qualify(u, vals, round1_rules), round2_rules)
+    def chunks(self, profiles, n, seed):
+        """Settle replications 0..n-1 of the seed under each profile: for
+        each chunk of row_chunks(seed, n, width), one Batch per profile.
+        Each profile is compiled once and each chunk's valuations drawn
+        once; profiles whose round-1 strategies are equal broker by broker
+        share one qualification per chunk."""
+        compiled = [self.compile(p) for p in profiles]
+        round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
+        # The first profile with the same round 1 qualifies for the group.
+        leader = [round1.index(r) for r in round1]
+        for u in row_chunks(seed, n, self.width):
+            vals = self.values(u)
+            qualified = {}
+            batches = []
+            for (round1_rules, round2_rules), i in zip(compiled, leader):
+                if i not in qualified:
+                    qualified[i] = self.qualify(u, vals, round1_rules)
+                batches.append(self.settle(u, vals, qualified[i], round2_rules))
+            yield batches
 
     def qualify(self, u, vals, round1_rules):
         """Round 1 on the rows of u: (bids1, seats), every broker's round-1
@@ -340,7 +355,6 @@ class Kernel:
             violations=won & ~in_core,
             clamped=clamped,
             g2=g2,
-            local_value=vals[0],
             payoffs=payoffs,
         )
 

@@ -65,7 +65,6 @@ class ScenarioConfig:
     correlated_locals: bool = True
     name: str = ""
     digest: str = ""
-    source_path: Optional[str] = None
 
 
 def _finite(x):
@@ -339,7 +338,7 @@ def _check_strategies(profile, brokers, weights, errors):
                               f"shading fits a float")
 
 
-def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> ScenarioConfig:
+def scenario_from_dict(data: dict, name="", digest="") -> ScenarioConfig:
     """Validate a parsed scenario document and build the config."""
     errors = []
     good = _check_fields(_SCENARIO, data, "$", errors) if _is_object(data, "$", errors) else ()
@@ -376,26 +375,24 @@ def scenario_from_dict(data: dict, name="", digest="", source_path=None) -> Scen
         correlated_locals=data.get("correlated_locals", True),
         name=data.get("name", name),
         digest=digest,
-        source_path=source_path,
     )
 
 
-def loads_scenario(text: str, name="", source_path=None) -> ScenarioConfig:
+def loads_scenario(text: str, name="") -> ScenarioConfig:
     try:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioParseError("top-level value must be an object")
-    return scenario_from_dict(data, name=name, digest=hashlib.sha256(text.encode()).hexdigest(),
-                              source_path=source_path)
+    return scenario_from_dict(data, name=name, digest=hashlib.sha256(text.encode()).hexdigest())
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Load and fully validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return loads_scenario(text, source_path=str(path))
+    return loads_scenario(text)
 
 
 def builtin_scenario(name: str) -> ScenarioConfig:
@@ -408,5 +405,4 @@ def builtin_scenario(name: str) -> ScenarioConfig:
             if p.name.endswith(".json")
         )
         raise FileNotFoundError(f"no builtin scenario {name!r}; available: {available}")
-    return loads_scenario(ref.read_text(encoding="utf-8"), name=name,
-                          source_path=f"builtin:{name}")
+    return loads_scenario(ref.read_text(encoding="utf-8"), name=name)

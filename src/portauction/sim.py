@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import ExactSum, Kernel, check_weight, row_chunks
+from .batch import ExactSum, Kernel, check_weight
 from .equilibrium import equilibrium_bid
 from .model import ConfigurationError
 
@@ -144,19 +144,7 @@ class SimMetrics:
     seed: object
 
 
-@dataclass
-class SimDetails:
-    """Per-replication records, kept only when simulate(collect=True)."""
-
-    won: list
-    seller_cost: list
-    fees: list          # per-rep tuple of local fees (package order)
-    payoffs: dict       # broker id -> list
-    global_bid2: list
-    local_values: list  # realized shared/first local valuation
-
-
-def simulate(scenario, profile=None, n=None, seed=None, collect=False):
+def simulate(scenario, profile=None, n=None, seed=None):
     """Run n independent auctions and aggregate the outcomes.
 
     Deterministic for fixed (scenario, profile, n, seed). The batch
@@ -173,16 +161,12 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
     seed = seed if seed is not None else scenario.seed
 
     kernel = Kernel(scenario)
-    strategies = kernel.compile(profile)
-
     wins = violations = clamped = 0
     gaps_max = 0.0
     cost_sum = ExactSum()
     payoff_sums = [ExactSum() for _ in kernel.ids]
-    details = SimDetails([], [], [], {bid: [] for bid in kernel.ids}, [], []) if collect else None
 
-    for u in row_chunks(seed, n, kernel.width):
-        b = kernel.run(u, kernel.values(u), strategies)
+    for (b,) in kernel.chunks([profile], n, seed):
         wins += int(np.count_nonzero(b.won))
         violations += int(np.count_nonzero(b.violations))
         clamped += b.clamped
@@ -191,16 +175,8 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
         cost_sum.add(b.seller_cost)
         for total, p in zip(payoff_sums, b.payoffs):
             total.add(p)
-        if collect:
-            details.won.extend(b.won.tolist())
-            details.seller_cost.extend(b.seller_cost.tolist())
-            details.fees.extend(map(tuple, b.fees.T.tolist()))
-            details.global_bid2.extend(b.g2.tolist())
-            details.local_values.extend(b.local_value.tolist())
-            for bid, p in zip(kernel.ids, b.payoffs.tolist()):
-                details.payoffs[bid].extend(p)
 
-    metrics = SimMetrics(
+    return SimMetrics(
         replications=n,
         coalition_win_rate=wins / n,
         mean_seller_cost=cost_sum.total() / n,
@@ -210,7 +186,6 @@ def simulate(scenario, profile=None, n=None, seed=None, collect=False):
         clamped_round2_count=clamped,
         seed=seed,
     )
-    return (metrics, details) if collect else metrics
 
 
 @dataclass(frozen=True)
@@ -243,25 +218,16 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
-    each chunk's rows and drawn values are shared by both profiles, and so
-    is its round-1 qualification when the deviation keeps its round-1
-    strategy. The paired differences are kept, one float per pair, for the
-    variance."""
+    both profiles settle the same rows through Kernel.chunks. The paired
+    differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = Kernel(scenario)
-    (base1, base2), (dev1, dev2) = kernel.compile(baseline), kernel.compile(deviation)
-    shared_round1 = baseline[broker].round1 == deviation[broker].round1
     col = kernel.ids.index(broker)
 
     base_sum, dev_sum, diff_sum = ExactSum(), ExactSum(), ExactSum()
     diffs = []
-    for u in row_chunks(seed, n, kernel.width):
-        vals = kernel.values(u)
-        qualified = kernel.qualify(u, vals, base1)
-        base = kernel.settle(u, vals, qualified, base2).payoffs[col]
-        if not shared_round1:
-            qualified = kernel.qualify(u, vals, dev1)
-        dev = kernel.settle(u, vals, qualified, dev2).payoffs[col]
+    for b, d in kernel.chunks([baseline, deviation], n, seed):
+        base, dev = b.payoffs[col], d.payoffs[col]
         diffs.append(dev - base)
         base_sum.add(base)
         dev_sum.add(dev)

@@ -23,6 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+from portauction.batch import Kernel, row_chunks
 from portauction.model import ModelWarning
 from portauction.scenario import builtin_scenario, scenario_from_dict
 from portauction.sim import Strategy, compare_strategies, simulate
@@ -224,16 +225,25 @@ def _hex(x):
     raise TypeError(f"unexpected {type(x).__name__} in a result")
 
 
-def _details_digest(d) -> str:
-    doc = {
-        "won": d.won,
-        "seller_cost": d.seller_cost,
-        "fees": d.fees,
-        "payoffs": d.payoffs,
-        "global_bid2": d.global_bid2,
-        "local_values": d.local_values,
-    }
-    return hashlib.sha256(json.dumps(_hex(doc), sort_keys=True).encode()).hexdigest()
+def replications(config, n, seed) -> dict:
+    """Per-replication columns of simulate(config, n=n, seed=seed), read
+    from Kernel.chunks: won, seller_cost, fees (a tuple of local fees in
+    package order), payoffs (broker id -> list), global_bid2 and
+    local_values (the first local's valuation, from Kernel.values on the
+    same rows)."""
+    kernel = Kernel(config)
+    cols = {"won": [], "seller_cost": [], "fees": [],
+            "payoffs": {bid: [] for bid in kernel.ids}, "global_bid2": [], "local_values": []}
+    for u, (b,) in zip(row_chunks(seed, n, kernel.width),
+                       kernel.chunks([config.strategies], n, seed)):
+        cols["won"] += b.won.tolist()
+        cols["seller_cost"] += b.seller_cost.tolist()
+        cols["fees"] += map(tuple, b.fees.T.tolist())
+        cols["global_bid2"] += b.g2.tolist()
+        cols["local_values"] += kernel.values(u)[0].tolist()
+        for bid, p in zip(kernel.ids, b.payoffs.tolist()):
+            cols["payoffs"][bid] += p
+    return cols
 
 
 def compute_pins() -> dict:
@@ -243,9 +253,7 @@ def compute_pins() -> dict:
         for name, config, rule, n, seed in _simulate_cases():
             config = replace(config, rule=rule)
             m = simulate(config, n=n, seed=seed)
-            m2, details = simulate(config, n=n, seed=seed, collect=True)
-            if m2 != m:
-                raise AssertionError(f"{name}: collect=True changes the metrics")
+            cols = json.dumps(_hex(replications(config, n, seed)), sort_keys=True)
             pins[f"simulate:{name}"] = {
                 "replications": m.replications,
                 "coalition_win_rate": _hex(m.coalition_win_rate),
@@ -255,7 +263,7 @@ def compute_pins() -> dict:
                 "frontier_gap_max": _hex(m.frontier_gap_max),
                 "clamped_round2_count": m.clamped_round2_count,
                 "seed": m.seed,
-                "details_sha256": _details_digest(details),
+                "details_sha256": hashlib.sha256(cols.encode()).hexdigest(),
             }
         for name, config, deviation, n, seed in _paired_cases():
             r = compare_strategies(config, config.strategies, deviation, n, seed)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 from fractions import Fraction as F
 from importlib import resources
@@ -22,7 +23,7 @@ from portauction.scenario import (
     loads_scenario,
     scenario_from_dict,
 )
-from portauction.sim import simulate
+from portauction.units import fmt_bps
 
 import pin_simulate
 
@@ -91,7 +92,6 @@ def test_load_scenario_from_file(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(_example1_text())
     sc = load_scenario(p)
-    assert sc.source_path == str(p)
     assert sc.digest == builtin_scenario("example1").digest
 
 
@@ -384,6 +384,29 @@ def test_cli_run_records(capsys):
     assert doc["result"]["outcome"]["winner"] == "coalition"
 
 
+def test_cli_run_table_prints_fees_past_the_float_range(capsys, tmp_path):
+    """Fees near 1e308 bps overflow the table's scaling to hundredths:
+    they print truncated exactly, so the table exits 0 like the records."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["distributions"]["global"]["upper_bps"] = 1e308
+    data["strategies"]["G"]["round1"]["value_bps"] = 1e308
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    for args in (["validate"], ["run", "--format", "records"], ["run"]):
+        code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
+        assert code == 0, err
+    assert re.search(r"^delta \(bps\): [1-9][0-9]{300,}$", out, re.M)
+
+
+@pytest.mark.parametrize("fee_bps, text", [
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    (1e307, str(int(1e307))), (-1e307, "-" + str(int(1e307))),
+    (17.5, "17.5"), (F(-1, 3), "-0.33"), (-0.0, "0"), (0.29, "0.28"),
+])
+def test_fmt_bps(fee_bps, text):
+    assert fmt_bps(fee_bps) == text
+
+
 def test_cli_simulate(capsys, tmp_path):
     out_path = tmp_path / "m.json"
     code, _, _ = run_cli(
@@ -455,9 +478,8 @@ def test_cli_run_is_replication_zero_of_simulate(name, capsys, tmp_path):
         assert code == 0, err
         won = json.loads(out)["result"]["coalition_win_rate"] == 1.0
         assert (run["outcome"]["winner"] == "coalition") is won
-        _, details = simulate(config, n=1, seed=seed, collect=True)
         g2 = run["ledger"]["round2"][run["qualification"]["qualified_global"]]
-        assert g2 == details.global_bid2[0]
+        assert g2 == pin_simulate.replications(config, 1, seed)["global_bid2"][0]
         if (name, seed) == ("powerlaw", 0):
             assert not won and round(g2 * 10_000, 2) == 13.35
 
@@ -470,10 +492,10 @@ def test_cli_run_replication_is_that_replication_of_simulate(k, capsys):
     doc = json.loads(out)
     assert doc["replication"] == k
     run = doc["result"]
-    _, details = simulate(builtin_scenario("powerlaw"), n=k + 1, seed=3, collect=True)
-    assert (run["outcome"]["winner"] == "coalition") is details.won[k]
+    details = pin_simulate.replications(builtin_scenario("powerlaw"), k + 1, 3)
+    assert (run["outcome"]["winner"] == "coalition") is details["won"][k]
     assert run["ledger"]["round2"][run["qualification"]["qualified_global"]] == \
-        details.global_bid2[k]
+        details["global_bid2"][k]
 
 
 def test_cli_run_replication_table_and_bounds(capsys):

@@ -127,10 +127,10 @@ def test_replication_prefix_stability():
     # replication k's draws do not depend on n: a longer run starts with
     # exactly the shorter run's replications
     sc = _scenario()
-    short, d_short = simulate(sc, n=50, seed=3, collect=True)
-    long, d_long = simulate(sc, n=120, seed=3, collect=True)
-    assert d_long.seller_cost[:50] == d_short.seller_cost
-    assert d_long.won[:50] == d_short.won
+    short = pin_simulate.replications(sc, 50, 3)
+    long = pin_simulate.replications(sc, 120, 3)
+    assert long["seller_cost"][:50] == short["seller_cost"]
+    assert long["won"][:50] == short["won"]
 
 
 def test_win_rate_matches_closed_form():
@@ -146,10 +146,11 @@ def test_win_rate_matches_closed_form():
 
 def test_zero_sum_on_frontier():
     sc = _scenario(rule="nvcg")
-    metrics, details = simulate(sc, n=2000, seed=8, collect=True)
+    metrics = simulate(sc, n=2000, seed=8)
+    cols = pin_simulate.replications(sc, 2000, 8)
     assert metrics.frontier_gap_max < 1e-9
     # conditional on a coalition win the seller pays the global's bid
-    for won, cost, g2 in zip(details.won, details.seller_cost, details.global_bid2):
+    for won, cost, g2 in zip(cols["won"], cols["seller_cost"], cols["global_bid2"]):
         if won:
             assert cost == pytest.approx(g2, abs=1e-9)
 
@@ -157,15 +158,15 @@ def test_zero_sum_on_frontier():
 def test_rule_equivalence_for_seller():
     sc_n = _scenario(rule="nvcg")
     sc_d = _scenario(rule="dnvcg")
-    _, dn = simulate(sc_n, n=1500, seed=77, collect=True)
-    _, dd = simulate(sc_d, n=1500, seed=77, collect=True)
-    assert dn.won == dd.won
-    for cn, cd in zip(dn.seller_cost, dd.seller_cost):
+    dn = pin_simulate.replications(sc_n, 1500, 77)
+    dd = pin_simulate.replications(sc_d, 1500, 77)
+    assert dn["won"] == dd["won"]
+    for cn, cd in zip(dn["seller_cost"], dd["seller_cost"]):
         assert cn == pytest.approx(cd, abs=1e-12)
     # the rules differ only in the split: per-replication weighted fee
     # adjustments cancel, and prudent brokers all move by the same bonus
     w = [float(x) for x in sc_n.weights]
-    for won, fn, fd in zip(dn.won, dn.fees, dd.fees):
+    for won, fn, fd in zip(dn["won"], dn["fees"], dd["fees"]):
         if not won:
             continue
         shift = sum(wi * (a - b) for wi, a, b in zip(w, fd, fn))
@@ -229,11 +230,12 @@ def test_round2_underbid_never_helps():
     (BrokerStrategy(Strategy(kind="truthful"), Strategy(kind="truthful")), 4),
     (BrokerStrategy(Strategy(kind="constant", value=F(32, 10_000)),
                     Strategy(kind="offset", offset=F(-6, 10_000))), 2),
+    (None, 2),
 ])
 def test_compare_strategies_shares_round1_when_the_deviation_keeps_it(
         monkeypatch, deviation, qualifications):
-    """Two chunks: a round-2 deviation qualifies once per chunk, a round-1
-    deviation once per chunk and profile."""
+    """Two chunks: a round-2 deviation and identical profiles qualify once
+    per chunk, a round-1 deviation once per chunk and profile."""
     sc = _scenario()
     calls = []
     qualify = Kernel.qualify
@@ -243,10 +245,27 @@ def test_compare_strategies_shares_round1_when_the_deviation_keeps_it(
         return qualify(self, *args)
 
     monkeypatch.setattr(Kernel, "qualify", counting)
-    dev = sc.strategies.with_strategy("L1", deviation.round1, deviation.round2)
+    dev = (sc.strategies if deviation is None
+           else sc.strategies.with_strategy("L1", deviation.round1, deviation.round2))
     report = compare_strategies(sc, sc.strategies, dev, n=CHUNK + 5, seed=3)
     assert len(calls) == qualifications
-    assert report.mean_difference != 0.0
+    assert (report.mean_difference == 0.0) is (deviation is None)
+
+
+def test_simulate_aggregates_the_kernel_columns():
+    """simulate is the K = 1 case of Kernel.chunks: its means and counts
+    are the per-replication columns aggregated, to the bit."""
+    config = pin_simulate._load(pin_simulate._market())
+    n, seed = CHUNK + 5, 13
+    m = simulate(config, n=n, seed=seed)
+    cols = pin_simulate.replications(config, n, seed)
+    assert m.coalition_win_rate.hex() == (sum(cols["won"]) / n).hex()
+    assert m.mean_seller_cost.hex() == (math.fsum(cols["seller_cost"]) / n).hex()
+    assert {bid: x.hex() for bid, x in m.mean_broker_payoff.items()} == {
+        bid: (math.fsum(p) / n).hex() for bid, p in cols["payoffs"].items()}
+    kernel = Kernel(config)
+    assert m.clamped_round2_count == sum(
+        b.clamped for (b,) in kernel.chunks([config.strategies], n, seed))
 
 
 def test_equilibrium_strategy_on_a_global_broker_is_rejected():
@@ -287,11 +306,11 @@ def test_outputs_match_pins():
 def test_chunk_boundaries_keep_row_prefixes():
     sc = _scenario(correlated=False,
                    local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
-    runs = [simulate(sc, n=n, seed=4, collect=True)[1] for n in (5, CHUNK + 1, 2 * CHUNK + 3)]
+    runs = [pin_simulate.replications(sc, n, 4) for n in (5, CHUNK + 1, 2 * CHUNK + 3)]
     for short, long in zip(runs, runs[1:]):
-        k = len(short.won)
-        for f in fields(short):
-            a, b = getattr(short, f.name), getattr(long, f.name)
+        k = len(short["won"])
+        for key, a in short.items():
+            b = long[key]
             if isinstance(a, dict):
                 assert {bid: v[:k] for bid, v in b.items()} == a
             else:
@@ -335,10 +354,8 @@ def _python_scalars(x):
 
 
 def test_results_hold_python_scalars_only():
-    metrics, details = simulate(_scenario(), n=300, seed=1, collect=True)
+    metrics = simulate(_scenario(), n=300, seed=1)
     assert all(_python_scalars(getattr(metrics, f.name)) for f in fields(metrics))
-    assert all(_python_scalars(getattr(details, f.name)) for f in fields(details))
-    assert all(type(w) is bool for w in details.won)
     sc = _scenario()
     dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
     report = compare_strategies(sc, sc.strategies, dev, n=300, seed=2)
@@ -384,20 +401,21 @@ def test_settle_row_matches_the_kernel(name, config, seed):
         rows += [CHUNK - 1, CHUNK, CHUNK + 1]
     n = rows[-1] + 1
     u = np.concatenate(list(row_chunks(seed, n, row_width(config))))
-    _, details = simulate(config, n=n, seed=seed, collect=True)
+    details = pin_simulate.replications(config, n, seed)
     w = config.weights.weights
     clamped = {}
     for k in rows:
         t = settle_row(config, config.strategies, u[k])
         o = t.outcome
-        assert (o.winner == "coalition") is details.won[k], k
+        assert (o.winner == "coalition") is details["won"][k], k
         g2 = t.ledger.round2[t.qualification.qualified_global]
-        assert abs(g2 - details.global_bid2[k]) <= ORACLE_TOL, k
-        assert len(o.fees) == len(details.fees[k])
-        for fee, want in zip(o.fees, details.fees[k]):
+        assert abs(g2 - details["global_bid2"][k]) <= ORACLE_TOL, k
+        assert len(o.fees) == len(details["fees"][k])
+        for fee, want in zip(o.fees, details["fees"][k]):
             assert abs(fee - want) <= ORACLE_TOL, k
-        cost = sum(wj * f for wj, f in zip(w, o.fees)) if details.won[k] else o.global_payment
-        assert abs(cost - details.seller_cost[k]) <= ORACLE_TOL, k
+        cost = (sum(wj * f for wj, f in zip(w, o.fees)) if details["won"][k]
+                else o.global_payment)
+        assert abs(cost - details["seller_cost"][k]) <= ORACLE_TOL, k
         clamped[k] = len(o.diagnostics.get("clamped_round2_bids", ()))
     # simulate counts clamped bids per run: rows 0..199 together, and each
     # later row as the difference of two prefixes
