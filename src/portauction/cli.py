@@ -23,7 +23,7 @@ from dataclasses import replace
 from . import __version__, reproduce
 from .batch import SEED_LIMIT
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
-from .mechanism import run_auction, transcript_dict
+from .mechanism import find_leaf, run_auction, transcript_dict
 from .model import ConfigurationError
 from .pricing import RULES
 from .scenario import (
@@ -80,7 +80,14 @@ def _records(command, scenario, seed, result, **envelope) -> str:
         "result": result,
         **envelope,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        found = find_leaf(doc, lambda x: isinstance(x, float) and not math.isfinite(x))
+        if found is None:
+            raise
+        raise ValueError(f"{found[0]} is {found[1]}, which strict JSON records cannot "
+                         f"hold") from None
 
 
 def _csv(header, rows) -> str:
@@ -99,7 +106,8 @@ def _cmd_run(args) -> int:
         raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
     t = run_auction(scenario, seed=seed, rule=args.rule, replication=k)
     if args.format == "records":
-        _emit(_records("run", scenario, seed, transcript_dict(t), replication=k), args.out)
+        _emit(_records("run", scenario, seed, transcript_dict(t, "$.result"), replication=k),
+              args.out)
         return EXIT_OK
     o = t.outcome
     lines = [

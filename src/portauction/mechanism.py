@@ -297,30 +297,59 @@ def _jsonable(x):
     return x
 
 
-def transcript_dict(t: AuctionTranscript) -> dict:
-    return _jsonable(
-        {
-            "rule": t.rule,
-            "rng_seed": t.rng_seed,
-            "qualification": {
-                "qualified_locals": list(t.qualification.qualified_locals),
-                "local_bids": list(t.qualification.local_bids),
-                "qualified_global": t.qualification.qualified_global,
-                "global_bid": t.qualification.global_bid,
-            },
-            "update": {"revealed_bids": [list(p) for p in t.update.revealed_bids]},
-            "ledger": {"round1": t.ledger.round1, "round2": t.ledger.round2},
-            "outcome": {
-                "winner": t.outcome.winner,
-                "fees": list(t.outcome.fees),
-                "global_payment": t.outcome.global_payment,
-                "vcg_fees": list(t.outcome.vcg_fees),
-                "delta": t.outcome.delta,
-                "epsilons": list(t.outcome.epsilons),
-                "diagnostics": t.outcome.diagnostics,
-            },
-        }
-    )
+def find_leaf(x, bad, path="$"):
+    """(JSON path, value) of the first leaf of the dicts and lists x that
+    bad accepts, or None."""
+    if isinstance(x, dict):
+        items = ((f"{path}.{k}", v) for k, v in x.items())
+    elif isinstance(x, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(x))
+    else:
+        return (path, x) if bad(x) else None
+    return next(filter(None, (find_leaf(v, bad, p) for p, v in items)), None)
+
+
+def _beyond_float(x):
+    """x is a Fraction that float() cannot hold."""
+    if isinstance(x, Fraction):
+        try:
+            float(x)
+        except OverflowError:
+            return True
+    return False
+
+
+def transcript_dict(t: AuctionTranscript, path="$") -> dict:
+    """The transcript as JSON values. An exact value beyond the float range
+    raises, named by its JSON path, where path is the transcript's own."""
+    doc = {
+        "rule": t.rule,
+        "rng_seed": t.rng_seed,
+        "qualification": {
+            "qualified_locals": list(t.qualification.qualified_locals),
+            "local_bids": list(t.qualification.local_bids),
+            "qualified_global": t.qualification.qualified_global,
+            "global_bid": t.qualification.global_bid,
+        },
+        "update": {"revealed_bids": [list(p) for p in t.update.revealed_bids]},
+        "ledger": {"round1": t.ledger.round1, "round2": t.ledger.round2},
+        "outcome": {
+            "winner": t.outcome.winner,
+            "fees": list(t.outcome.fees),
+            "global_payment": t.outcome.global_payment,
+            "vcg_fees": list(t.outcome.vcg_fees),
+            "delta": t.outcome.delta,
+            "epsilons": list(t.outcome.epsilons),
+            "diagnostics": t.outcome.diagnostics,
+        },
+    }
+    try:
+        return _jsonable(doc)
+    except OverflowError:
+        where, x = find_leaf(doc, _beyond_float, path)
+        digits = len(str(int(abs(x))))
+        raise OverflowError(f"{where} is an exact value of {digits} digits, beyond the float "
+                            f"range") from None
 
 
 def serialize_transcript(t: AuctionTranscript) -> str:

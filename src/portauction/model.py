@@ -36,7 +36,7 @@ def _dot(a: Sequence, b: Sequence):
 def _div(num, den):
     """Division that stays exact when both operands are int/Fraction."""
     if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num) / Fraction(den)
+        return Fraction(num, den)
     return num / den
 
 
@@ -150,7 +150,7 @@ class WeightVector:
         if any(not (0 < w <= 1) for w in self.weights):
             raise ConfigurationError("each weight must lie in (0, 1]")
         total = sum(self.weights)
-        if abs(total - 1) > self._SUM_TOL:
+        if total != 1 and abs(total - 1) > self._SUM_TOL:  # exact weights skip the float test
             raise ConfigurationError(f"weights sum to {total}, expected 1")
 
     @property

@@ -4,14 +4,15 @@ A scenario is a JSON document (schema_version 1) describing one auction
 instance: the portfolio and its packages, the brokers, optional value
 distributions per role, the pricing rule, per-broker strategies, seed and
 replication count. All fees and valuations in files are quoted in basis
-points (keys carry a _bps suffix); numbers parse to exact Fractions so
-derived quantities stay bit-stable.
+points (keys carry a _bps suffix); numbers parse exactly, decimals to
+Fractions and integers to ints, so derived quantities stay bit-stable.
 
-One schema table, _SCENARIO, states each key's type, domain and whether it
-is required; distributions and strategies are kind-tagged, so a key the
-kind does not read is an unknown key. Every finding is reported at its
-JSON path, one message each in a ScenarioValidationError. The section
-code then only builds model objects and checks keys against one another.
+One schema table, checked by _SCENARIO, states each key's type, domain
+and whether it is required; distributions and strategies are kind-tagged,
+so a key the kind does not read is an unknown key. Every finding is
+reported at its JSON path, one message each in a ScenarioValidationError;
+a value that passes costs no path string. The section code then only
+builds model objects and checks keys against one another.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def _finite(x):
         return False
 
 
+def _exact(x):
+    """x as an exact number: an int stays an int, as int arithmetic is
+    exact and much faster than Fraction arithmetic."""
+    return x if type(x) is int else Fraction(x)
+
+
 def _show(value):
     """A value for a message, a Fraction within the float range as a float."""
     return reprlib.repr(float(value) if isinstance(value, Fraction) and _finite(value) else value)
@@ -86,6 +93,7 @@ def _leaf(ok, wanted):
     def check(value, path, errors):
         if not ok(value):
             errors.append(f"{path}: expected {wanted}, got {_show(value)}")
+    check.ok = ok  # lets a list or an object test a leaf without formatting its path
     return check
 
 
@@ -103,10 +111,14 @@ def _one_of(values):
 
 
 def _list(item, nonempty=False):
+    ok = getattr(item, "ok", None)
+
     def check(value, path, errors):
         if not isinstance(value, list) or nonempty and not value:
             errors.append(f"{path}: expected a {'nonempty ' * nonempty}list, got {_show(value)}")
             return
+        if ok is not None and all(map(ok, value)):
+            return  # no finding, so no item's path is needed
         for i, x in enumerate(value):
             item(x, f"{path}[{i}]", errors)
     return check
@@ -118,26 +130,44 @@ def _is_object(value, path, errors):
     return isinstance(value, dict)
 
 
-def _check_fields(fields, value, path, errors, kind=None):
-    """Check the object value against fields, {key: (node, required)} (of
-    the given kind, if tagged). Returns the keys whose values passed."""
-    passed = set()
-    for key, x in value.items():
-        if key not in fields:
-            errors.append(f"{path}.{key}: unknown key" + (f" for kind {kind!r}" if kind else ""))
-            continue
-        found = len(errors)
-        fields[key][0](x, f"{path}.{key}", errors)
-        if len(errors) == found:
-            passed.add(key)
-    missing = [key for key, (_, required) in fields.items() if required and key not in value]
-    errors.extend(f"{path}: missing key {key!r}" for key in sorted(missing))
-    return passed
+def _fields(table, kind=None):
+    """check(value, path, errors) of an object against table, {key: (node,
+    required)} (of the given kind, if tagged). It returns the keys whose
+    values passed."""
+    nodes = {key: node for key, (node, _) in table.items()}
+    leaves = {key: node.ok for key, node in nodes.items() if hasattr(node, "ok")}
+    required = sorted(key for key, (_, needed) in table.items() if needed)
+    unknown = f": unknown key for kind {kind!r}" if kind else ": unknown key"
+
+    def check(value, path, errors):
+        passed = set()
+        for key, x in value.items():
+            if key not in nodes:
+                errors.append(f"{path}.{key}{unknown}")
+                continue
+            ok = leaves.get(key)
+            if ok is not None and ok(x):
+                passed.add(key)  # a leaf that passes needs no path
+                continue
+            found = len(errors)
+            nodes[key](x, f"{path}.{key}", errors)
+            if len(errors) == found:
+                passed.add(key)
+        for key in required:
+            if key not in value:
+                errors.append(f"{path}: missing key {key!r}")
+        return passed
+    return check
 
 
-def _object(fields):
-    return lambda value, path, errors: (_is_object(value, path, errors)
-                                        and _check_fields(fields, value, path, errors))
+def _object(table):
+    """An object checked against table: the check returns the keys whose
+    values passed, or False if value is not an object."""
+    fields = _fields(table)
+
+    def check(value, path, errors):
+        return _is_object(value, path, errors) and fields(value, path, errors)
+    return check
 
 
 def _each(item):
@@ -151,7 +181,8 @@ def _each(item):
 def _kinds(kinds, default=None):
     """A kind-tagged object: kinds maps each kind to the fields it reads
     besides "kind", which is default when absent (required if None)."""
-    tables = {kind: {"kind": (_STRING, False), **fields} for kind, fields in kinds.items()}
+    tables = {kind: _fields({"kind": (_STRING, False), **fields}, kind)
+              for kind, fields in kinds.items()}
 
     def check(value, path, errors):
         if not _is_object(value, path, errors):
@@ -163,7 +194,7 @@ def _kinds(kinds, default=None):
         if not (isinstance(kind, str) and kind in tables):
             errors.append(f"{path}.kind: expected one of {tuple(tables)}, got {_show(kind)}")
             return
-        _check_fields(tables[kind], value, path, errors, kind)
+        tables[kind](value, path, errors)
     return check
 
 
@@ -194,7 +225,7 @@ _STRATEGY_KINDS = {
     },
 }
 
-_SCENARIO = {
+_SCENARIO = _object({
     "schema_version": (_leaf(lambda x: _finite(x) and x == SCHEMA_VERSION,
                              f"schema version {SCHEMA_VERSION}"), True),
     "name": (_STRING, False),
@@ -221,7 +252,7 @@ _SCENARIO = {
     "seed": (_integer(0, SEED_LIMIT, "an integer in [0, 2**128)"), False),
     "replications": (_integer(1, wanted="a positive integer"), False),
     "correlated_locals": (_BOOL, False),
-}
+})
 
 
 def _portfolio(data, errors):
@@ -229,10 +260,10 @@ def _portfolio(data, errors):
     try:
         portfolio = PortfolioSpec(
             securities=tuple(data["securities"]),
-            quantities=tuple(map(Fraction, data["quantities"])),
-            agreed_prices=tuple(map(Fraction, data["agreed_prices"])),
-            anticipated_prices=tuple(map(Fraction, data["anticipated_prices"])),
-            packages=tuple(tuple(map(Fraction, p)) for p in data["packages"]),
+            quantities=tuple(map(_exact, data["quantities"])),
+            agreed_prices=tuple(map(_exact, data["agreed_prices"])),
+            anticipated_prices=tuple(map(_exact, data["anticipated_prices"])),
+            packages=tuple(tuple(map(_exact, p)) for p in data["packages"]),
         )
         weights = derive_weights(portfolio)
     except ConfigurationError as e:
@@ -341,7 +372,7 @@ def _check_strategies(profile, brokers, weights, errors):
 def scenario_from_dict(data: dict, name="", digest="") -> ScenarioConfig:
     """Validate a parsed scenario document and build the config."""
     errors = []
-    good = _check_fields(_SCENARIO, data, "$", errors) if _is_object(data, "$", errors) else ()
+    good = _SCENARIO(data, "$", errors) or ()
 
     portfolio, weights = (_portfolio(data["portfolio"], errors) if "portfolio" in good
                           else (None, None))

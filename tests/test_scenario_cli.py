@@ -95,6 +95,23 @@ def test_load_scenario_from_file(tmp_path):
     assert sc.digest == builtin_scenario("example1").digest
 
 
+def test_portfolio_integers_stay_ints():
+    """Integer entries stay exact ints and build the same weights as the
+    same portfolio written as decimals, which parse to Fractions."""
+    data = json.loads(_example1_text())
+    ints = scenario_from_dict(data)
+    portfolio = data["portfolio"]
+    for key in ("quantities", "agreed_prices", "anticipated_prices"):
+        portfolio[key] = [float(x) for x in portfolio[key]]
+    portfolio["packages"] = [[float(x) for x in p] for p in portfolio["packages"]]
+    decimals = loads_scenario(json.dumps(data))
+    p = ints.portfolio
+    assert {type(x) for x in (*p.quantities, *p.agreed_prices, *p.packages[0])} == {int}
+    assert {type(x) for x in decimals.portfolio.quantities} == {F}
+    assert decimals.portfolio == p and decimals.weights == ints.weights
+    assert {type(w) for w in ints.weights} == {F}
+
+
 def test_parse_error_has_line_context():
     with pytest.raises(ScenarioParseError, match="line"):
         loads_scenario("{ not json }")
@@ -396,6 +413,55 @@ def test_cli_run_table_prints_fees_past_the_float_range(capsys, tmp_path):
         code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
         assert code == 0, err
     assert re.search(r"^delta \(bps\): [1-9][0-9]{300,}$", out, re.M)
+
+
+def _extreme_doc(drawn):
+    """Package weights about 1 and 2e-15, both locals truthful at 1e300
+    bps, and a global at 1e308 bps: drawn from a power law, the float fees
+    overflow to -inf and NaN; fixed, the exact fees exceed the float range."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["portfolio"].update(quantities=[10**15, 1, 1], packages=[[10**15, 0, 0], [0, 1, 1]])
+    for b in data["brokers"]:
+        b["valuation_bps"] = 1e308 if b["role"] == "global" else 1e300
+    data["rule"] = "nvcg"
+    data["strategies"] = {b["id"]: {"round1": {"kind": "truthful"}, "round2": {"kind": "truthful"}}
+                          for b in data["brokers"]}
+    if drawn:
+        data["distributions"]["global"]["upper_bps"] = 1e308
+    else:
+        del data["distributions"]
+    return data
+
+
+_STRICT = "which strict JSON records cannot hold"
+
+
+@pytest.mark.parametrize("drawn, args, message", [
+    pytest.param(True, ["run"], rf"ValueError: \$\.result\.outcome\.fees\[0\] is -inf, {_STRICT}",
+                 id="run-nonfinite"),
+    pytest.param(True, ["simulate", "-n", "20"],
+                 rf"ValueError: \$\.result\.mean_seller_cost_bps is nan, {_STRICT}",
+                 id="simulate-nonfinite"),
+    pytest.param(False, ["run"], r"OverflowError: \$\.result\.outcome\.fees\[1\] is an exact "
+                 r"value of \d+ digits, beyond the float range", id="run-exact-overflow"),
+])
+def test_cli_records_are_strict_json(drawn, args, message, capsys, tmp_path):
+    """A value JSON cannot hold exits 5 naming its key, writing nothing;
+    the table still prints it."""
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(_extreme_doc(drawn)))
+    assert run_cli(["validate", str(path)], capsys)[0] == 0
+    out = tmp_path / "records.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in simulate
+        code, stdout, err = run_cli([args[0], str(path), *args[1:], "--format", "records",
+                                     "--out", str(out)], capsys)
+        assert (code, stdout) == (5, "")
+        assert re.fullmatch(rf"error: {message}\n", err), err
+        assert not out.exists()
+        code, stdout, err = run_cli([args[0], str(path), *args[1:]], capsys)
+    assert code == 0, err
+    assert re.search(r"inf|nan" if drawn else r"[0-9]{300,}", stdout)
 
 
 @pytest.mark.parametrize("fee_bps, text", [
