@@ -35,12 +35,8 @@ from .model import (
     ConfigurationError,
     ModelWarning,
     PortfolioSpec,
-    PriceChange,
     WeightVector,
     derive_weights,
-    expected_price_change,
-    local_payoff,
-    package_valuation,
 )
 from .pricing import (
     AllocationError,

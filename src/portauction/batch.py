@@ -259,6 +259,8 @@ class Kernel:
         Each profile is compiled once and each chunk's valuations drawn
         once; profiles whose round-1 strategies are equal broker by broker
         share one qualification per chunk."""
+        if n < 1:
+            raise ConfigurationError("replication count must be at least 1")
         compiled = [self.compile(p) for p in profiles]
         round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
         # The first profile with the same round 1 qualifies for the group.

@@ -141,33 +141,24 @@ def _cmd_simulate(args) -> int:
     if args.rule is not None:
         scenario = replace(scenario, rule=args.rule)
     metrics = simulate(scenario, n=n, seed=seed)
-    payoff_cols = sorted(metrics.mean_broker_payoff)
+    # The metrics in CSV column order; records nest the payoffs by broker.
+    columns = {
+        "rule": scenario.rule,
+        "replications": metrics.replications,
+        "coalition_win_rate": metrics.coalition_win_rate,
+        "mean_seller_cost_bps": metrics.mean_seller_cost * 10_000,
+        "core_violation_count": metrics.core_violation_count,
+        "frontier_gap_max": metrics.frontier_gap_max,
+        "clamped_round2_count": metrics.clamped_round2_count,
+    }
+    payoffs = {b: metrics.mean_broker_payoff[b] for b in sorted(metrics.mean_broker_payoff)}
     if args.format == "records":
-        result = {
-            "replications": metrics.replications,
-            "coalition_win_rate": metrics.coalition_win_rate,
-            "mean_seller_cost_bps": metrics.mean_seller_cost * 10_000,
-            "mean_broker_payoff": {k: metrics.mean_broker_payoff[k] for k in payoff_cols},
-            "core_violation_count": metrics.core_violation_count,
-            "frontier_gap_max": metrics.frontier_gap_max,
-            "clamped_round2_count": metrics.clamped_round2_count,
-            "rule": scenario.rule,
-        }
-        _emit(_records("simulate", scenario, seed, result), args.out)
+        _emit(_records("simulate", scenario, seed, {**columns, "mean_broker_payoff": payoffs}),
+              args.out)
         return EXIT_OK
-    header = (
-        ["engine_version", "scenario_digest", "seed", "rule", "replications",
-         "coalition_win_rate", "mean_seller_cost_bps", "core_violation_count",
-         "frontier_gap_max", "clamped_round2_count"]
-        + [f"mean_payoff[{b}]" for b in payoff_cols]
-    )
-    row = (
-        [__version__, scenario.digest, seed, scenario.rule, metrics.replications,
-         metrics.coalition_win_rate, metrics.mean_seller_cost * 10_000,
-         metrics.core_violation_count, metrics.frontier_gap_max,
-         metrics.clamped_round2_count]
-        + [metrics.mean_broker_payoff[b] for b in payoff_cols]
-    )
+    header = ["engine_version", "scenario_digest", "seed", *columns,
+              *(f"mean_payoff[{b}]" for b in payoffs)]
+    row = [__version__, scenario.digest, seed, *columns.values(), *payoffs.values()]
     _emit(_csv(header, [row]), args.out)
     return EXIT_OK
 
@@ -312,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"portauction {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario file path or builtin name")
-        p.add_argument("--format", choices=("table", "records"), default="table")
+    def common(p, formats=True):
+        p.add_argument("scenario", help="scenario file path or builtin name")
+        if formats:
+            p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("run", help="run one auction and report the transcript")
@@ -350,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("validate", help="check a scenario file and report findings")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(fn=_cmd_validate)
 
     return parser

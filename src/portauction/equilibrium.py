@@ -340,20 +340,3 @@ def expected_vcg_fee(
         values = np.minimum(values, float(round1_global_cap))
     fees = np.maximum(0.0, (values - float(others_weighted_sum)) / float(own_weight))
     return float(fees.mean())
-
-
-def expected_qdown_membership(
-    round1_bid,
-    dist: ValueDistribution,
-    own_weight,
-    others_weighted_sum,
-    round1_global_cap=None,
-    n: int = 100_000,
-    seed: int = 0,
-) -> bool:
-    """Interim membership test: is the round-1 bid at or below the expected
-    VCG fee? The realized test (against the realized fee) lives with the
-    pricing rules; this is the expectation-based alternative."""
-    return round1_bid <= expected_vcg_fee(
-        dist, own_weight, others_weighted_sum, round1_global_cap, n=n, seed=seed
-    )

@@ -2,9 +2,8 @@
 
 A portfolio is a nonnegative quantity vector over m securities, partitioned
 exactly into packages. Agreed prices are the execution prices contracted
-with the seller; anticipated prices are the brokers' conditional price
-expectations at delivery. Everything downstream (weights, valuations,
-payoffs) is derived from these vectors.
+with the seller; package values and weights derive from them. A broker's
+valuation is its own break-even fee, given directly.
 
 All types are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -44,33 +43,27 @@ def _div(num, den):
 class PortfolioSpec:
     """A divisible portfolio and its exact partition into packages.
 
-    quantities, agreed_prices, anticipated_prices all have length m;
-    packages is a list of quantity vectors of length m whose component-wise
-    sum equals quantities exactly. Prefer Fraction entries when inputs are
+    quantities and agreed_prices have length m; packages is a list of
+    quantity vectors of length m whose component-wise sum equals
+    quantities exactly. Prefer Fraction entries when inputs are
     rational: derived values then stay exact.
     """
 
     securities: tuple
     quantities: tuple
     agreed_prices: tuple
-    anticipated_prices: tuple
     packages: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "securities", tuple(self.securities))
         object.__setattr__(self, "quantities", tuple(self.quantities))
         object.__setattr__(self, "agreed_prices", tuple(self.agreed_prices))
-        object.__setattr__(self, "anticipated_prices", tuple(self.anticipated_prices))
         object.__setattr__(self, "packages", tuple(tuple(p) for p in self.packages))
 
         m = len(self.securities)
         if m < 1:
             raise ConfigurationError("portfolio needs at least one security")
-        for name, vec in (
-            ("quantities", self.quantities),
-            ("agreed_prices", self.agreed_prices),
-            ("anticipated_prices", self.anticipated_prices),
-        ):
+        for name, vec in (("quantities", self.quantities), ("agreed_prices", self.agreed_prices)):
             if len(vec) != m:
                 raise ConfigurationError(f"{name} has length {len(vec)}, expected {m}")
         if m < 3:
@@ -83,8 +76,6 @@ class PortfolioSpec:
             raise ConfigurationError("quantities must be nonnegative")
         if any(p <= 0 for p in self.agreed_prices):
             raise ConfigurationError("agreed prices must be strictly positive")
-        if any(p <= 0 for p in self.anticipated_prices):
-            raise ConfigurationError("anticipated prices must be strictly positive")
 
         if not self.packages:
             raise ConfigurationError("at least one package is required")
@@ -125,14 +116,6 @@ class PortfolioSpec:
     def package_values(self) -> tuple:
         """Agreed value of each package, in package order."""
         return tuple(_dot(self.agreed_prices, pkg) for pkg in self.packages)
-
-    def package_value(self, j: int):
-        """Agreed value of package j."""
-        return self.package_values[j]
-
-    def price_deltas(self) -> tuple:
-        """Per-security agreed-minus-anticipated price differences."""
-        return tuple(a - e for a, e in zip(self.agreed_prices, self.anticipated_prices))
 
 
 @dataclass(frozen=True)
@@ -189,20 +172,6 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class PriceChange:
-    """Per-security relative price change, (agreed - anticipated) / agreed.
-
-    A positive entry means the security is anticipated to trade below the
-    agreed price, i.e. the executing broker anticipates a loss on it.
-    """
-
-    pct_change: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pct_change", tuple(self.pct_change))
-
-
-@dataclass(frozen=True)
 class BrokerProfile:
     """A participating broker.
 
@@ -236,35 +205,3 @@ def derive_weights(spec: PortfolioSpec) -> WeightVector:
     if total <= 0:
         raise ConfigurationError("portfolio has zero agreed value")
     return WeightVector(tuple(_div(value, total) for value in spec.package_values))
-
-
-def expected_price_change(spec: PortfolioSpec) -> PriceChange:
-    """Relative per-security price changes under the loss-positive sign convention."""
-    return PriceChange(
-        tuple(_div(a - e, a) for a, e in zip(spec.agreed_prices, spec.anticipated_prices))
-    )
-
-
-def package_valuation(package: Sequence, spec: PortfolioSpec):
-    """Break-even fee fraction of a package: (theta . dp) / (theta . p*).
-
-    Passing the whole portfolio quantity vector yields the global broker's
-    valuation of the aggregate.
-    """
-    value = _dot(spec.agreed_prices, package)
-    if value <= 0:
-        raise ConfigurationError("package has nonpositive agreed value")
-    return _div(_dot(package, spec.price_deltas()), value)
-
-
-def local_payoff(package: Sequence, spec: PortfolioSpec, fee, coalition_won: bool):
-    """Realized payoff of executing a package at the given fee fraction.
-
-    Commission income on the package's agreed value minus the anticipated
-    price-variation loss; zero when the coalition did not win.
-    """
-    if fee < 0:
-        raise ValueError("fee must be nonnegative")
-    if not coalition_won:
-        return 0
-    return _dot(spec.agreed_prices, package) * fee - _dot(package, spec.price_deltas())

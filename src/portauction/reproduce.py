@@ -20,17 +20,12 @@ from .units import fmt_bps, to_bps
 
 TARGETS = ("example1", "example2", "figure1", "figure2")
 
-# Reference values (bps) for the bundled examples, as printed in the
-# reference tables/plots. example2's dynamic-rule column is listed twice:
-# the table prints 25.55 for broker 2 while the companion plot prints
-# 22.55; only the latter is consistent with the rule (see annotations).
+# Reference values (bps) that example2 and figure2 are shown against, as
+# printed in the reference tables/plots. example2's dynamic-rule column is
+# listed twice: the table prints 25.55 for broker 2 while the companion
+# plot prints 22.55; only the latter is consistent with the rule (see
+# annotations).
 REFERENCE = {
-    "example1": {
-        "vcg": ("30", "17.5"),
-        "nvcg": ("27", "14.5"),
-        "dnvcg": ("28", "13"),
-        "frontier_total": "22",
-    },
     "example2": {
         "dnvcg_table": (24.08, 25.55, 25.77, 25.0, 27.55),
         "dnvcg_plot": (24.08, 22.55, 25.77, 25.0, 27.55),

@@ -233,7 +233,8 @@ _SCENARIO = _object({
         "securities": (_list(_STRING), True),
         "quantities": (_list(_NONNEGATIVE), True),
         "agreed_prices": (_list(_POSITIVE), True),
-        "anticipated_prices": (_list(_POSITIVE), True),
+        # read by no engine; kept valid under schema_version 1 (_portfolio)
+        "anticipated_prices": (_list(_POSITIVE), False),
         "packages": (_list(_list(_NONNEGATIVE)), True),
     }), True),
     "brokers": (_list(_object({
@@ -257,12 +258,15 @@ _SCENARIO = _object({
 
 def _portfolio(data, errors):
     """The portfolio and its weights, or (None, None) if they cannot be built."""
+    m, anticipated = len(data["securities"]), data.get("anticipated_prices")
+    if anticipated is not None and len(anticipated) != m:
+        errors.append(f"$.portfolio.anticipated_prices: expected one price per security "
+                      f"({m}), got {len(anticipated)}")
     try:
         portfolio = PortfolioSpec(
             securities=tuple(data["securities"]),
             quantities=tuple(map(_exact, data["quantities"])),
             agreed_prices=tuple(map(_exact, data["agreed_prices"])),
-            anticipated_prices=tuple(map(_exact, data["anticipated_prices"])),
             packages=tuple(tuple(map(_exact, p)) for p in data["packages"]),
         )
         weights = derive_weights(portfolio)

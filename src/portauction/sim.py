@@ -156,8 +156,6 @@ def simulate(scenario, profile=None, n=None, seed=None):
     if profile is None:
         raise ConfigurationError("no strategy profile supplied")
     n = n if n is not None else scenario.replications
-    if n is None or n < 1:
-        raise ConfigurationError("replication count must be at least 1")
     seed = seed if seed is not None else scenario.seed
 
     kernel = Kernel(scenario)

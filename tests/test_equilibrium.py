@@ -9,7 +9,6 @@ from portauction.equilibrium import (
     ValueDistribution,
     equilibrium_bid,
     expected_vcg_fee,
-    expected_qdown_membership,
     hazard_point,
     optimality_residual,
     solve_symmetric_equilibrium,
@@ -266,9 +265,6 @@ def test_expected_vcg_fee_against_quadrature():
     assert got == pytest.approx(oracle, rel=0.02)
     # closed form for this instance: 45056/1440
     assert oracle == pytest.approx(45056 / 1440, rel=1e-4)
-
-    assert expected_qdown_membership(25.0, d, w, others, n=100_000, seed=4)
-    assert not expected_qdown_membership(38.0, d, w, others, n=100_000, seed=4)
 
 
 def test_solver_outputs_match_pins():

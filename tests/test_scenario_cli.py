@@ -215,6 +215,15 @@ def test_booleans_and_counts_are_not_coerced(key, value):
                  "$.portfolio.agreed_prices[0]", id="agreed_prices-10**400"),
     pytest.param(("strategies", "L1", "round1", "value_bps"), 10**400,
                  "$.strategies.L1.round1.value_bps", id="value_bps-10**400"),
+    # unread, but checked as before when present: one positive price per security
+    pytest.param(("portfolio", "anticipated_prices"), 0,
+                 "$.portfolio.anticipated_prices", id="anticipated_prices-0"),
+    pytest.param(("portfolio", "anticipated_prices"), "x",
+                 "$.portfolio.anticipated_prices", id="anticipated_prices-x"),
+    pytest.param(("portfolio", "anticipated_prices"), [1, 1],
+                 "$.portfolio.anticipated_prices", id="anticipated_prices-short"),
+    pytest.param(("portfolio", "anticipated_prices"), [1, -1, 1],
+                 "$.portfolio.anticipated_prices[1]", id="anticipated_prices-negative"),
 ])
 def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
     data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
@@ -355,6 +364,28 @@ def test_null_optional_keys_read_as_absent():
         del data[key]
         assert sc == scenario_from_dict(data)
     assert sc.strategies is None and sc.distributions == {"local": None, "global": None}
+
+
+@pytest.mark.parametrize("name", ["example1", "table1", "powerlaw"])
+def test_anticipated_prices_are_optional_and_unread(name, capsys, tmp_path):
+    """schema_version 1 keeps anticipated_prices as an optional key that no
+    engine reads: without it a bundled scenario validates and runs to the
+    same records, apart from the document's digest."""
+    data = json.loads(resources.files("portauction").joinpath(f"scenarios/{name}.json")
+                      .read_text())
+    del data["portfolio"]["anticipated_prices"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path)], capsys)[0] == 0
+    digest = builtin_scenario(name).digest
+    for args in (["run"], ["simulate", "-n", "200"]):
+        code, want, _ = run_cli([args[0], name, *args[1:], "--format", "records"], capsys)
+        assert code == 0
+        code, got, _ = run_cli([args[0], str(path), *args[1:], "--format", "records"], capsys)
+        assert code == 0
+        stripped = json.loads(got)["scenario_digest"]
+        assert stripped != digest
+        assert got.replace(stripped, digest) == want
 
 
 def test_seed_takes_any_philox_key():
@@ -673,10 +704,18 @@ def test_cli_sweep_takes_whole_float_package_counts(capsys):
     assert out.splitlines()[1].split(",")[2] == "3"
 
 
-def test_cli_validate(capsys):
+def test_cli_validate(capsys, tmp_path):
     code, out, _ = run_cli(["validate", "table1"], capsys)
     assert code == 0
     assert "valid" in out
+    report = tmp_path / "report.txt"
+    assert run_cli(["validate", "table1", "--out", str(report)], capsys) == (0, "", "")
+    assert report.read_text() == out
+    # validate writes one report, so it takes no --format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "table1", "--format", "records"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(capsys, tmp_path):

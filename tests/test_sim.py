@@ -102,16 +102,21 @@ def test_simulate_single_replication_matches_transcript():
     assert m2.mean_seller_cost == pytest.approx(22e-4, abs=1e-12)
     # and the broker payoffs match the payoff identity value * (fee - alpha)
     for j, bid in enumerate(("L1", "L2")):
-        v = float(sc.portfolio.package_value(j))
+        v = float(sc.portfolio.package_values[j])
         assert metrics.mean_broker_payoff[bid] == pytest.approx(
             v * float(t.outcome.fees[j]), abs=1e-15
         )
 
 
 def test_simulate_rejects_bad_replications():
+    """Both callers of Kernel.chunks reject n < 1 there, before any row."""
     sc = builtin_scenario("example1")
-    with pytest.raises(ConfigurationError):
-        simulate(sc, n=0, seed=0)
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="truthful"))
+    for n in (0, -2):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            simulate(sc, n=n, seed=0)
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            compare_strategies(sc, sc.strategies, dev, n=n, seed=0)
 
 
 def test_simulate_deterministic():
