@@ -13,6 +13,10 @@ chunk's valuations once (they depend on the rows alone) and qualifying
 once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
 
+ExactSum aggregates: one accumulator takes all of a chunk's streams at
+once and keeps each stream's sum exact, so every mean equals math.fsum
+over the whole stream whatever the chunking.
+
 mechanism.settle_row settles one row alone with the exact scalar rules and
 is the oracle for this kernel: the two agree on every winner, exactly on
 float inputs, and within 1e-12 where a Fraction constant stays exact in
@@ -36,6 +40,17 @@ CHUNK = 8192
 
 # A seed is a Philox key: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**128
+
+# ExactSum sums a chunk of at least EXTRACT_MIN values (streams x rows) by
+# extraction and a smaller one through math.fsum. Extraction costs a fixed
+# 35-45 us a chunk plus about 5 ns a value; the fsum route about 40 ns a
+# nonzero value and less on zeros. Timed on chunks of simulate's and
+# compare_strategies' streams (2 vCPUs, Python 3.11, numpy 2.4), they broke
+# even near 1,000 values on dense rows (powerlaw's seller cost and payoffs,
+# 60-80% nonzero) and near 2,000-3,000 on sparse ones (an 18-broker
+# market's payoffs, 22-25% nonzero). The cost is per chunk, not per row,
+# so the threshold counts values, not columns.
+EXTRACT_MIN = 2048
 
 
 def row_width(scenario):
@@ -95,22 +110,68 @@ def _slab_bids(kind, brokers, param, vals, caps):
 
 
 class ExactSum:
-    """math.fsum over a stream of arrays without keeping the stream: past
-    the first chunk the running sum is carried exactly, as a few floats."""
+    """math.fsum over each of k streams of arrays without keeping the
+    streams: past the first chunk a stream's running sum is carried
+    exactly, as a few floats, and totals() rounds it once.
 
-    def __init__(self):
-        self._terms = []
+    A chunk of EXTRACT_MIN values or more is summed by error-free
+    extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
+    Part I", SIAM J. Sci. Comput. 2008). With n values in each row and
+    sigma a power of two above 2n times the chunk's largest magnitude,
+    q = (r + sigma) - sigma rounds each value to a multiple of
+    sigma * 2**-53; neither q nor the remainder r - q carries a rounding
+    error, and a row's n multiples, each at most sigma / 2n, sum exactly
+    in any order. Each level keeps q's row sums and extracts again from
+    the remainders, at most sigma * 2**-53, until they are all zero: a
+    CHUNK-row chunk loses 38 bits of magnitude a level, and the bundled
+    scenarios take two. One sigma serves all rows of a level because
+    adding a scalar costs a third of broadcasting one per row. A smaller
+    chunk, or one with a non-finite value or a value of 2**1000 / n or
+    more (where sigma could overflow), goes value by value through
+    math.fsum instead, which keeps fsum's handling of inf, nan and
+    overflow.
+    """
 
-    def add(self, values):
+    def __init__(self, k):
+        self._parts = [[] for _ in range(k)]
+
+    def add(self, rows):
+        """Add one chunk: rows is a (k, n) array, or k arrays of length n,
+        row i holding stream i's next n values."""
+        n = len(rows[0])
+        if len(rows) * n >= EXTRACT_MIN:
+            r = np.stack(rows)  # the scratch copy that extraction consumes
+            m = float(np.abs(r).max())
+            if m < 2.0**1000 / n:  # false on inf and nan
+                self._extend(self._extract(r, m, n))
+                return
+            rows = r
         # fsum stores no zero partial, so dropping zeros (and -0.0) changes
         # no bit of the total.
-        values = values[values != 0]
-        if not values.size:
-            return
-        terms = self._terms + values.tolist()
-        if self._terms:
-            terms = self._exact_parts(terms)
-        self._terms = terms
+        self._extend([values[values != 0].tolist() for values in rows])
+
+    @staticmethod
+    def _extract(r, m, n):
+        """Each row's level sums, exact; r is consumed and m is its largest
+        magnitude."""
+        sums = [[] for _ in r]
+        shift = n.bit_length() + 1  # 2**shift > 2n
+        q = np.empty_like(r)
+        while m:
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            r -= q
+            for row_sums, s in zip(sums, q.sum(axis=1).tolist()):
+                if s:
+                    row_sums.append(s)
+            m = float(np.abs(r, out=q).max())
+        return sums
+
+    def _extend(self, terms):
+        for parts, new in zip(self._parts, terms):
+            if new:
+                parts[:] = self._exact_parts(parts + new) if parts else new
 
     @staticmethod
     def _exact_parts(terms):
@@ -124,8 +185,8 @@ class ExactSum:
             s = math.fsum(terms)
         return parts
 
-    def total(self):
-        return math.fsum(self._terms)
+    def totals(self):
+        return [math.fsum(parts) for parts in self._parts]
 
 
 @dataclass
@@ -195,20 +256,27 @@ class Kernel:
         self.running_count = np.tri(depth)
         self.width = row_width(scenario)
 
-    def compile(self, profile):
+    def compile(self, profile, known):
         """The profile's (round 1, round 2) bid rules, each round's brokers
         grouped by strategy kind as (kind, brokers, one parameter per
         broker); equilibrium shading terms are computed, and validated,
-        here once."""
+        here once. known maps (id(strategy), weight) to the parameter
+        already computed for profiles compiled before, so a strategy object
+        that brokers or profiles share (a deviation shares all but one
+        broker's with its baseline) is converted once; objects are keyed by
+        identity because hashing Fraction fields costs more than _param."""
         rounds = ({}, {})
         for k, bid in enumerate(self.ids):
             weight = self.w[self.local_pkg[k]] if k < self.L else None
             st = profile[bid]
             for groups, strategy in zip(rounds, (st.round1, st.round2)):
                 check_weight(bid, strategy, weight)
+                key = (id(strategy), weight)
+                if key not in known:
+                    known[key] = self._param(strategy, weight)
                 brokers, params = groups.setdefault(strategy.kind, ([], []))
                 brokers.append(k)
-                params.append([self._param(strategy, weight)])
+                params.append([known[key]])
         return tuple(
             tuple((kind, np.array(brokers), np.array(params))
                   for kind, (brokers, params) in groups.items())
@@ -261,7 +329,8 @@ class Kernel:
         share one qualification per chunk."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
-        compiled = [self.compile(p) for p in profiles]
+        known = {}
+        compiled = [self.compile(p, known) for p in profiles]
         round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]

@@ -138,6 +138,8 @@ def _cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     seed = _seed(args, scenario)
     n = args.replications if args.replications is not None else scenario.replications
+    if n < 1:
+        raise ScenarioParseError(f"--replications must be a positive integer, got {n}")
     if args.rule is not None:
         scenario = replace(scenario, rule=args.rule)
     metrics = simulate(scenario, n=n, seed=seed)

@@ -148,9 +148,11 @@ def simulate(scenario, profile=None, n=None, seed=None):
     """Run n independent auctions and aggregate the outcomes.
 
     Deterministic for fixed (scenario, profile, n, seed). The batch
-    kernel settles the replications a chunk of rows at a time; means are
-    math.fsum over every replication, so neither the chunking nor the
-    aggregation order can change results.
+    kernel settles the replications a chunk of rows at a time. One
+    ExactSum takes each chunk's seller costs and payoffs together, by
+    extraction when the chunk is wide and through math.fsum otherwise;
+    either way every mean equals math.fsum over every replication, so
+    neither the chunking nor the aggregation route can change results.
     """
     profile = profile if profile is not None else scenario.strategies
     if profile is None:
@@ -161,8 +163,7 @@ def simulate(scenario, profile=None, n=None, seed=None):
     kernel = Kernel(scenario)
     wins = violations = clamped = 0
     gaps_max = 0.0
-    cost_sum = ExactSum()
-    payoff_sums = [ExactSum() for _ in kernel.ids]
+    sums = ExactSum(1 + len(kernel.ids))  # seller cost, then each payoff
 
     for (b,) in kernel.chunks([profile], n, seed):
         wins += int(np.count_nonzero(b.won))
@@ -170,15 +171,14 @@ def simulate(scenario, profile=None, n=None, seed=None):
         clamped += b.clamped
         if b.won.any():
             gaps_max = max(gaps_max, float(np.abs(b.gap[b.won]).max()))
-        cost_sum.add(b.seller_cost)
-        for total, p in zip(payoff_sums, b.payoffs):
-            total.add(p)
+        sums.add([b.seller_cost, *b.payoffs])
+    cost_sum, *payoff_sums = sums.totals()
 
     return SimMetrics(
         replications=n,
         coalition_win_rate=wins / n,
-        mean_seller_cost=cost_sum.total() / n,
-        mean_broker_payoff={bid: s.total() / n for bid, s in zip(kernel.ids, payoff_sums)},
+        mean_seller_cost=cost_sum / n,
+        mean_broker_payoff={bid: s / n for bid, s in zip(kernel.ids, payoff_sums)},
         core_violation_count=violations,
         frontier_gap_max=gaps_max,
         clamped_round2_count=clamped,
@@ -222,31 +222,31 @@ def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceRepor
     kernel = Kernel(scenario)
     col = kernel.ids.index(broker)
 
-    base_sum, dev_sum, diff_sum = ExactSum(), ExactSum(), ExactSum()
+    sums = ExactSum(3)  # baseline, deviation, difference
     diffs = []
     for b, d in kernel.chunks([baseline, deviation], n, seed):
         base, dev = b.payoffs[col], d.payoffs[col]
         diffs.append(dev - base)
-        base_sum.add(base)
-        dev_sum.add(dev)
-        diff_sum.add(diffs[-1])
+        sums.add([base, dev, diffs[-1]])
+    base_sum, dev_sum, diff_sum = sums.totals()
 
-    mean_diff = diff_sum.total() / n
+    mean_diff = diff_sum / n
     var = 0.0
     if n > 1:
-        squares = ExactSum()
+        squares = ExactSum(1)
         for d in diffs:
             # Python's ** (C pow) once per distinct difference: numpy's
             # square rounds differently on a share of values.
             distinct, index = np.unique(d, return_inverse=True)
             squared = np.array([(x - mean_diff) ** 2 for x in distinct.tolist()])
-            squares.add(squared[index])
-        var = squares.total() / (n - 1)
+            squares.add([squared[index]])
+        (squares_sum,) = squares.totals()
+        var = squares_sum / (n - 1)
     return DominanceReport(
         broker_id=broker,
         replications=n,
-        mean_baseline=base_sum.total() / n,
-        mean_deviation=dev_sum.total() / n,
+        mean_baseline=base_sum / n,
+        mean_deviation=dev_sum / n,
         mean_difference=mean_diff,
         paired_se=math.sqrt(var / n) if n > 1 else 0.0,
     )

@@ -23,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from portauction.batch import Kernel, row_chunks
+from portauction.batch import CHUNK, Kernel, row_chunks
 from portauction.model import ModelWarning
 from portauction.scenario import builtin_scenario, scenario_from_dict
 from portauction.sim import Strategy, compare_strategies, simulate
@@ -193,6 +193,8 @@ def _simulate_cases():
     cases.append(("fallback/dnvcg", _load(_fallback()), "dnvcg", 1000, 9))
     # Long enough to span several of the simulation's row chunks.
     cases.append(("powerlaw/dnvcg/long", builtin_scenario("powerlaw"), "dnvcg", 20_005, 10))
+    # One full chunk, then a 5-row one: sums over chunks of both widths.
+    cases.append(("powerlaw/dnvcg/mixed", builtin_scenario("powerlaw"), "dnvcg", CHUNK + 5, 11))
     return cases
 
 
@@ -206,6 +208,8 @@ def _paired_cases():
             "L1", round2=Strategy(kind="offset", offset=Fraction(-6, 10_000))), 3000, 22),
         ("dominance/round1-overbid/long", base, base.strategies.with_strategy(
             "L1", round1=Strategy(kind="constant", value=Fraction(38, 10_000))), 20_005, 25),
+        ("dominance/round2-underbid/mixed", base, base.strategies.with_strategy(
+            "L1", round2=Strategy(kind="offset", offset=Fraction(-6, 10_000))), CHUNK + 5, 26),
         ("market/truthful-round1", market, market.strategies.with_strategy(
             "P0L2", round1=Strategy(kind="truthful")), 2000, 23),
         ("equilibrium/identical", _load(_equilibrium()),

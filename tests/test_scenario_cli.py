@@ -608,6 +608,13 @@ def test_cli_run_replication_table_and_bounds(capsys):
     assert "--replication" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_simulate_count_below_one_is_a_parse_error(count, capsys):
+    code, out, err = run_cli(["simulate", "powerlaw", "-n", count], capsys)
+    assert (code, out) == (3, "")
+    assert "--replications" in err
+
+
 def test_cli_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portauction.batch import CHUNK, ExactSum, Kernel, row, row_chunks, row_width
+from portauction.batch import CHUNK, EXTRACT_MIN, ExactSum, Kernel, row, row_chunks, row_width
 from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import run_auction, settle_row
 from portauction.model import ConfigurationError
@@ -465,13 +465,99 @@ _SPECIAL_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, -1.0])
 
 
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.one_of(_SPECIAL_FLOATS,
-                                 st.floats(min_value=-1e300, max_value=1e300)), max_size=60),
-       cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6))
-def test_exact_sum_over_any_chunking_is_fsum(values, cuts):
-    total = ExactSum()
-    bounds = [0, *sorted(c for c in cuts if c <= len(values)), len(values)]
-    for a, b in zip(bounds, bounds[1:]):
-        total.add(np.array(values[a:b], dtype=float))
-    assert total.total().hex() == math.fsum(values).hex()
+def _sum_or_error(chunks):
+    """Each stream's ExactSum total as hex, or the type of what it raised."""
+    try:
+        total = ExactSum(len(chunks[0]))
+        for chunk in chunks:
+            total.add(chunk)
+        return [t.hex() for t in total.totals()]
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def _fsum_or_error(chunks):
+    """math.fsum of each stream's values in order, or the error type."""
+    try:
+        return [math.fsum(v for chunk in chunks for v in chunk[i].tolist()).hex()
+                for i in range(len(chunks[0]))]
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def _wide(seed, k, values, scale=2.0**-20, n=None):
+    """A chunk of k streams wide enough for extraction (n columns, or a
+    few more than EXTRACT_MIN values): most magnitudes within 2**-8 of
+    scale, one in ten down to subnormal, most values of a row of one sign
+    (so its sum grows with the width), some zeros, and values written over
+    the first columns of every row."""
+    rng = np.random.default_rng(seed)
+    n = n or -(-EXTRACT_MIN // k) + int(rng.integers(0, 64))
+    sign = np.where(rng.random((k, 1)) < 0.5, 1.0, -1.0) * np.where(rng.random((k, n)) < 0.1, -1, 1)
+    spread = np.where(rng.random((k, n)) < 0.1, 1000, 8)
+    x = sign * rng.uniform(0.5, 1.0, (k, n)) * scale * np.exp2(-rng.integers(0, spread))
+    x[rng.random((k, n)) < 0.3] = 0.0
+    x[:, :len(values)] = values
+    return x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(min_value=1, max_value=3),
+       chunks=st.lists(st.tuples(
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.one_of(_SPECIAL_FLOATS, st.floats(min_value=-1e300, max_value=1e300)),
+                    max_size=60)), min_size=1, max_size=6))
+def test_exact_sum_over_any_chunking_is_fsum(k, chunks):
+    """Streams of narrow chunks (math.fsum) and wide ones (extraction, or
+    math.fsum again when a value is too large to extract) in any mix."""
+    arrays = []
+    for wide, seed, values in chunks:
+        if wide:
+            arrays.append(_wide(seed, k, values))
+        else:
+            rows = [values[i:] + values[:i] for i in range(k)]
+            arrays.append(np.array(rows, dtype=float).reshape(k, len(values)))
+    assert _sum_or_error(arrays) == _fsum_or_error(arrays)
+
+
+def _limit(n):
+    """The smallest magnitude ExactSum does not extract in an n-wide chunk."""
+    return 2.0**1000 / n
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("label, chunks", [
+    ("subnormals", lambda: [_wide(1, 2, [5e-324, -5e-324, 1e-310], scale=2.0**-1000),
+                            _wide(2, 2, [2.2250738585072014e-308, -5e-324])]),
+    ("plus-minus-1e300", lambda: [_wide(3, 1, [1e300, -1e300, 1e300]), _wide(4, 1, [-1e300])]),
+    ("just-below-the-limit",
+     lambda: [_wide(5, 1, [np.nextafter(_limit(EXTRACT_MIN), 0)], n=EXTRACT_MIN)]),
+    ("at-the-limit", lambda: [_wide(6, 1, [_limit(EXTRACT_MIN)], n=EXTRACT_MIN)]),
+    ("both-sides-of-the-limit", lambda: [
+        _wide(7, 1, [-np.nextafter(_limit(EXTRACT_MIN), 0)] * 3, n=EXTRACT_MIN),
+        _wide(8, 1, [_limit(EXTRACT_MIN)] * 3, n=EXTRACT_MIN)]),
+    # 4000 values just above -1.0 on a grid of 2**-43: their sum needs the
+    # headroom sigma leaves for 2**12 values (a sigma half as large
+    # rounds it).
+    ("one-sign-at-full-width", lambda: [(np.arange(4000)[None] % 997 + 1) * 2.0**-43 - 1.0]),
+    ("inf", lambda: [_wide(9, 2, [_INF]), _wide(10, 2, [1.0])]),
+    ("minus-inf", lambda: [_wide(11, 1, [1.0]), _wide(12, 1, [-_INF, -_INF])]),
+    ("nan", lambda: [_wide(13, 2, [2.0]), _wide(14, 2, [_NAN])]),
+    ("inf-and-minus-inf", lambda: [_wide(15, 1, [_INF]), np.array([[-_INF]])]),
+    ("finite-overflow", lambda: [_wide(16, 1, [1.7e308]), _wide(17, 1, [1.7e308])]),
+])
+def test_exact_sum_edge_cases_are_fsum(label, chunks):
+    """fsum's bits, or fsum's error, on values at the edges of extraction:
+    subnormals, huge values, the extraction limit and non-finite values."""
+    chunks = chunks()
+    want = _fsum_or_error(chunks)
+    if label == "inf-and-minus-inf":
+        assert want is ValueError
+    if label == "finite-overflow":
+        assert want is OverflowError
+    assert _sum_or_error(chunks) == want
