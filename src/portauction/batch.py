@@ -140,7 +140,7 @@ class ExactSum:
         row i holding stream i's next n values."""
         n = len(rows[0])
         if len(rows) * n >= EXTRACT_MIN:
-            r = np.stack(rows)  # the scratch copy that extraction consumes
+            r = np.stack(rows)  # the working copy that extraction consumes
             m = float(np.abs(r).max())
             if m < 2.0**1000 / n:  # false on inf and nan
                 self._extend(self._extract(r, m, n))
@@ -169,6 +169,7 @@ class ExactSum:
         return sums
 
     def _extend(self, terms):
+        """Fold each stream's new exact terms into its running parts."""
         for parts, new in zip(self._parts, terms):
             if new:
                 parts[:] = self._exact_parts(parts + new) if parts else new
@@ -272,11 +273,12 @@ class Kernel:
             for groups, strategy in zip(rounds, (st.round1, st.round2)):
                 check_weight(bid, strategy, weight)
                 key = (id(strategy), weight)
-                if key not in known:
-                    known[key] = self._param(strategy, weight)
+                param = known.get(key)
+                if param is None:
+                    param = known[key] = self._param(strategy, weight)
                 brokers, params = groups.setdefault(strategy.kind, ([], []))
                 brokers.append(k)
-                params.append([known[key]])
+                params.append([param])
         return tuple(
             tuple((kind, np.array(brokers), np.array(params))
                   for kind, (brokers, params) in groups.items())
