@@ -261,21 +261,21 @@ class Kernel:
         """The profile's (round 1, round 2) bid rules, each round's brokers
         grouped by strategy kind as (kind, brokers, one parameter per
         broker); equilibrium shading terms are computed, and validated,
-        here once. known maps (id(strategy), weight) to the parameter
-        already computed for profiles compiled before, so a strategy object
-        that brokers or profiles share (a deviation shares all but one
-        broker's with its baseline) is converted once; objects are keyed by
-        identity because hashing Fraction fields costs more than _param."""
+        here once. known[k] holds broker k's strategies and parameters
+        from the profile compiled before in the same Kernel.chunks call
+        (None at first): a broker whose BrokerStrategy is the same object
+        reuses them, so a deviation converts only the deviating broker's
+        strategies. Objects are matched by identity because hashing
+        Fraction fields costs more than converting them."""
         rounds = ({}, {})
         for k, bid in enumerate(self.ids):
-            weight = self.w[self.local_pkg[k]] if k < self.L else None
             st = profile[bid]
-            for groups, strategy in zip(rounds, (st.round1, st.round2)):
-                check_weight(bid, strategy, weight)
-                key = (id(strategy), weight)
-                param = known.get(key)
-                if param is None:
-                    param = known[key] = self._param(strategy, weight)
+            before = known[k]
+            if before is None or before[0] is not st:
+                weight = self.w[self.local_pkg[k]] if k < self.L else None
+                before = known[k] = (st, (self._param(bid, st.round1, weight),
+                                          self._param(bid, st.round2, weight)))
+            for groups, strategy, param in zip(rounds, (st.round1, st.round2), before[1]):
                 brokers, params = groups.setdefault(strategy.kind, ([], []))
                 brokers.append(k)
                 params.append([param])
@@ -284,10 +284,12 @@ class Kernel:
                   for kind, (brokers, params) in groups.items())
             for groups in rounds)
 
-    def _param(self, strategy, weight):
+    def _param(self, broker, strategy, weight):
         """The one number a strategy's bid rule reads besides the
         valuation and the cap: its constant value, offset or equilibrium
-        shading (VCG shades as NVCG)."""
+        shading (VCG shades as NVCG). check_weight runs first, so a
+        global's equilibrium strategy fails with the broker's message."""
+        check_weight(broker, strategy, weight)
         kind = strategy.kind
         if kind == "constant":
             return float(strategy.value)
@@ -331,7 +333,7 @@ class Kernel:
         share one qualification per chunk."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
-        known = {}
+        known = [None] * len(self.ids)
         compiled = [self.compile(p, known) for p in profiles]
         round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
         # The first profile with the same round 1 qualifies for the group.
