@@ -40,10 +40,8 @@ from .model import (
 )
 from .pricing import (
     AllocationError,
-    CoreIntervals,
     CoreReport,
     Pricing,
-    core_intervals,
     dnvcg_fees,
     marginal_fee,
     nvcg_fees,

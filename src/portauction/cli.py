@@ -23,7 +23,7 @@ from dataclasses import replace
 from . import __version__, reproduce
 from .batch import SEED_LIMIT
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
-from .mechanism import find_leaf, run_auction, transcript_dict
+from .mechanism import run_auction, transcript_dict
 from .model import ConfigurationError
 from .pricing import RULES
 from .scenario import (
@@ -80,14 +80,7 @@ def _records(command, scenario, seed, result, **envelope) -> str:
         "result": result,
         **envelope,
     }
-    try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        found = find_leaf(doc, lambda x: isinstance(x, float) and not math.isfinite(x))
-        if found is None:
-            raise
-        raise ValueError(f"{found[0]} is {found[1]}, which strict JSON records cannot "
-                         f"hold") from None
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv(header, rows) -> str:
@@ -106,7 +99,7 @@ def _cmd_run(args) -> int:
         raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
     t = run_auction(scenario, seed=seed, rule=args.rule, replication=k)
     if args.format == "records":
-        _emit(_records("run", scenario, seed, transcript_dict(t, "$.result"), replication=k),
+        _emit(_records("run", scenario, seed, transcript_dict(t), replication=k),
               args.out)
         return EXIT_OK
     o = t.outcome
@@ -205,6 +198,22 @@ def _parse_sweep(expr: str) -> dict:
     return grid
 
 
+def _solve(where, dist, alpha_bps, weights, rule):
+    """The symmetric equilibrium, or a validation error naming where it was
+    sought when the solve leaves the float range: the solver raises values
+    to the power of the shape, which no bound on the inputs keeps finite."""
+    try:
+        sol = solve_symmetric_equilibrium(dist, alpha_bps, weights, rule=rule)
+    except ArithmeticError as e:
+        failure = f"{type(e).__name__}: {e}"
+    else:
+        if math.isfinite(sol.bid) and math.isfinite(sol.residual):
+            return sol
+        failure = f"bid {sol.bid!r}, residual {sol.residual!r}"
+    raise ScenarioValidationError(
+        [f"{where}: the equilibrium solve leaves the float range ({failure})"])
+
+
 def _cmd_equilibrium(args) -> int:
     scenario = _load(args.scenario)
     rule = args.rule or scenario.rule
@@ -235,7 +244,8 @@ def _cmd_equilibrium(args) -> int:
                      "shape=/upper_bps= terms"]
                 )
             d = ValueDistribution.power_law(upper=upper_bps, shape=shape)
-            sol = solve_symmetric_equilibrium(d, alpha_bps, [1.0 / q] * q, rule=rule)
+            sol = _solve(f"sweep point shape={shape}, q={q}, alpha_bps={alpha_bps}, "
+                         f"upper_bps={upper_bps}", d, alpha_bps, [1.0 / q] * q, rule)
             rows.append([rule, shape, q, alpha_bps, sol.bid, sol.residual,
                          sol.converged, sol.iterations])
     else:
@@ -247,9 +257,7 @@ def _cmd_equilibrium(args) -> int:
             )
         alpha_bps = alphas.pop()
         d = dist.scaled(10_000)  # solve in bps space to match alpha_bps
-        sol = solve_symmetric_equilibrium(
-            d, alpha_bps, [float(w) for w in scenario.weights], rule=rule
-        )
+        sol = _solve("the scenario", d, alpha_bps, [float(w) for w in scenario.weights], rule)
         rows.append([rule, dist.shape, scenario.portfolio.q, alpha_bps,
                      sol.bid, sol.residual, sol.converged, sol.iterations])
 

@@ -297,32 +297,9 @@ def _jsonable(x):
     return x
 
 
-def find_leaf(x, bad, path="$"):
-    """(JSON path, value) of the first leaf of the dicts and lists x that
-    bad accepts, or None."""
-    if isinstance(x, dict):
-        items = ((f"{path}.{k}", v) for k, v in x.items())
-    elif isinstance(x, (list, tuple)):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(x))
-    else:
-        return (path, x) if bad(x) else None
-    return next(filter(None, (find_leaf(v, bad, p) for p, v in items)), None)
-
-
-def _beyond_float(x):
-    """x is a Fraction that float() cannot hold."""
-    if isinstance(x, Fraction):
-        try:
-            float(x)
-        except OverflowError:
-            return True
-    return False
-
-
-def transcript_dict(t: AuctionTranscript, path="$") -> dict:
-    """The transcript as JSON values. An exact value beyond the float range
-    raises, named by its JSON path, where path is the transcript's own."""
-    doc = {
+def transcript_dict(t: AuctionTranscript) -> dict:
+    """The transcript as JSON values."""
+    return _jsonable({
         "rule": t.rule,
         "rng_seed": t.rng_seed,
         "qualification": {
@@ -342,14 +319,7 @@ def transcript_dict(t: AuctionTranscript, path="$") -> dict:
             "epsilons": list(t.outcome.epsilons),
             "diagnostics": t.outcome.diagnostics,
         },
-    }
-    try:
-        return _jsonable(doc)
-    except OverflowError:
-        where, x = find_leaf(doc, _beyond_float, path)
-        digits = len(str(int(abs(x))))
-        raise OverflowError(f"{where} is an exact value of {digits} digits, beyond the float "
-                            f"range") from None
+    })
 
 
 def serialize_transcript(t: AuctionTranscript) -> str:

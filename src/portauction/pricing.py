@@ -66,23 +66,6 @@ def vcg_fees(bids2: Sequence, weights, global_bid) -> tuple:
 
 
 @dataclass(frozen=True)
-class CoreIntervals:
-    """Admissible fee ranges: [own bid, VCG fee] per local and, for the
-    seller's total payment, [coalition total, global bid]."""
-
-    local_intervals: tuple
-    global_interval: tuple
-
-
-def core_intervals(bids2: Sequence, weights, global_bid) -> CoreIntervals:
-    cv = vcg_fees(bids2, weights, global_bid)
-    return CoreIntervals(
-        local_intervals=tuple((b, c) for b, c in zip(bids2, cv)),
-        global_interval=(weighted_total(bids2, weights), global_bid),
-    )
-
-
-@dataclass(frozen=True)
 class CoreReport:
     """Outcome of checking a fee vector against the core constraints.
 

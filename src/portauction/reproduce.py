@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .mechanism import run_auction
-from .pricing import core_intervals, dnvcg_fees, nvcg_fees, vcg_fees, weighted_total
+from .pricing import dnvcg_fees, nvcg_fees, vcg_fees, weighted_total
 from .scenario import builtin_scenario
 from .units import fmt_bps, to_bps
 
@@ -51,9 +51,8 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _inputs(name):
-    """Round-1/round-2 bids (bps, exact) and weights from a builtin scenario."""
-    sc = builtin_scenario(name)
+def _inputs(sc):
+    """Round-1/round-2 bids (bps, exact) of a bundled scenario's fixed strategies."""
     locals_ = [b for b in sc.brokers if b.role == "local"]
     locals_.sort(key=lambda b: b.package_index)
     g = next(b for b in sc.brokers if b.role == "global")
@@ -61,11 +60,12 @@ def _inputs(name):
     bids2 = tuple(to_bps(sc.strategies[b.id].round2.value) for b in locals_)
     g1 = to_bps(sc.strategies[g.id].round1.value)
     g2 = to_bps(sc.strategies[g.id].round2.value)
-    return sc, locals_, bids1, bids2, g1, g2
+    return locals_, bids1, bids2, g1, g2
 
 
 def _fee_table(name):
-    sc, locals_, bids1, bids2, g1, g2 = _inputs(name)
+    sc = builtin_scenario(name)
+    locals_, bids1, bids2, g1, g2 = _inputs(sc)
     w = sc.weights
     return {
         "scenario": sc,
@@ -79,7 +79,6 @@ def _fee_table(name):
         "vcg": vcg_fees(bids2, w, g2),
         "nvcg": nvcg_fees(bids2, w, g2),
         "dnvcg": dnvcg_fees(bids1, bids2, w, g2),
-        "intervals": core_intervals(bids2, w, g2),
     }
 
 
@@ -87,9 +86,8 @@ def _row(cells, widths):
     return "  ".join(str(c).ljust(wd) for c, wd in zip(cells, widths)).rstrip()
 
 
-def _sanity_check_transcript(name, expected_fees):
+def _sanity_check_transcript(sc, expected_fees):
     """Cross-check the directly computed fees against a full auction run."""
-    sc = builtin_scenario(name)
     t = run_auction(sc, rule=sc.rule)
     assert t.outcome.winner == "coalition"
     for got, want in zip(t.outcome.fees, expected_fees):
@@ -101,7 +99,7 @@ def reproduce_example1() -> Report:
     sc = tab["scenario"]
     d = tab["dnvcg"]
     rules = {"vcg": tab["vcg"], "nvcg": tab["nvcg"], "dnvcg": d.fees}
-    _sanity_check_transcript("example1", tab["nvcg"])
+    _sanity_check_transcript(sc, tab["nvcg"])
 
     lines = [
         "reproduction: example1",
@@ -124,10 +122,10 @@ def reproduce_example1() -> Report:
         total = weighted_total(fees, tab["weights"])
         lines.append(_row((rule, *(fmt_bps(f) for f in fees), fmt_bps(total)), widths))
     lines.append("")
-    for i, (bid, interval) in enumerate(zip(tab["ids"], tab["intervals"].local_intervals)):
-        lines.append(f"core interval {bid}: [{fmt_bps(interval[0])}, {fmt_bps(interval[1])}]")
-    gi = tab["intervals"].global_interval
-    lines.append(f"seller payment interval: [{fmt_bps(gi[0])}, {fmt_bps(gi[1])}]")
+    for bid, lo, hi in zip(tab["ids"], tab["bids2"], tab["vcg"]):
+        lines.append(f"core interval {bid}: [{fmt_bps(lo)}, {fmt_bps(hi)}]")
+    lines.append(f"seller payment interval: [{fmt_bps(tab['total'])}, "
+                 f"{fmt_bps(tab['global_bid2'])}]")
     lines.append(f"frontier total (bps): {fmt_bps(weighted_total(d.fees, tab['weights']))}")
 
     records = {
@@ -139,9 +137,7 @@ def reproduce_example1() -> Report:
         "weighted_totals_bps": {
             r: float(weighted_total(fees, tab["weights"])) for r, fees in rules.items()
         },
-        "core_intervals_bps": [
-            [float(a), float(b)] for a, b in tab["intervals"].local_intervals
-        ],
+        "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
         "delta_bps": float(weighted_total(tab["vcg"], tab["weights"]) - tab["global_bid2"]),
     }
     return Report(target="example1", lines=tuple(lines), records=records)
@@ -171,7 +167,7 @@ def reproduce_example2() -> Report:
             f"[{ref['global_interval_table'][0]:g}, {ref['global_interval_table'][1]:g}] "
             f"(lower endpoint is the coalition total {fmt_bps(tab['total'])})"
         )
-    _sanity_check_transcript("table1", tab["nvcg"])
+    _sanity_check_transcript(sc, tab["nvcg"])
 
     lines = [
         "reproduction: example2",
@@ -185,7 +181,6 @@ def reproduce_example2() -> Report:
     lines.append(_row(("broker", "weight", "r1", "r2", "vcg", "core interval",
                        "nearest", "dynamic"), widths))
     for i, bid in enumerate(tab["ids"]):
-        lo, hi = tab["intervals"].local_intervals[i]
         lines.append(
             _row(
                 (
@@ -194,7 +189,7 @@ def reproduce_example2() -> Report:
                     fmt_bps(tab["bids1"][i]),
                     fmt_bps(tab["bids2"][i]),
                     fmt_bps(tab["vcg"][i]),
-                    f"[{fmt_bps(lo)}, {fmt_bps(hi)}]",
+                    f"[{fmt_bps(tab['bids2'][i])}, {fmt_bps(tab['vcg'][i])}]",
                     fmt_bps(tab["nvcg"][i]),
                     fmt_bps(d.fees[i]),
                 ),
@@ -235,9 +230,7 @@ def reproduce_example2() -> Report:
         "vcg_bps": [float(f) for f in tab["vcg"]],
         "nvcg_bps": [float(f) for f in tab["nvcg"]],
         "dnvcg_bps": [float(f) for f in d.fees],
-        "core_intervals_bps": [
-            [float(a), float(b)] for a, b in tab["intervals"].local_intervals
-        ],
+        "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
         "global_interval_bps": [gi[0], gi[1]],
         "delta_bps": float(weighted_total(tab["vcg"], tab["weights"]) - tab["global_bid2"]),
         "overbidders": list(d.q_up),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from portauction.pricing import (
     RULES,
     AllocationError,
-    core_intervals,
     dnvcg_fees,
     marginal_fee,
     nvcg_fees,
@@ -49,22 +48,6 @@ def test_vcg_trivials():
     base = vcg_fees(A_B2, WA, A_G2)
     for own in (0, 5, 17, 25):
         assert vcg_fees((own, A_B2[1]), WA, A_G2)[0] == base[0]
-
-
-def test_core_intervals_worked():
-    ci = core_intervals(A_B2, WA, A_G2)
-    assert ci.local_intervals == ((25, 30), (10, F(35, 2)))
-    assert ci.global_interval == (19, 22)
-
-    ci = core_intervals(B_B2, WB, B_G2)
-    assert ci.local_intervals[4] == (26, F(411, 11))
-    assert abs(float(ci.local_intervals[4][1]) - 37.36) <= 0.01
-    assert ci.global_interval == (F(45, 2), 25)
-
-
-def test_core_intervals_single_package():
-    ci = core_intervals((12,), (F(1),), 22)
-    assert ci.local_intervals == ((12, 22),)
 
 
 def test_nvcg_worked_instances():

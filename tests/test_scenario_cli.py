@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 from fractions import Fraction as F
@@ -257,19 +258,22 @@ _BUNDLED = {name: json.loads(resources.files("portauction")
             for name in ("example1", "table1", "powerlaw")}
 _WORDS = ["kind", "equilibrium", "uniform", "empirical", "global", "sigma", "in_qdown",
           "sum_w_qdown", "upper_bps", "lower_bps", "sample_bps", "value_bps", "offset_bps"]
-_NUMBERS = st.integers(-2, 40) | st.sampled_from([10**400, -10**400, 1e308, -1e308, 5e-324, 0.5])
+_NUMBERS = st.integers(-2, 40) | st.sampled_from(
+    [10**400, -10**400, 1e308, -1e308, 1e100, -1e100, 1e99, 5e-324, 0.5])
 _JSON = st.recursive(
     st.none() | st.booleans() | _NUMBERS | st.text(max_size=2) | st.sampled_from(_WORDS),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3)),
     max_leaves=5)
+_NONFINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_fuzzed_scenarios_fail_validation_or_run(data, tmp_path_factory):
     """One value of a bundled scenario replaced by arbitrary JSON: the
-    document fails validation at a JSON path or runs; it never exits 5."""
+    document fails validation at a JSON path or runs; it never exits 5, and
+    no output holds inf or nan."""
     name = data.draw(st.sampled_from(sorted(_BUNDLED)))
     doc = json.loads(json.dumps(_BUNDLED[name]))
     *parents, last = data.draw(st.sampled_from(list(_positions(doc))))
@@ -281,13 +285,13 @@ def test_fuzzed_scenarios_fail_validation_or_run(data, tmp_path_factory):
     path.write_text(json.dumps(doc))
 
     def call(*args):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            return cli.main([*args]), err.getvalue()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return cli.main([*args]), out.getvalue(), err.getvalue()
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelWarning)
-        code, err = call("validate", str(path))
+        code, _, err = call("validate", str(path))
         if code == 4:
             assert "  - $" in err
             return
@@ -296,8 +300,11 @@ def test_fuzzed_scenarios_fail_validation_or_run(data, tmp_path_factory):
         # run and simulate then ask for them
         expected = (0, "") if doc.get("strategies") is not None else (
             4, "validation error: no strategy profile supplied\n")
-        for args in (("run",), ("run", "--format", "records"), ("simulate", "-n", "20")):
-            assert call(args[0], str(path), *args[1:]) == expected
+        for args in (("run",), ("run", "--format", "records"), ("simulate", "-n", "20"),
+                     ("simulate", "-n", "20", "--format", "records")):
+            code, out, err = call(args[0], str(path), *args[1:])
+            assert (code, err) == expected
+            assert not _NONFINITE.search(out), out
 
 
 def test_python_floats_parse_exactly():
@@ -432,9 +439,10 @@ def test_cli_run_records(capsys):
     assert doc["result"]["outcome"]["winner"] == "coalition"
 
 
-def test_cli_run_table_prints_fees_past_the_float_range(capsys, tmp_path):
-    """Fees near 1e308 bps overflow the table's scaling to hundredths:
-    they print truncated exactly, so the table exits 0 like the records."""
+def test_fees_past_the_float_range_fail_validation(capsys, tmp_path):
+    """A global drawn up to 1e308 bps, and fixed there in round 1, is past
+    the 1e100 bound: every command exits 4 at both JSON paths, printing
+    nothing."""
     data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
     data["distributions"]["global"]["upper_bps"] = 1e308
     data["strategies"]["G"]["round1"]["value_bps"] = 1e308
@@ -442,14 +450,16 @@ def test_cli_run_table_prints_fees_past_the_float_range(capsys, tmp_path):
     path.write_text(json.dumps(data))
     for args in (["validate"], ["run", "--format", "records"], ["run"]):
         code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
-        assert code == 0, err
-    assert re.search(r"^delta \(bps\): [1-9][0-9]{300,}$", out, re.M)
+        assert (code, out) == (4, ""), err
+        assert "  - $.distributions.global.upper_bps: " in err
+        assert "  - $.strategies.G.round1.value_bps: " in err
 
 
 def _extreme_doc(drawn):
     """Package weights about 1 and 2e-15, both locals truthful at 1e300
-    bps, and a global at 1e308 bps: drawn from a power law, the float fees
-    overflow to -inf and NaN; fixed, the exact fees exceed the float range."""
+    bps, and a global at 1e308 bps, drawn from a power law or fixed: its
+    float fees would overflow to -inf and NaN, and its exact fees would
+    exceed the float range."""
     data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
     data["portfolio"].update(quantities=[10**15, 1, 1], packages=[[10**15, 0, 0], [0, 1, 1]])
     for b in data["brokers"]:
@@ -464,40 +474,89 @@ def _extreme_doc(drawn):
     return data
 
 
-_STRICT = "which strict JSON records cannot hold"
-
-
-@pytest.mark.parametrize("drawn, args, message", [
-    pytest.param(True, ["run"], rf"ValueError: \$\.result\.outcome\.fees\[0\] is -inf, {_STRICT}",
-                 id="run-nonfinite"),
-    pytest.param(True, ["simulate", "-n", "20"],
-                 rf"ValueError: \$\.result\.mean_seller_cost_bps is nan, {_STRICT}",
-                 id="simulate-nonfinite"),
-    pytest.param(False, ["run"], r"OverflowError: \$\.result\.outcome\.fees\[1\] is an exact "
-                 r"value of \d+ digits, beyond the float range", id="run-exact-overflow"),
+@pytest.mark.parametrize("drawn, args", [
+    pytest.param(True, ["run"], id="run-nonfinite"),
+    pytest.param(True, ["simulate", "-n", "20"], id="simulate-nonfinite"),
+    pytest.param(False, ["run"], id="run-exact-overflow"),
 ])
-def test_cli_records_are_strict_json(drawn, args, message, capsys, tmp_path):
-    """A value JSON cannot hold exits 5 naming its key, writing nothing;
-    the table still prints it."""
+def test_cli_records_are_strict_json(drawn, args, capsys, tmp_path):
+    """A document whose fees JSON cannot hold is past the 1e100 bound: it
+    fails validation at its first such value, and neither format writes
+    anything."""
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps(_extreme_doc(drawn)))
-    assert run_cli(["validate", str(path)], capsys)[0] == 0
-    out = tmp_path / "records.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in simulate
-        code, stdout, err = run_cli([args[0], str(path), *args[1:], "--format", "records",
+    finding = "  - $.brokers[0].valuation_bps: expected a number in [-1e100, 1e100], got 1e+300\n"
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 4
+    assert finding in err
+    out = tmp_path / "out.txt"
+    for fmt in ("records", "table"):
+        code, stdout, err = run_cli([args[0], str(path), *args[1:], "--format", fmt,
                                      "--out", str(out)], capsys)
-        assert (code, stdout) == (5, "")
-        assert re.fullmatch(rf"error: {message}\n", err), err
+        assert (code, stdout) == (4, "")
+        assert finding in err
         assert not out.exists()
-        code, stdout, err = run_cli([args[0], str(path), *args[1:]], capsys)
-    assert code == 0, err
-    assert re.search(r"inf|nan" if drawn else r"[0-9]{300,}", stdout)
+
+
+_ABOVE = int(math.nextafter(1e100, math.inf))  # the next float above 1e100, exactly
+
+
+@pytest.mark.parametrize("keys, at_limit, above, path", [
+    pytest.param(("brokers", 0, "valuation_bps"), "1e100", repr(float(_ABOVE)),
+                 "$.brokers[0].valuation_bps", id="valuation_bps"),
+    pytest.param(("brokers", 0, "valuation_bps"), "-1e100", repr(-float(_ABOVE)),
+                 "$.brokers[0].valuation_bps", id="valuation_bps-negative"),
+    pytest.param(("strategies", "L1", "round2", "ell"), str(10**100), str(_ABOVE),
+                 "$.strategies.L1.round2.ell", id="ell"),
+    # three securities at one price p: the portfolio value is 10 p
+    pytest.param(("portfolio", "agreed_prices"), "[1e99, 1e99, 1e99]",
+                 "[{0}, {0}, {0}]".format(f"{_ABOVE // 10}.{_ABOVE % 10}"),
+                 "$.portfolio", id="portfolio-value"),
+])
+def test_numbers_are_at_most_1e100(keys, at_limit, above, path):
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["strategies"]["L1"]["round2"] = {"kind": "equilibrium", "sigma": 0.001}
+    *parents, last = keys
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = "@"
+    text = json.dumps(data)
+    loads_scenario(text.replace('"@"', at_limit))
+    with pytest.raises(ScenarioValidationError) as exc:
+        loads_scenario(text.replace('"@"', above))
+    assert [e.split(": ")[0] for e in exc.value.errors] == [path]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("rule", ["vcg", "nvcg", "dnvcg"])
+@pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "fixed"])
+def test_documents_at_the_bound_print_finite_numbers(rule, drawn, capsys, tmp_path):
+    """Fees near the largest the bound admits, about 2e115 bps: package
+    weights about 1 and 4.4e-16, L1 valuing its package at 0, L2 and the
+    global at 1e100 bps (the global drawn up to 1e100 or fixed), every
+    round-1 bid at 1e100 bps. Every command exits 0 and prints only finite
+    numbers, and no float engine overflows on the way."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["portfolio"].update(quantities=[2**52, 1, 1], packages=[[2**52, 0, 0], [0, 1, 1]])
+    data["rule"] = rule
+    for b in data["brokers"]:
+        b["valuation_bps"] = 0 if b["id"] == "L1" else 1e100
+        data["strategies"][b["id"]]["round1"] = {"value_bps": 1e100}
+    if drawn:
+        data["distributions"]["global"]["upper_bps"] = 1e100
+    else:
+        del data["distributions"]
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(data))
+    for args in (["run"], ["run", "--format", "records"], ["simulate", "-n", "50"],
+                 ["simulate", "-n", "50", "--format", "records"]):
+        code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
+        assert code == 0, err
+        assert not _NONFINITE.search(out), out
 
 
 @pytest.mark.parametrize("fee_bps, text", [
-    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
-    (1e307, str(int(1e307))), (-1e307, "-" + str(int(1e307))),
     (17.5, "17.5"), (F(-1, 3), "-0.33"), (-0.0, "0"), (0.29, "0.28"),
 ])
 def test_fmt_bps(fee_bps, text):
@@ -702,6 +761,31 @@ def test_cli_sweep_rejects_values_outside_their_domain(term, capsys):
     assert code == 3
     assert out == ""
     assert repr(term.split(";")[-1]) in err
+
+
+@pytest.mark.parametrize("args, where", [
+    pytest.param(["--sweep", "upper_bps=1e-300"], "sweep point shape=2.0, q=2, "
+                 "alpha_bps=20.0, upper_bps=1e-300", id="upper_bps=1e-300"),
+    pytest.param(["--sweep", "shape=1e300"], "sweep point shape=1e+300, q=2, "
+                 "alpha_bps=20.0, upper_bps=40.0", id="shape=1e300"),
+    # a finite bid with an infinite residual
+    pytest.param(["--sweep", "alpha_bps=1e308;upper_bps=1"], "sweep point shape=2.0, q=2, "
+                 "alpha_bps=1e+308, upper_bps=1.0", id="alpha_bps=1e308"),
+    pytest.param([], "the scenario", id="scenario"),
+])
+def test_cli_equilibrium_outside_the_float_range_is_a_validation_error(args, where, capsys,
+                                                                       tmp_path):
+    """A solve that raises an arithmetic error or returns a non-finite bid
+    or residual exits 4 naming its grid point. The scenario-level case is
+    powerlaw with upper_bps 1e90 and shape 4, whose density overflows."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["distributions"]["global"].update(upper_bps=1e90, shape=4)
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(data))
+    scenario = "powerlaw" if args else str(path)
+    code, out, err = run_cli(["equilibrium", scenario, *args], capsys)
+    assert (code, out) == (4, "")
+    assert f"  - {where}: the equilibrium solve leaves the float range (" in err
 
 
 def test_cli_sweep_takes_whole_float_package_counts(capsys):
