@@ -27,7 +27,6 @@ from .mechanism import (
     run_auction,
     run_round1,
     run_round2,
-    serialize_transcript,
     settle_row,
 )
 from .model import (

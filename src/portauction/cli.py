@@ -42,8 +42,6 @@ EXIT_RUNTIME = 5
 
 
 def _load(ref: str):
-    if ref.startswith("builtin:"):
-        return builtin_scenario(ref.split(":", 1)[1])
     try:
         return load_scenario(ref)
     except FileNotFoundError:
@@ -51,6 +49,8 @@ def _load(ref: str):
             return builtin_scenario(ref)
         except FileNotFoundError:
             raise ScenarioParseError(f"no scenario file or builtin named {ref!r}")
+    except OSError as e:
+        raise ScenarioParseError(f"cannot read scenario file {ref!r}: {e.strerror or e}")
 
 
 def _emit(text: str, out_path):
@@ -97,7 +97,9 @@ def _cmd_run(args) -> int:
     k = args.replication
     if k < 0:
         raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
-    t = run_auction(scenario, seed=seed, rule=args.rule, replication=k)
+    if args.rule is not None:
+        scenario = replace(scenario, rule=args.rule)
+    t = run_auction(scenario, seed=seed, replication=k)
     if args.format == "records":
         _emit(_records("run", scenario, seed, transcript_dict(t), replication=k),
               args.out)

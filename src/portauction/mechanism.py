@@ -17,7 +17,6 @@ oracle for the batch kernel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -167,7 +166,7 @@ def run_round2(
     _check_coin(coin)
     locals_ = qualification.qualified_locals
     q = len(locals_)
-    w = pricing._weights(weights)
+    w = tuple(weights)
     if len(w) != q:
         raise ConfigurationError(f"{q} qualified locals for {len(w)} weights")
 
@@ -264,14 +263,13 @@ def settle_row(scenario, profile, u) -> AuctionTranscript:
     )
 
 
-def run_auction(scenario, strategies=None, seed=None, rule=None,
-                replication=0) -> AuctionTranscript:
+def run_auction(scenario, strategies=None, seed=None, replication=0) -> AuctionTranscript:
     """Run both rounds of one auction instance from a scenario: row
     `replication` of the seed's row stream, so the transcript is that
-    replication of simulate(scenario, seed=seed) with the same rule.
+    replication of simulate(scenario, seed=seed).
 
-    strategies/seed/rule default to the scenario's own; rule sets both the
-    pricing rule and the rule equilibrium bids shade under.
+    strategies/seed default to the scenario's own; the scenario's rule is
+    both the pricing rule and the rule equilibrium bids shade under.
     """
     profile = strategies if strategies is not None else scenario.strategies
     if profile is None:
@@ -279,8 +277,6 @@ def run_auction(scenario, strategies=None, seed=None, rule=None,
     if replication < 0:
         raise ConfigurationError(f"replication must be at least 0, got {replication}")
     rng_seed = scenario.seed if seed is None else seed
-    if rule is not None:
-        scenario = replace(scenario, rule=rule)
     u = row(rng_seed, replication, row_width(scenario))
     return replace(settle_row(scenario, profile, u), rng_seed=rng_seed)
 
@@ -320,8 +316,3 @@ def transcript_dict(t: AuctionTranscript) -> dict:
             "diagnostics": t.outcome.diagnostics,
         },
     })
-
-
-def serialize_transcript(t: AuctionTranscript) -> str:
-    """Stable-key-order text form of a transcript, for golden-file tests."""
-    return json.dumps(transcript_dict(t), sort_keys=True, indent=2) + "\n"

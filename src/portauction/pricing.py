@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import WeightVector
-
 RULES = ("vcg", "nvcg", "dnvcg")
 
 FRONTIER_TOL = 1e-9
@@ -42,13 +40,9 @@ class AllocationError(ValueError):
     """The bids do not describe a strict coalition win."""
 
 
-def _weights(w) -> tuple:
-    return tuple(w.weights) if isinstance(w, WeightVector) else tuple(w)
-
-
 def weighted_total(bids2: Sequence, weights) -> object:
     """The coalition's aggregate round-2 bid, sum_i w_i * phi2_i."""
-    w = _weights(weights)
+    w = tuple(weights)
     if len(w) != len(bids2):
         raise ValueError(f"{len(bids2)} bids for {len(w)} weights")
     return sum(wi * bi for wi, bi in zip(w, bids2))
@@ -56,7 +50,7 @@ def weighted_total(bids2: Sequence, weights) -> object:
 
 def vcg_fees(bids2: Sequence, weights, global_bid) -> tuple:
     """Per-local VCG fee; independent of the broker's own bid."""
-    w = _weights(weights)
+    w = tuple(weights)
     total = weighted_total(bids2, w)
     fees = []
     for wi, bi in zip(w, bids2):
@@ -119,7 +113,7 @@ def _core_report(fees, bids2, w, global_bid, cv) -> CoreReport:
 
 def validate_core_point(fees: Sequence, bids2: Sequence, weights, global_bid) -> CoreReport:
     """Check a proposed coalition fee vector against the core constraints."""
-    w = _weights(weights)
+    w = tuple(weights)
     if not (len(fees) == len(bids2) == len(w)):
         raise ValueError("fees, bids, and weights must have equal length")
     return _core_report(fees, bids2, w, global_bid, vcg_fees(bids2, w, global_bid))
@@ -155,7 +149,7 @@ def price(rule: str, bids1, bids2: Sequence, weights, global_bid) -> Pricing:
     round-1 reference bids, is read only by dnvcg."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    w = _weights(weights)
+    w = tuple(weights)
     total = weighted_total(bids2, w)
     if not total < global_bid:
         raise AllocationError(

@@ -88,7 +88,7 @@ def _row(cells, widths):
 
 def _sanity_check_transcript(sc, expected_fees):
     """Cross-check the directly computed fees against a full auction run."""
-    t = run_auction(sc, rule=sc.rule)
+    t = run_auction(sc)
     assert t.outcome.winner == "coalition"
     for got, want in zip(t.outcome.fees, expected_fees):
         assert to_bps(got) == want

@@ -427,7 +427,10 @@ def loads_scenario(text: str, name="") -> ScenarioConfig:
 def load_scenario(path) -> ScenarioConfig:
     """Load and fully validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ScenarioParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     return loads_scenario(text)
 
 

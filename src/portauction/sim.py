@@ -231,22 +231,23 @@ def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceRepor
     base_sum, dev_sum, diff_sum = sums.totals()
 
     mean_diff = diff_sum / n
-    var = 0.0
+    se = 0.0
     if n > 1:
+        # Squares of deviations from 2**512 up leave the float range, so
+        # from 2**500 up the deviations are scaled by a power of two before
+        # squaring and the SE is scaled back.
+        peak = max(max(float(d.max()) - mean_diff, mean_diff - float(d.min())) for d in diffs)
+        scale = 2.0 ** -math.frexp(peak)[1] if peak >= 2.0 ** 500 else 1.0
         squares = ExactSum(1)
         for d in diffs:
-            # Python's ** (C pow) once per distinct difference: numpy's
-            # square rounds differently on a share of values.
-            distinct, index = np.unique(d, return_inverse=True)
-            squared = np.array([(x - mean_diff) ** 2 for x in distinct.tolist()])
-            squares.add([squared[index]])
+            squares.add([np.square((d - mean_diff) * scale)])
         (squares_sum,) = squares.totals()
-        var = squares_sum / (n - 1)
+        se = math.sqrt(squares_sum / (n - 1) / n) / scale
     return DominanceReport(
         broker_id=broker,
         replications=n,
         mean_baseline=base_sum / n,
         mean_deviation=dev_sum / n,
         mean_difference=mean_diff,
-        paired_se=math.sqrt(var / n) if n > 1 else 0.0,
+        paired_se=se,
     )

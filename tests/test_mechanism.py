@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,8 +13,8 @@ from portauction.mechanism import (
     run_auction,
     run_round1,
     run_round2,
-    serialize_transcript,
     settle_row,
+    transcript_dict,
 )
 from portauction.model import ConfigurationError
 from portauction.scenario import builtin_scenario
@@ -243,14 +244,14 @@ def test_run_auction_reproduces_worked_fees():
         ("nvcg", (F(27, 10_000), F(29, 2) / 10_000)),
         ("dnvcg", (F(28, 10_000), F(13, 10_000))),
     ):
-        t = run_auction(sc, rule=rule)
+        t = run_auction(replace(sc, rule=rule))
         assert t.outcome.winner == "coalition"
         assert t.outcome.fees == fees
 
 
 def test_run_auction_table1_scenario():
     sc = builtin_scenario("table1")
-    t = run_auction(sc, rule="dnvcg")
+    t = run_auction(replace(sc, rule="dnvcg"))
     got_bps = tuple(f * 10_000 for f in t.outcome.fees)
     assert got_bps == (F(6719, 279), F(7692, 341), F(232, 9), 25, F(9397, 341))
 
@@ -275,8 +276,8 @@ def test_run_auction_settles_the_asked_replication():
 
 def test_transcript_determinism():
     sc = builtin_scenario("example1")
-    a = serialize_transcript(run_auction(sc, seed=123))
-    b = serialize_transcript(run_auction(sc, seed=123))
+    a = transcript_dict(run_auction(sc, seed=123))
+    b = transcript_dict(run_auction(sc, seed=123))
     assert a == b
     # constant strategies: a different seed only re-labels the transcript
     c = run_auction(sc, seed=124)

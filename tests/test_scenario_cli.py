@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from portauction import __version__, cli
 from portauction.batch import CHUNK
+from portauction.mechanism import run_auction, transcript_dict
 from portauction.model import ModelWarning
 from portauction.pricing import nvcg_fees
 from portauction.scenario import (
@@ -439,6 +441,14 @@ def test_cli_run_records(capsys):
     assert doc["result"]["outcome"]["winner"] == "coalition"
 
 
+def test_cli_run_rule_runs_the_scenario_under_that_rule(capsys):
+    code, out, _ = run_cli(
+        ["run", "example1", "--rule", "dnvcg", "--format", "records"], capsys)
+    assert code == 0
+    scenario = replace(builtin_scenario("example1"), rule="dnvcg")
+    assert json.loads(out)["result"] == transcript_dict(run_auction(scenario))
+
+
 def test_fees_past_the_float_range_fail_validation(capsys, tmp_path):
     """A global drawn up to 1e308 bps, and fixed there in round 1, is past
     the 1e100 bound: every command exits 4 at both JSON paths, printing
@@ -826,6 +836,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(["run", str(invalid)], capsys)
     assert code == 4
     assert "validation error" in err
+
+    # a directory, text that is not UTF-8 and an unknown name are parse errors
+    code, _, err = run_cli(["validate", str(tmp_path)], capsys)
+    assert code == 3
+    assert "cannot read scenario file" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')  # latin-1 text
+    code, _, err = run_cli(["validate", str(latin1)], capsys)
+    assert code == 3
+    assert "not UTF-8 text" in err
+    code, _, err = run_cli(["validate", "builtin:powerlaw"], capsys)
+    assert code == 3
+    assert "no scenario file or builtin named 'builtin:powerlaw'" in err
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # argparse usage error

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 from dataclasses import fields, replace
@@ -459,6 +460,38 @@ def test_compare_strategies_means_are_simulate_means(name):
     assert report.mean_baseline.hex() == base.mean_broker_payoff[broker].hex()
     assert report.mean_deviation.hex() == dev.mean_broker_payoff[broker].hex()
     assert report.mean_difference != 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_paired_se_of_payoffs_near_1e196_is_finite():
+    """Payoffs are package value times fee, so at the 1e100 bound their
+    paired differences square past the float range; the SE is still the
+    exact one over the same differences."""
+    big = 10**100
+    data = json.loads(resources.files("portauction").joinpath(
+        "scenarios/powerlaw.json").read_text())
+    data["portfolio"].update(quantities=[2**52, 1, 1], agreed_prices=[10**84] * 3,
+                             packages=[[2**52, 0, 0], [0, 1, 1]])
+    data["distributions"]["global"]["upper_bps"] = big
+    for broker in data["strategies"].values():
+        broker["round1"] = {"kind": "constant", "value_bps": big}
+    data["strategies"]["L2"]["round2"] = {"kind": "constant", "value_bps": big}
+    sc = scenario_from_dict(data)
+    dev = sc.strategies.with_strategy("L1", round1=Strategy(kind="constant", value=0))
+    n, seed = 200, 1
+    report = compare_strategies(sc, sc.strategies, dev, n, seed)
+
+    kernel = Kernel(sc)
+    col = kernel.ids.index("L1")
+    diffs = [F(x) for b, d in kernel.chunks([sc.strategies, dev], n, seed)
+             for x in (d.payoffs[col] - b.payoffs[col]).tolist()]
+    mean = sum(diffs) / n
+    assert max(abs(x - mean) for x in diffs) >= 2**512  # its square is past the range
+    var = sum((x - mean) ** 2 for x in diffs) / (n - 1) / n
+    with decimal.localcontext(prec=40):
+        want = float((decimal.Decimal(var.numerator) / var.denominator).sqrt())
+    assert math.isfinite(report.paired_se)
+    assert report.paired_se == pytest.approx(want, rel=1e-12)
 
 
 _SPECIAL_FLOATS = st.sampled_from(
