@@ -41,6 +41,10 @@ CHUNK = 8192
 # A seed is a Philox key: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**128
 
+# Philox4x64 steps a 256-bit counter and makes four doubles a step, so a
+# seed's stream repeats after PERIOD doubles.
+PERIOD = 2**258
+
 # ExactSum sums a chunk of at least EXTRACT_MIN values (streams x rows) by
 # extraction and a smaller one through math.fsum. Extraction costs a fixed
 # 35-45 us a chunk plus about 5 ns a value; the fsum route about 40 ns a

@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, reproduce
-from .batch import SEED_LIMIT
+from .batch import PERIOD, SEED_LIMIT, row_width
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
 from .mechanism import run_auction, transcript_dict
 from .model import ConfigurationError
@@ -97,6 +97,9 @@ def _cmd_run(args) -> int:
     k = args.replication
     if k < 0:
         raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
+    if k >= PERIOD // row_width(scenario):
+        raise ScenarioParseError(f"--replication must be below 2**258 // {row_width(scenario)}, "
+                                 f"past which the seed's Philox stream repeats, got {k}")
     if args.rule is not None:
         scenario = replace(scenario, rule=args.rule)
     t = run_auction(scenario, seed=seed, replication=k)
@@ -218,50 +221,40 @@ def _solve(where, dist, alpha_bps, weights, rule):
 
 def _cmd_equilibrium(args) -> int:
     scenario = _load(args.scenario)
-    rule = args.rule or scenario.rule
-    if rule == "vcg":
-        rule = "nvcg"
+    rule = "nvcg" if scenario.rule == "vcg" else scenario.rule  # as equilibrium bids read it
     dist = scenario.distributions.get("global")
     if dist is None:
-        raise ScenarioValidationError(
-            ["equilibrium analysis needs a global value distribution"]
-        )
+        raise ScenarioValidationError(["equilibrium analysis needs a global value distribution"])
+    grid = _parse_sweep(args.sweep) if args.sweep else {}
+    # Every solve starts from alpha_bps: swept, or the locals' common valuation.
+    valuations = sorted({float(to_bps(b.valuation)) for b in scenario.brokers
+                         if b.role == "local"})
+    if len(valuations) != 1 and "alpha_bps" not in grid:
+        raise ScenarioValidationError([f"the locals' valuations {valuations} bps differ: "
+                                       "equilibrium needs one, or a swept alpha_bps="])
+    alphas = grid.get("alpha_bps", valuations)
 
-    rows = []
-    if args.sweep:
-        grid = _parse_sweep(args.sweep)
-        base_upper = to_bps(dist.upper) if dist.kind == "power-law" else None
-        base_shape = dist.shape if dist.kind == "power-law" else None
-        alphas = [float(to_bps(b.valuation)) for b in scenario.brokers if b.role == "local"]
-        default_alpha = alphas[0] if alphas else 0.0
-        for shape, q, alpha_bps, upper_bps in itertools.product(
-            grid.get("shape", [base_shape]),
-            grid.get("q", [scenario.portfolio.q]),
-            grid.get("alpha_bps", [default_alpha]),
-            grid.get("upper_bps", [base_upper]),
-        ):
-            if shape is None or upper_bps is None:
-                raise ScenarioValidationError(
-                    ["sweep needs a power-law global distribution or explicit "
-                     "shape=/upper_bps= terms"]
-                )
-            d = ValueDistribution.power_law(upper=upper_bps, shape=shape)
-            sol = _solve(f"sweep point shape={shape}, q={q}, alpha_bps={alpha_bps}, "
-                         f"upper_bps={upper_bps}", d, alpha_bps, [1.0 / q] * q, rule)
-            rows.append([rule, shape, q, alpha_bps, sol.bid, sol.residual,
-                         sol.converged, sol.iterations])
+    # (where, distribution in bps, weights, shape, q, alpha_bps) of each solve
+    if not args.sweep:
+        points = [("the scenario", dist.scaled(10_000), [float(w) for w in scenario.weights],
+                   dist.shape, scenario.portfolio.q, alphas[0])]
+    elif dist.kind != "power-law" and not {"shape", "upper_bps"} <= grid.keys():
+        raise ScenarioValidationError(["sweep needs a power-law global distribution or "
+                                       "explicit shape=/upper_bps= terms"])
     else:
-        alphas = {float(to_bps(b.valuation)) for b in scenario.brokers if b.role == "local"}
-        if len(alphas) != 1:
-            raise ScenarioValidationError(
-                ["scenario-level equilibrium needs identical local valuations; "
-                 "use --sweep for grids"]
-            )
-        alpha_bps = alphas.pop()
-        d = dist.scaled(10_000)  # solve in bps space to match alpha_bps
-        sol = _solve("the scenario", d, alpha_bps, [float(w) for w in scenario.weights], rule)
-        rows.append([rule, dist.shape, scenario.portfolio.q, alpha_bps,
-                     sol.bid, sol.residual, sol.converged, sol.iterations])
+        points = [
+            (f"sweep point shape={shape}, q={q}, alpha_bps={alpha_bps}, upper_bps={upper_bps}",
+             ValueDistribution.power_law(upper=upper_bps, shape=shape), [1.0 / q] * q,
+             shape, q, alpha_bps)
+            for shape, q, alpha_bps, upper_bps in itertools.product(
+                grid.get("shape") or [dist.shape], grid.get("q") or [scenario.portfolio.q],
+                alphas, grid.get("upper_bps") or [to_bps(dist.upper)])
+        ]
+    rows = []
+    for where, d, weights, shape, q, alpha_bps in points:
+        sol = _solve(where, d, alpha_bps, weights, rule)
+        rows.append([rule, shape, q, alpha_bps, sol.bid, sol.residual, sol.converged,
+                     sol.iterations])
 
     header = ["rule", "shape", "q", "alpha_bps", "bid_bps", "residual", "converged",
               "iterations"]
@@ -343,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parameter grid, e.g. 'shape=1.5,2,3;q=2,3,5;alpha_bps=40'",
     )
-    p.add_argument("--rule", choices=("nvcg", "dnvcg"), default=None)
     p.set_defaults(fn=_cmd_equilibrium)
 
     p = sub.add_parser("reproduce", help="recompute a bundled worked example")

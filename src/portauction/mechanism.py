@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import pricing, sim
-from .batch import row, row_width
+from .batch import PERIOD, row, row_width
 from .model import ConfigurationError
 
 
@@ -206,13 +206,16 @@ def run_round2(
     )
 
 
-def settle_row(scenario, profile, u) -> AuctionTranscript:
-    """Settle one auction of the scenario under the strategy profile on one
+def settle_row(scenario, u) -> AuctionTranscript:
+    """Settle one auction of the scenario under its strategies on one
     row u of uniforms in the batch.row_width layout: the row fixes the
     drawn valuations (sim.resolve_bids), the q+1 round-1 tie coins and the
     allocation tie coin. Round-2 bids are clamped into [0, round-1 bid];
     any clamping is flagged in the outcome diagnostics. rng_seed is left
     None."""
+    profile = scenario.strategies
+    if profile is None:
+        raise ConfigurationError("no strategy profile supplied")
     u = [float(x) for x in u]  # quantiles on Python floats, as in the kernel
     rule = scenario.rule
     q = scenario.portfolio.q
@@ -221,7 +224,7 @@ def settle_row(scenario, profile, u) -> AuctionTranscript:
     if len(u) != width:
         raise ConfigurationError(f"a row of {len(u)} uniforms for width {width}")
 
-    values, round1 = sim.resolve_bids(scenario, profile, u)
+    values, round1 = sim.resolve_bids(scenario, u)
     package_bids = [{} for _ in range(q)]
     global_bids = {}
     for b in scenario.brokers:
@@ -263,22 +266,19 @@ def settle_row(scenario, profile, u) -> AuctionTranscript:
     )
 
 
-def run_auction(scenario, strategies=None, seed=None, replication=0) -> AuctionTranscript:
+def run_auction(scenario, seed=None, replication=0) -> AuctionTranscript:
     """Run both rounds of one auction instance from a scenario: row
     `replication` of the seed's row stream, so the transcript is that
     replication of simulate(scenario, seed=seed).
 
-    strategies/seed default to the scenario's own; the scenario's rule is
-    both the pricing rule and the rule equilibrium bids shade under.
+    seed defaults to the scenario's own; the scenario's rule is both the
+    pricing rule and the rule equilibrium bids shade under.
     """
-    profile = strategies if strategies is not None else scenario.strategies
-    if profile is None:
-        raise ConfigurationError("no strategy profile supplied")
-    if replication < 0:
-        raise ConfigurationError(f"replication must be at least 0, got {replication}")
+    width = row_width(scenario)
+    if not 0 <= replication < PERIOD // width:  # a later row would repeat an earlier one
+        raise ConfigurationError(f"replication {replication} is outside [0, 2**258 // {width})")
     rng_seed = scenario.seed if seed is None else seed
-    u = row(rng_seed, replication, row_width(scenario))
-    return replace(settle_row(scenario, profile, u), rng_seed=rng_seed)
+    return replace(settle_row(scenario, row(rng_seed, replication, width)), rng_seed=rng_seed)
 
 
 def _jsonable(x):

@@ -288,8 +288,13 @@ def _portfolio(data, errors):
 
 
 def _brokers(data, q, errors):
+    """The brokers that build. The cross-checks read every entry's id and
+    role as written, so an entry that fails to build adds no other finding."""
     brokers, seen = [], set()
     for i, entry in enumerate(data):
+        if entry["id"] in seen:
+            errors.append(f"$.brokers[{i}]: duplicate broker id {entry['id']!r}")
+        seen.add(entry["id"])
         try:
             broker = BrokerProfile(
                 id=entry["id"],
@@ -300,9 +305,6 @@ def _brokers(data, q, errors):
         except ConfigurationError as e:
             errors.append(f"$.brokers[{i}]: {e}")
             continue
-        if broker.id in seen:
-            errors.append(f"$.brokers[{i}]: duplicate broker id {broker.id!r}")
-        seen.add(broker.id)
         if broker.role == "local" and broker.package_index >= q:
             errors.append(f"$.brokers[{i}]: package_index {broker.package_index} out of range "
                           f"(portfolio has {q} packages)")
@@ -310,7 +312,7 @@ def _brokers(data, q, errors):
     covered = {b.package_index for b in brokers if b.role == "local"}
     errors.extend(f"$.brokers: package {j} has no local bidder"
                   for j in range(q) if j not in covered)
-    if not any(b.role == "global" for b in brokers):
+    if not any(entry["role"] == "global" for entry in data):
         errors.append("$.brokers: no global broker")
     return tuple(brokers)
 
@@ -344,10 +346,11 @@ def _strategy(data):
     )
 
 
-def _check_strategies(profile, brokers, weights, errors):
-    """Strategies match brokers one to one, and an equilibrium bid shades by
-    a local's weight, with a prudent set that holds the bidder."""
-    ids = {b.id for b in brokers}
+def _check_strategies(profile, entries, brokers, weights, errors):
+    """Strategies match the written broker entries one to one, and an
+    equilibrium bid shades by a local's weight, with a prudent set that
+    holds the bidder."""
+    ids = {entry["id"] for entry in entries}
     errors.extend(f"$.strategies: unknown broker id {bid!r}"
                   for bid in profile.brokers if bid not in ids)
     for b in brokers:
@@ -394,7 +397,7 @@ def scenario_from_dict(data: dict, name="", digest="") -> ScenarioConfig:
                                 round2=_strategy(rounds["round2"]))
             for bid, rounds in data["strategies"].items()})
         if brokers:
-            _check_strategies(strategies, brokers, weights, errors)
+            _check_strategies(strategies, data["brokers"], brokers, weights, errors)
     if errors:
         raise ScenarioValidationError(errors)
 

@@ -108,10 +108,11 @@ def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q, *, 
     return raw if raw > 0 else 0 * raw
 
 
-def resolve_bids(scenario, profile, u):
+def resolve_bids(scenario, u):
     """(valuations, round-1 bids) by broker id for one row u of uniforms
-    in the batch.row_width layout, as the batch kernel maps a row. A
-    broker's fixed valuation is kept when its role has no distribution."""
+    in the batch.row_width layout under the scenario's strategies, as the
+    batch kernel maps a row. A broker's fixed valuation is kept when its
+    role has no distribution."""
     rule, q, weights = scenario.rule, scenario.portfolio.q, scenario.weights
     dist_l = scenario.distributions.get("local")
     dist_g = scenario.distributions.get("global")
@@ -127,8 +128,8 @@ def resolve_bids(scenario, profile, u):
             dist, col, weight = dist_g, n_local + gi, None
             gi += 1
         values[b.id] = b.valuation if dist is None else dist.quantile(u[col])
-        round1[b.id] = strategy_bid(profile[b.id].round1, values[b.id], None, weight, rule, q,
-                                    broker=b.id)
+        round1[b.id] = strategy_bid(scenario.strategies[b.id].round1, values[b.id], None,
+                                    weight, rule, q, broker=b.id)
     return values, round1
 
 
@@ -144,18 +145,18 @@ class SimMetrics:
     seed: object
 
 
-def simulate(scenario, profile=None, n=None, seed=None):
-    """Run n independent auctions and aggregate the outcomes.
+def simulate(scenario, n=None, seed=None):
+    """Run n independent auctions of the scenario under its strategies and
+    aggregate the outcomes.
 
-    Deterministic for fixed (scenario, profile, n, seed). The batch
+    Deterministic for fixed (scenario, n, seed). The batch
     kernel settles the replications a chunk of rows at a time. One
     ExactSum takes each chunk's seller costs and payoffs together, by
     extraction when the chunk is wide and through math.fsum otherwise;
     either way every mean equals math.fsum over every replication, so
     neither the chunking nor the aggregation route can change results.
     """
-    profile = profile if profile is not None else scenario.strategies
-    if profile is None:
+    if scenario.strategies is None:
         raise ConfigurationError("no strategy profile supplied")
     n = n if n is not None else scenario.replications
     seed = seed if seed is not None else scenario.seed
@@ -165,7 +166,7 @@ def simulate(scenario, profile=None, n=None, seed=None):
     gaps_max = 0.0
     sums = ExactSum(1 + len(kernel.ids))  # seller cost, then each payoff
 
-    for (b,) in kernel.chunks([profile], n, seed):
+    for (b,) in kernel.chunks([scenario.strategies], n, seed):
         wins += int(np.count_nonzero(b.won))
         violations += int(np.count_nonzero(b.violations))
         clamped += b.clamped

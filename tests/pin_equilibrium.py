@@ -108,11 +108,9 @@ def _residual_cases():
     ]
 
 
-def sweep_csv(rule=None) -> bytes:
+def sweep_csv() -> bytes:
     """The bytes `portauction equilibrium powerlaw --sweep SWEEP_GRID` writes."""
     argv = ["equilibrium", "powerlaw", "--sweep", SWEEP_GRID]
-    if rule is not None:
-        argv += ["--rule", rule]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "sweep.csv")
         with contextlib.redirect_stderr(io.StringIO()):
@@ -136,9 +134,7 @@ def compute_pins() -> dict:
         }
     for name, args, kwargs in _residual_cases():
         pins[f"residual:{name}"] = float(optimality_residual(*args, **kwargs)).hex()
-    for rule in (None, "nvcg"):
-        label = rule or "scenario-rule"
-        pins[f"sweep-csv:{label}"] = hashlib.sha256(sweep_csv(rule)).hexdigest()
+    pins["sweep-csv:scenario-rule"] = hashlib.sha256(sweep_csv()).hexdigest()
     return pins
 
 

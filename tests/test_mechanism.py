@@ -259,16 +259,16 @@ def test_run_auction_table1_scenario():
 def test_settle_row_takes_a_full_row():
     sc = builtin_scenario("example1")  # 3 brokers, 2 packages: width 7
     assert row_width(sc) == 7
-    assert settle_row(sc, sc.strategies, [0.5] * 7).outcome.winner == "coalition"
+    assert settle_row(sc, [0.5] * 7).outcome.winner == "coalition"
     for width in (6, 8):
         with pytest.raises(ConfigurationError, match="row of"):
-            settle_row(sc, sc.strategies, [0.5] * width)
+            settle_row(sc, [0.5] * width)
 
 
 def test_run_auction_settles_the_asked_replication():
     sc = builtin_scenario("powerlaw")
     u = next(row_chunks(sc.seed, 3, row_width(sc)))[2]
-    assert run_auction(sc, replication=2).outcome == settle_row(sc, sc.strategies, u).outcome
+    assert run_auction(sc, replication=2).outcome == settle_row(sc, u).outcome
     assert run_auction(sc, replication=2).outcome != run_auction(sc).outcome
     with pytest.raises(ConfigurationError, match="replication"):
         run_auction(sc, replication=-1)

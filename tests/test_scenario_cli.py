@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from portauction import __version__, cli
 from portauction.batch import CHUNK
 from portauction.mechanism import run_auction, transcript_dict
-from portauction.model import ModelWarning
+from portauction.model import ConfigurationError, ModelWarning
 from portauction.pricing import nvcg_fees
 from portauction.scenario import (
     ScenarioParseError,
@@ -26,6 +26,7 @@ from portauction.scenario import (
     loads_scenario,
     scenario_from_dict,
 )
+from portauction.sim import simulate
 from portauction.units import fmt_bps
 
 import pin_simulate
@@ -227,6 +228,18 @@ def test_booleans_and_counts_are_not_coerced(key, value):
                  "$.portfolio.anticipated_prices", id="anticipated_prices-short"),
     pytest.param(("portfolio", "anticipated_prices"), [1, -1, 1],
                  "$.portfolio.anticipated_prices[1]", id="anticipated_prices-negative"),
+    pytest.param(("portfolio", "quantities"), [6, 3], "$.portfolio", id="quantities-short"),
+    pytest.param(("portfolio", "packages"), [], "$.portfolio", id="packages-empty"),
+    pytest.param(("portfolio", "packages"), [[6, 0, 0], [0, 3, 1], [0, 0, 0]], "$.portfolio",
+                 id="packages-all-zero"),
+    pytest.param(("brokers", 1, "id"), "L1", "$.brokers[1]", id="duplicate-id"),
+    pytest.param(("brokers", 2), {"id": "G", "role": "local", "package_index": 1},
+                 "$.brokers", id="no-global"),
+    pytest.param(("distributions", "local"), {"kind": "uniform", "lower_bps": 30,
+                                              "upper_bps": 10},
+                 "$.distributions.local", id="uniform-upper-below-lower"),
+    pytest.param(("distributions", "global"), {"upper_bps": 40, "shape": 2},
+                 "$.distributions.global", id="distribution-without-kind"),
 ])
 def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, capsys):
     data = json.loads(resources.files("portauction").joinpath("scenarios/powerlaw.json")
@@ -244,6 +257,21 @@ def test_malformed_values_fail_at_their_json_path(keys, value, path, tmp_path, c
     code, _, err = run_cli(["validate", str(bad)], capsys)
     assert code == 4
     assert f"- {path}: " in err
+
+
+@pytest.mark.parametrize("index, edit, findings", [
+    (2, {"package_index": 0}, ["$.brokers[2]: global broker 'G' must not reference a package"]),
+    (0, {"package_index": None}, ["$.brokers[0]: local broker 'L1' must reference exactly one "
+                                  "package", "$.brokers: package 0 has no local bidder"]),
+])
+def test_a_broker_that_fails_to_build_adds_no_other_finding(index, edit, findings):
+    """The cross-checks read each entry's id and role as written: the
+    global still counts as a global, and its strategy's id is known."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    data["brokers"][index].update(edit)
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(data)
+    assert list(exc.value.errors) == findings
 
 
 def _positions(node, path=()):
@@ -677,6 +705,23 @@ def test_cli_run_replication_table_and_bounds(capsys):
     assert "--replication" in err
 
 
+def test_replication_past_the_philox_period_is_rejected(capsys):
+    """Philox's 256-bit counter wraps after 2**258 doubles, so powerlaw's
+    rows of 7 end at 2**258 // 7: the next would replay row 0's draws."""
+    last = 2**258 // 7 - 1
+    sc = builtin_scenario("powerlaw")
+    assert run_auction(sc, replication=last).rng_seed == sc.seed
+    with pytest.raises(ConfigurationError, match="replication"):
+        run_auction(sc, replication=last + 1)
+    code, out, err = run_cli(["run", "powerlaw", "--replication", str(last),
+                              "--format", "records"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["replication"] == last
+    code, out, err = run_cli(["run", "powerlaw", "--replication", str(last + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert "--replication" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_cli_simulate_count_below_one_is_a_parse_error(count, capsys):
     code, out, err = run_cli(["simulate", "powerlaw", "-n", count], capsys)
@@ -837,6 +882,12 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 4
     assert "validation error" in err
 
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    code, _, err = run_cli(["validate", str(not_object)], capsys)
+    assert code == 3
+    assert "top-level value must be an object" in err
+
     # a directory, text that is not UTF-8 and an unknown name are parse errors
     code, _, err = run_cli(["validate", str(tmp_path)], capsys)
     assert code == 3
@@ -859,6 +910,102 @@ def test_cli_exit_codes(capsys, tmp_path):
         capsys,
     )
     assert code == 5  # runtime failure (unwritable output path)
+
+
+def test_cli_simulate_rule_simulates_the_scenario_under_that_rule(capsys):
+    code, out, err = run_cli(["simulate", "powerlaw", "--rule", "vcg", "-n", "300",
+                              "--format", "records"], capsys)
+    assert code == 0, err
+    sc = builtin_scenario("powerlaw")
+    m = simulate(replace(sc, rule="vcg"), n=300, seed=sc.seed)
+    assert json.loads(out)["result"] == {
+        "rule": "vcg",
+        "replications": 300,
+        "coalition_win_rate": m.coalition_win_rate,
+        "mean_seller_cost_bps": m.mean_seller_cost * 10_000,
+        "core_violation_count": m.core_violation_count,
+        "frontier_gap_max": m.frontier_gap_max,
+        "clamped_round2_count": m.clamped_round2_count,
+        "mean_broker_payoff": m.mean_broker_payoff,
+    }
+
+
+def _powerlaw_file(tmp_path, **changes):
+    """A copy of powerlaw with the given top-level keys replaced."""
+    path = tmp_path / "powerlaw-changed.json"
+    path.write_text(json.dumps({**_BUNDLED["powerlaw"], **changes}))
+    return str(path)
+
+
+def test_cli_simulate_without_strategies_is_a_validation_error(capsys, tmp_path):
+    path = _powerlaw_file(tmp_path, strategies=None)
+    code, out, err = run_cli(["simulate", path, "-n", "10"], capsys)
+    assert (code, out) == (4, "")
+    assert "no strategy profile supplied" in err
+
+
+def test_cli_equilibrium_solves_the_scenario_point(capsys):
+    """Without --sweep: powerlaw's own distribution, weights and common
+    local valuation, 20 bps, where the symmetric bid is truthful."""
+    code, out, err = run_cli(["equilibrium", "powerlaw"], capsys)
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert header == "rule,shape,q,alpha_bps,bid_bps,residual,converged,iterations"
+    assert len(rows) == 1
+    rule, shape, q, alpha, bid, _, converged, _ = rows[0].split(",")
+    assert (rule, shape, q, alpha, float(bid), converged) == \
+        ("dnvcg", "2.0", "2", "20.0", 20.0, "True")
+    code, out, err = run_cli(["equilibrium", "powerlaw", "--format", "records"], capsys)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["rule"] == "dnvcg"
+    assert [(r["bid_bps"], r["converged"]) for r in result["rows"]] == [(20.0, True)]
+
+
+@pytest.mark.parametrize("term, named", [
+    ("shape", "'shape'"), ("foo=1", "'foo'"), ("shape=x", "'shape=x'"),
+    ("shape=", "'shape='"), (";", "sweep grid is empty"),
+])
+def test_cli_sweep_parse_errors_name_the_term(term, named, capsys):
+    code, out, err = run_cli(["equilibrium", "powerlaw", "--sweep", term], capsys)
+    assert (code, out) == (3, "")
+    assert named in err
+
+
+@pytest.mark.parametrize("args", [[], ["--sweep", "shape=2,3"]])
+def test_cli_equilibrium_reads_vcg_as_nvcg(args, capsys, tmp_path):
+    path = _powerlaw_file(tmp_path, rule="vcg")
+    code, out, err = run_cli(["equilibrium", path, *args, "--format", "records"], capsys)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["rule"] == "nvcg"
+    assert {r["rule"] for r in result["rows"]} == {"nvcg"}
+
+
+def test_cli_sweep_over_a_uniform_global_needs_shape_and_upper(capsys, tmp_path):
+    path = _powerlaw_file(tmp_path, distributions={
+        "global": {"kind": "uniform", "lower_bps": 0, "upper_bps": 40}})
+    for sweep in ("q=2,3", "shape=2", "upper_bps=40"):
+        code, out, err = run_cli(["equilibrium", path, "--sweep", sweep], capsys)
+        assert (code, out) == (4, "")
+        assert "shape=/upper_bps=" in err
+    code, out, err = run_cli(["equilibrium", path, "--sweep", "shape=2;upper_bps=40"], capsys)
+    assert code == 0, err
+
+
+def test_cli_equilibrium_starts_from_the_common_local_valuation(capsys, tmp_path):
+    """Every solve starts from the locals' one valuation unless alpha_bps=
+    is swept, so locals at 20 and 25 bps need a swept alpha_bps."""
+    brokers = json.loads(json.dumps(_BUNDLED["powerlaw"]["brokers"]))
+    brokers[1]["valuation_bps"] = 25
+    path = _powerlaw_file(tmp_path, brokers=brokers)
+    for args in ([], ["--sweep", "shape=2,3"], ["--sweep", "q=3"]):
+        code, out, err = run_cli(["equilibrium", path, *args], capsys)
+        assert (code, out) == (4, "")
+        assert "[20.0, 25.0]" in err and "alpha_bps" in err
+    code, out, err = run_cli(["equilibrium", path, "--sweep", "shape=2;alpha_bps=20"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("dnvcg,2.0,2,20.0,")
 
 
 def test_cli_equilibrium_needs_distribution(capsys):

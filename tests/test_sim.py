@@ -280,9 +280,9 @@ def test_equilibrium_strategy_on_a_global_broker_is_rejected():
     for rounds in ({"round1": eq}, {"round2": eq}):
         profile = sc.strategies.with_strategy("G", **rounds)
         with pytest.raises(ConfigurationError, match="'G' is a global broker"):
-            simulate(sc, profile=profile, n=10, seed=0)
+            simulate(replace(sc, strategies=profile), n=10, seed=0)
         with pytest.raises(ConfigurationError, match="'G' is a global broker"):
-            run_auction(sc, strategies=profile, seed=0)
+            run_auction(replace(sc, strategies=profile), seed=0)
         with pytest.raises(ConfigurationError, match="'G' is a global broker"):
             compare_strategies(sc, sc.strategies, profile, n=10, seed=0)
     with pytest.raises(ConfigurationError, match="'G' is a global broker"):
@@ -295,9 +295,9 @@ def test_round2_bids_respect_round1_cap():
     profile = sc.strategies.with_strategy(
         "L1", round2=Strategy(kind="constant", value=F(50, 10_000))
     )
-    metrics = simulate(sc, profile=profile, n=200, seed=2)
+    metrics = simulate(replace(sc, strategies=profile), n=200, seed=2)
     assert metrics.clamped_round2_count == 200
-    t = run_auction(sc, strategies=profile, seed=2)
+    t = run_auction(replace(sc, strategies=profile), seed=2)
     assert t.ledger.round2["L1"] == t.ledger.round1["L1"]
     assert "clamped_round2_bids" in t.outcome.diagnostics
 
@@ -411,7 +411,7 @@ def test_settle_row_matches_the_kernel(name, config, seed):
     w = config.weights.weights
     clamped = {}
     for k in rows:
-        t = settle_row(config, config.strategies, u[k])
+        t = settle_row(config, u[k])
         o = t.outcome
         assert (o.winner == "coalition") is details["won"][k], k
         g2 = t.ledger.round2[t.qualification.qualified_global]
@@ -455,8 +455,8 @@ def test_compare_strategies_means_are_simulate_means(name):
             "L1", round2=Strategy(kind="offset", offset=F(4, 10_000)))
     n, seed = CHUNK + 5, 12
     report = compare_strategies(config, config.strategies, deviation, n, seed)
-    base = simulate(config, profile=config.strategies, n=n, seed=seed)
-    dev = simulate(config, profile=deviation, n=n, seed=seed)
+    base = simulate(config, n=n, seed=seed)
+    dev = simulate(replace(config, strategies=deviation), n=n, seed=seed)
     assert report.mean_baseline.hex() == base.mean_broker_payoff[broker].hex()
     assert report.mean_deviation.hex() == dev.mean_broker_payoff[broker].hex()
     assert report.mean_difference != 0.0
