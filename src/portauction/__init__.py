@@ -12,7 +12,6 @@ from .equilibrium import (
     HazardPoint,
     ValueDistribution,
     equilibrium_bid,
-    expected_vcg_fee,
     hazard_point,
     optimality_residual,
     solve_symmetric_equilibrium,

@@ -32,6 +32,7 @@ import numpy as np
 
 from .equilibrium import equilibrium_shading
 from .model import ConfigurationError
+from .pricing import RULES
 
 # Replications are drawn and settled CHUNK rows at a time, so a chunk's
 # arrays stay the same size whatever n is (compare_strategies keeps one
@@ -220,6 +221,8 @@ class Kernel:
     """
 
     def __init__(self, scenario):
+        if scenario.rule not in RULES:
+            raise ConfigurationError(f"unknown pricing rule {scenario.rule!r}")
         self.rule = scenario.rule
         self.w = tuple(float(x) for x in scenario.weights)
         self.q = len(self.w)

@@ -186,6 +186,8 @@ def _parse_sweep(expr: str) -> dict:
         key = key.strip()
         if key not in _SWEEP_DOMAINS:
             raise ScenarioParseError(f"unknown sweep parameter {key!r}")
+        if key in grid:
+            raise ScenarioParseError(f"sweep parameter {key!r} repeated in term {part!r}")
         try:
             parsed = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:

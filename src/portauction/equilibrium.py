@@ -321,22 +321,3 @@ def solve_symmetric_equilibrium(
         iterations=it,
     )
 
-
-def expected_vcg_fee(
-    dist: ValueDistribution,
-    own_weight,
-    others_weighted_sum,
-    round1_global_cap=None,
-    n: int = 100_000,
-    seed: int = 0,
-):
-    """Monte Carlo expectation of a local's VCG fee over the global's value.
-
-    The global is assumed to play its dominant strategy, bidding its value
-    capped at its own round-1 bid.
-    """
-    values = dist.quantiles(np.random.Generator(np.random.Philox(key=seed)).random(n))
-    if round1_global_cap is not None:
-        values = np.minimum(values, float(round1_global_cap))
-    fees = np.maximum(0.0, (values - float(others_weighted_sum)) / float(own_weight))
-    return float(fees.mean())

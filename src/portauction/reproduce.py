@@ -1,11 +1,11 @@
 """One-command reproduction of the bundled worked examples.
 
-Each target recomputes its numbers through the full engine (builtin
-scenario -> mechanism -> pricing rules) and renders them next to the
-bundled reference values. Reference tables truncate fees at two decimals,
-so displays here truncate too; machine-readable records keep full
-precision. Known internal inconsistencies in the reference tables are
-annotated, never silently patched.
+Each target runs its builtin scenario through run_auction, reads the bids
+from the transcript's ledger, prices them under every rule and renders the
+fees next to the bundled reference values. Reference tables truncate fees
+at two decimals, so displays here truncate too; machine-readable records
+keep full precision. Known internal inconsistencies in the reference
+tables are annotated, never silently patched.
 """
 
 from __future__ import annotations
@@ -51,29 +51,26 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _inputs(sc):
-    """Round-1/round-2 bids (bps, exact) of a bundled scenario's fixed strategies."""
-    locals_ = [b for b in sc.brokers if b.role == "local"]
-    locals_.sort(key=lambda b: b.package_index)
-    g = next(b for b in sc.brokers if b.role == "global")
-    bids1 = tuple(to_bps(sc.strategies[b.id].round1.value) for b in locals_)
-    bids2 = tuple(to_bps(sc.strategies[b.id].round2.value) for b in locals_)
-    g1 = to_bps(sc.strategies[g.id].round1.value)
-    g2 = to_bps(sc.strategies[g.id].round2.value)
-    return locals_, bids1, bids2, g1, g2
-
-
 def _fee_table(name):
+    """The bundled scenario's bids (bps, exact), read from run_auction's
+    transcript, and each rule's fees on them. The tables assume a coalition
+    win."""
     sc = builtin_scenario(name)
-    locals_, bids1, bids2, g1, g2 = _inputs(sc)
+    t = run_auction(sc)
+    assert t.outcome.winner == "coalition"
+    ids = t.qualification.qualified_locals  # in package order
+    g = t.qualification.qualified_global
+    bids1 = tuple(to_bps(t.ledger.round1[b]) for b in ids)
+    bids2 = tuple(to_bps(t.ledger.round2[b]) for b in ids)
+    g2 = to_bps(t.ledger.round2[g])
     w = sc.weights
     return {
         "scenario": sc,
-        "ids": tuple(b.id for b in locals_),
+        "ids": ids,
         "weights": tuple(w),
         "bids1": bids1,
         "bids2": bids2,
-        "global_bid1": g1,
+        "global_bid1": to_bps(t.ledger.round1[g]),
         "global_bid2": g2,
         "total": weighted_total(bids2, w),
         "vcg": vcg_fees(bids2, w, g2),
@@ -86,20 +83,11 @@ def _row(cells, widths):
     return "  ".join(str(c).ljust(wd) for c, wd in zip(cells, widths)).rstrip()
 
 
-def _sanity_check_transcript(sc, expected_fees):
-    """Cross-check the directly computed fees against a full auction run."""
-    t = run_auction(sc)
-    assert t.outcome.winner == "coalition"
-    for got, want in zip(t.outcome.fees, expected_fees):
-        assert to_bps(got) == want
-
-
 def reproduce_example1() -> Report:
     tab = _fee_table("example1")
     sc = tab["scenario"]
     d = tab["dnvcg"]
     rules = {"vcg": tab["vcg"], "nvcg": tab["nvcg"], "dnvcg": d.fees}
-    _sanity_check_transcript(sc, tab["nvcg"])
 
     lines = [
         "reproduction: example1",
@@ -138,7 +126,7 @@ def reproduce_example1() -> Report:
             r: float(weighted_total(fees, tab["weights"])) for r, fees in rules.items()
         },
         "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
-        "delta_bps": float(weighted_total(tab["vcg"], tab["weights"]) - tab["global_bid2"]),
+        "delta_bps": float(d.delta),
     }
     return Report(target="example1", lines=tuple(lines), records=records)
 
@@ -167,7 +155,6 @@ def reproduce_example2() -> Report:
             f"[{ref['global_interval_table'][0]:g}, {ref['global_interval_table'][1]:g}] "
             f"(lower endpoint is the coalition total {fmt_bps(tab['total'])})"
         )
-    _sanity_check_transcript(sc, tab["nvcg"])
 
     lines = [
         "reproduction: example2",
@@ -204,7 +191,7 @@ def reproduce_example2() -> Report:
         )
     )
     lines.append("")
-    lines.append(f"delta: {fmt_bps(weighted_total(tab['vcg'], tab['weights']) - tab['global_bid2'])}")
+    lines.append(f"delta: {fmt_bps(d.delta)}")
     lines.append(
         "overbid deviations: "
         + ", ".join(f"{tab['ids'][j]}={fmt_bps(d.deviations[j])}" for j in d.q_up)
@@ -232,7 +219,7 @@ def reproduce_example2() -> Report:
         "dnvcg_bps": [float(f) for f in d.fees],
         "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
         "global_interval_bps": [gi[0], gi[1]],
-        "delta_bps": float(weighted_total(tab["vcg"], tab["weights"]) - tab["global_bid2"]),
+        "delta_bps": float(d.delta),
         "overbidders": list(d.q_up),
         "bonus_bps": float(d.bonus),
         "annotations": annotations,

@@ -1,5 +1,7 @@
 import json
 import math
+from fractions import Fraction as F
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ from portauction.equilibrium import (
     HazardPoint,
     ValueDistribution,
     equilibrium_bid,
-    expected_vcg_fee,
     hazard_point,
     optimality_residual,
     solve_symmetric_equilibrium,
 )
+
+from portauction.scenario import scenario_from_dict
+from portauction.sim import simulate
+from portauction.units import to_bps
 
 import pin_equilibrium
 
@@ -253,16 +258,28 @@ def test_l_function_monotone_at_alpha():
             assert first == pytest.approx(lam * (1 - w), abs=1e-6)
 
 
-def test_expected_vcg_fee_against_quadrature():
-    d = ValueDistribution.power_law(upper=40.0, shape=2.0)
-    w, others = 0.6, 8.0
+def test_kernel_vcg_fee_against_quadrature():
+    """The kernel's VCG fee, averaged over the global's power-law(40, 2)
+    value: L1 bids 0 with valuation 0 and L2 bids 20 bps, so L1's payoff
+    per unit of package value is its fee max(0, (G - 0.4 * 20) / 0.6)."""
+    data = json.loads(resources.files("portauction").joinpath(
+        "scenarios/powerlaw.json").read_text())
+    data["rule"] = "vcg"
+    data["brokers"][0]["valuation_bps"] = 0
+    for broker, bid in (("L1", 0), ("L2", 20)):
+        fixed = {"kind": "constant", "value_bps": bid}
+        data["strategies"][broker] = {"round1": fixed, "round2": fixed}
+    sc = scenario_from_dict(data)
+    assert sc.weights[0] == F(3, 5)
+    got = simulate(sc, n=400_000, seed=4).mean_broker_payoff["L1"]
+    got_bps = float(to_bps(got / sc.portfolio.package_values[0]))
     # oracle: numeric quadrature of max(0, (v - others)/w) * f(v)
+    w, others = 0.6, 8.0
     grid = np.linspace(0.0, 40.0, 400_001)
     f = 2 * grid / 40.0**2
     integrand = np.maximum(0.0, (grid - others) / w) * f
     oracle = float(np.trapezoid(integrand, grid))
-    got = expected_vcg_fee(d, w, others, n=400_000, seed=4)
-    assert got == pytest.approx(oracle, rel=0.02)
+    assert got_bps == pytest.approx(oracle, rel=0.005)
     # closed form for this instance: 45056/1440
     assert oracle == pytest.approx(45056 / 1440, rel=1e-4)
 

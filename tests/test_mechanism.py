@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from portauction import pricing
+from portauction import pricing, reproduce
 from portauction.batch import row_chunks, row_width
 from portauction.mechanism import (
     BidLedger,
@@ -19,6 +19,7 @@ from portauction.mechanism import (
 from portauction.model import ConfigurationError
 from portauction.scenario import builtin_scenario
 from portauction.sim import Strategy, strategy_bid
+from portauction.units import to_bps
 
 
 WA = (F(3, 5), F(2, 5))
@@ -254,6 +255,16 @@ def test_run_auction_table1_scenario():
     t = run_auction(replace(sc, rule="dnvcg"))
     got_bps = tuple(f * 10_000 for f in t.outcome.fees)
     assert got_bps == (F(6719, 279), F(7692, 341), F(232, 9), 25, F(9397, 341))
+
+
+@pytest.mark.parametrize("rule", pricing.RULES)
+@pytest.mark.parametrize("name, target", [("example1", "example1"), ("table1", "example2")])
+def test_run_auction_matches_every_reproduced_rule_column(name, target, rule):
+    records = reproduce.build(target).records
+    want = records["fees_bps"][rule] if "fees_bps" in records else records[f"{rule}_bps"]
+    t = run_auction(replace(builtin_scenario(name), rule=rule))
+    assert t.outcome.winner == "coalition"
+    assert [float(to_bps(f)) for f in t.outcome.fees] == want
 
 
 def test_settle_row_takes_a_full_row():

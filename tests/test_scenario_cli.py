@@ -965,6 +965,7 @@ def test_cli_equilibrium_solves_the_scenario_point(capsys):
 @pytest.mark.parametrize("term, named", [
     ("shape", "'shape'"), ("foo=1", "'foo'"), ("shape=x", "'shape=x'"),
     ("shape=", "'shape='"), (";", "sweep grid is empty"),
+    ("q=2;q=3;alpha_bps=15", "'q=3'"),
 ])
 def test_cli_sweep_parse_errors_name_the_term(term, named, capsys):
     code, out, err = run_cli(["equilibrium", "powerlaw", "--sweep", term], capsys)

@@ -120,6 +120,18 @@ def test_simulate_rejects_bad_replications():
             compare_strategies(sc, sc.strategies, dev, n=n, seed=0)
 
 
+def test_kernel_rejects_an_unknown_rule():
+    """The batch kernel names a rule outside RULES as run_auction does,
+    instead of settling it as NVCG."""
+    sc = replace(builtin_scenario("powerlaw"), rule="second-price")
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="truthful"))
+    for call in (lambda: simulate(sc, n=2000, seed=1),
+                 lambda: compare_strategies(sc, sc.strategies, dev, n=2000, seed=1),
+                 lambda: run_auction(sc)):
+        with pytest.raises(ConfigurationError, match="unknown pricing rule 'second-price'"):
+            call()
+
+
 def test_simulate_deterministic():
     sc = _scenario()
     a = simulate(sc, n=400, seed=9)
