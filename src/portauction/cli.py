@@ -80,7 +80,7 @@ def _records(command, scenario, seed, result, **envelope) -> str:
         "result": result,
         **envelope,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv(header, rows) -> str:
@@ -164,7 +164,7 @@ def _cmd_simulate(args) -> int:
 
 
 # Sweep parameters: what each value must be, besides a finite number. q is
-# capped because each best-response round of the solver costs O(q^2).
+# capped because each sweep point builds a list of q package weights.
 _SWEEP_DOMAINS = {
     "shape": (lambda v: v > 1, "above 1"),
     "q": (lambda v: 1 <= v <= 1000 and v.is_integer(),
@@ -205,12 +205,12 @@ def _parse_sweep(expr: str) -> dict:
     return grid
 
 
-def _solve(where, dist, alpha_bps, weights, rule):
+def _solve(where, dist, alpha_bps, weights):
     """The symmetric equilibrium, or a validation error naming where it was
     sought when the solve leaves the float range: the solver raises values
     to the power of the shape, which no bound on the inputs keeps finite."""
     try:
-        sol = solve_symmetric_equilibrium(dist, alpha_bps, weights, rule=rule)
+        sol = solve_symmetric_equilibrium(dist, alpha_bps, weights)
     except ArithmeticError as e:
         failure = f"{type(e).__name__}: {e}"
     else:
@@ -254,7 +254,7 @@ def _cmd_equilibrium(args) -> int:
         ]
     rows = []
     for where, d, weights, shape, q, alpha_bps in points:
-        sol = _solve(where, d, alpha_bps, weights, rule)
+        sol = _solve(where, d, alpha_bps, weights)
         rows.append([rule, shape, q, alpha_bps, sol.bid, sol.residual, sol.converged,
                      sol.iterations])
 

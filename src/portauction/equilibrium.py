@@ -14,7 +14,8 @@ Closed-form equilibrium bids:
 with ell the number of round-1 overbidders and W_down the prudent set's
 total weight; overbidders shade like NVCG, and alpha <= 0 bids zero.
 With perfectly correlated locals the interior optimum is truthful
-(phi* = alpha): the window collapses, sigma -> 0.
+(phi* = alpha): the window collapses, sigma -> 0, and
+solve_symmetric_equilibrium reports that fixed point in closed form.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .model import WeightVector
 
 
 @dataclass(frozen=True)
@@ -214,110 +217,39 @@ def optimality_residual(
     """
     coef = equilibrium_shading(rule, 1, own_weight, q, in_qdown=in_qdown, ell=ell,
                                sum_w_qdown=sum_w_qdown)
-    return _residual(phi, alpha, coef, own_weight, others_weighted_sum, dist)
-
-
-def _residual(phi, alpha, coef, own_weight, others_weighted_sum, dist):
     total = own_weight * phi + others_weighted_sum
     return (alpha - phi) * dist.pdf(total) - coef * (dist.cdf(phi) - dist.cdf(total))
 
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
+    """The symmetric bid and its first-order residual. The bid is in
+    closed form, so converged is always True and iterations always 0."""
+
     bid: float
     residual: float
-    converged: bool
     at_boundary: bool
-    iterations: int
+    converged: bool = True
+    iterations: int = 0
 
 
-def _bisect_root(f, lo, hi, tol=1e-12, max_iter=200):
-    """Bracketing bisection; returns (root, hit_boundary)."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo, False
-    if fhi == 0:
-        return hi, False
-    if flo * fhi > 0:
-        # No sign change: the optimum sits on the nearer boundary.
-        return (hi, True) if flo > 0 else (lo, True)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0 or (hi - lo) < tol:
-            return mid, False
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), False
-
-
-def solve_symmetric_equilibrium(
-    dist: ValueDistribution,
-    alpha,
-    weights: Sequence,
-    rule: str = "nvcg",
-    round1_cap=None,
-    ell=0,
-    sum_w_qdown=None,
-    in_qdown=False,
-    tol=1e-9,
-    max_outer=100,
-) -> EquilibriumSolution:
+def solve_symmetric_equilibrium(dist: ValueDistribution, alpha, weights: Sequence
+                                ) -> EquilibriumSolution:
     """Symmetric-equilibrium bid under perfectly correlated local values.
 
-    Iterates best responses: each broker's bid solves its optimality
-    condition by bisection with the others held fixed, until the bid
-    vector stops moving. Brokers with the same weight facing the same
-    weighted sum of the others' bids have the same best response, so a
-    round runs one bisection per distinct (weight, others) pair. For the
-    power-law family the fixed point is truthful (alpha), which the solver
-    recovers rather than assumes.
+    When every local bids the common valuation alpha and the weights sum
+    to 1, the coalition's weighted total equals each local's own bid: the
+    pivotal window is empty and the first-order condition holds, so the
+    truthful profile is the fixed point under any value distribution. The
+    bid is alpha, capped at the top of the support (at_boundary), and zero
+    for alpha <= 0. residual is the NVCG first-order residual of the first
+    broker at the symmetric profile. The weights must form a
+    model.WeightVector: nonempty, each in (0, 1], summing to 1.
     """
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
-    if len(weights) == 0:
-        raise ValueError("weights must be nonempty")
+    w = WeightVector(tuple(float(x) for x in weights)).weights
     if alpha <= 0:
-        return EquilibriumSolution(bid=0.0, residual=0.0, converged=True,
-                                   at_boundary=False, iterations=0)
-    w = tuple(float(x) for x in weights)
-    q = len(w)
-    coef = {wi: equilibrium_shading(rule, 1, wi, q, in_qdown=in_qdown, ell=ell,
-                                    sum_w_qdown=sum_w_qdown) for wi in set(w)}
-    hi_support = dist.support[1]
-    hi = min(float(round1_cap), hi_support) if round1_cap is not None else hi_support
-    bids = [0.5 * hi] * q
-
-    boundary = False
-    for it in range(1, max_outer + 1):
-        new_bids = []
-        best = {}  # (w_i, others) -> (root, hit) within this round
-        for i, wi in enumerate(w):
-            others = sum(wj * bj for j, (wj, bj) in enumerate(zip(w, bids)) if j != i)
-            key = (wi, others)
-            if key not in best:
-                def f(phi, _c=coef[wi], _wi=wi, _others=others):
-                    return _residual(phi, alpha, _c, _wi, _others, dist)
-
-                best[key] = _bisect_root(f, 0.0, hi)
-            root, hit = best[key]
-            boundary = boundary or hit
-            new_bids.append(root)
-        move = max(abs(a - b) for a, b in zip(new_bids, bids))
-        bids = new_bids
-        if move < tol:
-            break
-    converged = move < tol
-    bid = bids[0] if len(set(bids)) == 1 else sum(bids) / len(bids)
-    others0 = sum(wj * bj for wj, bj in zip(w[1:], bids[1:]))
-    residual = _residual(bid, alpha, coef[w[0]], w[0], others0, dist)
-    return EquilibriumSolution(
-        bid=bid,
-        residual=residual,
-        converged=converged,
-        at_boundary=boundary,
-        iterations=it,
-    )
-
+        return EquilibriumSolution(bid=0.0, residual=0.0, at_boundary=False)
+    bid = float(min(alpha, dist.support[1]))
+    others = sum(wj * bid for wj in w[1:])
+    residual = optimality_residual("nvcg", bid, alpha, w[0], others, dist, len(w))
+    return EquilibriumSolution(bid=bid, residual=residual, at_boundary=bid < alpha)

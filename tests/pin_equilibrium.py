@@ -4,10 +4,10 @@ Every field of `solve_symmetric_equilibrium` (and a few direct
 `optimality_residual` values) on a fixed matrix of cases, floats written
 with float.hex so a comparison is exact to the bit, plus the sha256 of the
 CSV that `portauction equilibrium powerlaw --sweep <grid>` writes. The
-matrix covers the benchmark's 25-point sweep grid under both rules,
-unequal and partly-equal weights, uniform and empirical distributions, a
-binding round-1 cap, D-NVCG prudent bidders (ell, W_down), alpha <= 0, a
-root on the support's boundary and a solve stopped by max_outer.
+matrix covers the benchmark's 25-point sweep grid, unequal and
+partly-equal weights, uniform and empirical distributions, alpha <= 0,
+alpha beyond either end of the support and a single broker; the
+residual cases cover both rules and D-NVCG prudent bidders (ell, W_down).
 
     PYTHONPATH=src python tests/pin_equilibrium.py      # rewrite the pins
 
@@ -39,7 +39,6 @@ PINS = Path(__file__).parent / "golden" / "equilibrium_pins.json"
 SWEEP_GRID = "shape=1.5,2,3,4,5;q=2,3,4,6,8;alpha_bps=17"
 SWEEP_SHAPES = (1.5, 2.0, 3.0, 4.0, 5.0)
 SWEEP_QS = (2, 3, 4, 6, 8)
-RULES = ("nvcg", "dnvcg")
 
 POWER = ValueDistribution.power_law(upper=40.0, shape=2.0)
 STEEP = ValueDistribution.power_law(upper=1.0, shape=3.5)
@@ -49,46 +48,30 @@ EMPIRICAL = ValueDistribution.empirical(
 
 
 def _solver_cases():
-    """(name, dist, alpha, weights, keyword arguments)."""
+    """(name, dist, alpha, weights)."""
     cases = []
-    for rule, shape, q in itertools.product(RULES, SWEEP_SHAPES, SWEEP_QS):
-        cases.append((f"grid/{rule}/shape={shape}/q={q}",
+    for shape, q in itertools.product(SWEEP_SHAPES, SWEEP_QS):
+        cases.append((f"grid/shape={shape}/q={q}",
                       ValueDistribution.power_law(upper=40.0, shape=shape), 17.0,
-                      [1.0 / q] * q, {"rule": rule}))
+                      [1.0 / q] * q))
     weights = {
         "unequal2": [0.6, 0.4],
         "unequal3": [0.5, 0.3, 0.2],
         "partly-equal3": [0.25, 0.25, 0.5],
         "partly-equal4": [0.2, 0.4, 0.2, 0.2],
-        "unnormalised": [0.7, 0.7, 0.1],
     }
-    for (label, w), rule in itertools.product(weights.items(), RULES):
-        cases.append((f"weights/{label}/{rule}", POWER, 17.0, w, {"rule": rule}))
-        cases.append((f"weights/{label}/{rule}/steep", STEEP, 0.37, w, {"rule": rule}))
-    for (label, dist), rule in itertools.product(
-            (("uniform", UNIFORM), ("empirical", EMPIRICAL)), RULES):
-        cases.append((f"{label}/{rule}/equal", dist, 17.0, [1 / 3] * 3, {"rule": rule}))
-        cases.append((f"{label}/{rule}/unequal", dist, 12.5, [0.6, 0.4], {"rule": rule}))
+    for label, w in weights.items():
+        cases.append((f"weights/{label}", POWER, 17.0, w))
+        cases.append((f"weights/{label}/steep", STEEP, 0.37, w))
+    for label, dist in (("uniform", UNIFORM), ("empirical", EMPIRICAL)):
+        cases.append((f"{label}/equal", dist, 17.0, [1 / 3] * 3))
+        cases.append((f"{label}/unequal", dist, 12.5, [0.6, 0.4]))
     cases += [
-        ("cap/binding", POWER, 24.0, [0.5, 0.5], {"round1_cap": 12.0}),
-        ("cap/binding/unequal", POWER, 24.0, [0.6, 0.4], {"round1_cap": 10.0}),
-        ("cap/slack", POWER, 17.0, [0.5, 0.5], {"round1_cap": 35.0}),
-        ("cap/above-support", POWER, 17.0, [0.5, 0.5], {"round1_cap": 55.0}),
-        ("dnvcg/prudent/equal", POWER, 17.0, [1 / 3] * 3,
-         {"rule": "dnvcg", "in_qdown": True, "ell": 1, "sum_w_qdown": 2 / 3}),
-        ("dnvcg/prudent/unequal", STEEP, 0.37, [0.5, 0.3, 0.2],
-         {"rule": "dnvcg", "in_qdown": True, "ell": 2, "sum_w_qdown": 0.5}),
-        ("dnvcg/prudent/uniform", UNIFORM, 20.0, [0.6, 0.4],
-         {"rule": "dnvcg", "in_qdown": True, "ell": 1, "sum_w_qdown": 0.6}),
-        ("dnvcg/not-prudent", POWER, 17.0, [0.6, 0.4],
-         {"rule": "dnvcg", "in_qdown": False, "ell": 1, "sum_w_qdown": 0.6}),
-        ("alpha/zero", POWER, 0.0, [0.5, 0.5], {}),
-        ("alpha/negative", POWER, -3.0, [0.6, 0.4], {"rule": "dnvcg"}),
-        ("boundary/alpha-above-support", POWER, 55.0, [0.5, 0.5], {}),
-        ("boundary/uniform-alpha-below-support", UNIFORM, 1.0, [0.5, 0.5], {}),
-        ("max-outer/2", POWER, 17.0, [0.6, 0.4], {"max_outer": 2}),
-        ("tol/loose", POWER, 17.0, [0.5, 0.3, 0.2], {"tol": 1e-3}),
-        ("single-broker", POWER, 17.0, [1.0], {}),
+        ("alpha/zero", POWER, 0.0, [0.5, 0.5]),
+        ("alpha/negative", POWER, -3.0, [0.6, 0.4]),
+        ("boundary/alpha-above-support", POWER, 55.0, [0.5, 0.5]),
+        ("boundary/uniform-alpha-below-support", UNIFORM, 1.0, [0.5, 0.5]),
+        ("single-broker", POWER, 17.0, [1.0]),
     ]
     return cases
 
@@ -123,8 +106,8 @@ def sweep_csv() -> bytes:
 
 def compute_pins() -> dict:
     pins = {}
-    for name, dist, alpha, weights, kwargs in _solver_cases():
-        sol = solve_symmetric_equilibrium(dist, alpha, weights, **kwargs)
+    for name, dist, alpha, weights in _solver_cases():
+        sol = solve_symmetric_equilibrium(dist, alpha, weights)
         pins[f"solve:{name}"] = {
             "bid": float(sol.bid).hex(),
             "residual": float(sol.residual).hex(),

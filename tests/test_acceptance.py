@@ -206,9 +206,7 @@ def test_equilibrium_fixed_point_grid():
                     if rule == "dnvcg"
                     else {}
                 )
-                sol = solve_symmetric_equilibrium(
-                    d, alpha, [1.0 / q] * q, rule=rule, **kwargs
-                )
+                sol = solve_symmetric_equilibrium(d, alpha, [1.0 / q] * q)
                 assert sol.converged
                 assert abs(sol.bid - alpha) < 1e-6
                 at_alpha = optimality_residual(

@@ -186,16 +186,13 @@ def test_residual_and_solver_validate_rule_weight_and_q():
                           (("nvcg", 0.4, 0.5, 0.5, 0.25, d, 0), "q must be")):
         with pytest.raises(ValueError, match=message):
             optimality_residual(*args)
-    with pytest.raises(ValueError, match="unknown rule"):
-        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], rule="vcg")
-    with pytest.raises(ValueError, match="weight"):
-        solve_symmetric_equilibrium(d, 0.4, [1.0, 0.0])
-    with pytest.raises(ValueError, match="prudent-set weight"):
-        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], rule="dnvcg", in_qdown=True)
-    with pytest.raises(ValueError, match="max_outer"):
-        solve_symmetric_equilibrium(d, 0.4, [0.5, 0.5], max_outer=0)
-    with pytest.raises(ValueError, match="weights"):
-        solve_symmetric_equilibrium(d, 0.4, [])
+    # the truthful profile is a fixed point only when the weights sum to 1
+    for weights, message in (([1.0, 0.0], r"each weight must lie in \(0, 1\]"),
+                             ([], "weight vector is empty"),
+                             ([0.7, 0.7, 0.1], "weights sum to 1.5")):
+        for alpha in (0.4, 0.0):
+            with pytest.raises(ValueError, match=message):
+                solve_symmetric_equilibrium(d, alpha, weights)
 
 
 def test_solve_symmetric_equilibrium_grid():
@@ -206,9 +203,7 @@ def test_solve_symmetric_equilibrium_grid():
                 kwargs = {}
                 if rule == "dnvcg":
                     kwargs = dict(in_qdown=True, ell=1, sum_w_qdown=(q - 1) / q)
-                sol = solve_symmetric_equilibrium(
-                    d, 0.37, [1.0 / q] * q, rule=rule, **kwargs
-                )
+                sol = solve_symmetric_equilibrium(d, 0.37, [1.0 / q] * q)
                 assert sol.converged and not sol.at_boundary
                 assert abs(sol.bid - 0.37) < 1e-6
                 # residual evaluated at the truthful point itself
@@ -221,19 +216,20 @@ def test_solve_symmetric_equilibrium_grid():
 def test_solve_symmetric_equilibrium_trivials():
     d = ValueDistribution.power_law(upper=1.0, shape=3.0)
     assert solve_symmetric_equilibrium(d, -0.2, [0.5, 0.5]).bid == 0.0
-    sol = solve_symmetric_equilibrium(d, 0.4, [1 / 3] * 3, rule="nvcg")
+    sol = solve_symmetric_equilibrium(d, 0.4, [1 / 3] * 3)
     assert sol.bid == pytest.approx(0.4, abs=1e-6)
     d2 = ValueDistribution.power_law(upper=1.0, shape=2.0)
-    sol = solve_symmetric_equilibrium(d2, 0.5, [0.5, 0.5], rule="nvcg")
+    sol = solve_symmetric_equilibrium(d2, 0.5, [0.5, 0.5])
     assert sol.bid == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solve_reports_boundary():
     d = ValueDistribution.power_law(upper=1.0, shape=2.0)
-    # the round-1 cap binds below the interior optimum
-    sol = solve_symmetric_equilibrium(d, 0.6, [0.5, 0.5], round1_cap=0.3)
+    # a valuation above the support bids the support's top
+    sol = solve_symmetric_equilibrium(d, 1.6, [0.5, 0.5])
     assert sol.at_boundary
-    assert sol.bid == pytest.approx(0.3)
+    assert sol.bid == 1.0
+    assert not solve_symmetric_equilibrium(d, 0.6, [0.5, 0.5]).at_boundary
 
 
 def test_l_function_monotone_at_alpha():

@@ -962,6 +962,33 @@ def test_cli_equilibrium_solves_the_scenario_point(capsys):
     assert [(r["bid_bps"], r["converged"]) for r in result["rows"]] == [(20.0, True)]
 
 
+@pytest.mark.parametrize("global_dist, alpha_bps, sweep", [
+    ({"kind": "uniform", "lower_bps": 10, "upper_bps": 40}, 20, []),
+    ({"kind": "empirical", "sample_bps": [12, 18, 25, 31, 38]}, 15, []),
+    (None, 20, ["--sweep", "q=1;alpha_bps=17"]),
+], ids=["uniform", "empirical", "one-package"])
+def test_cli_equilibrium_is_truthful_where_the_global_density_is_zero(
+        global_dist, alpha_bps, sweep, capsys, tmp_path):
+    """At a zero bid the coalition total sits where the global's density is
+    zero (below the uniform's or the sample's range, or at zero with one
+    package), so the first-order residual vanishes there too; the
+    symmetric bid is still the locals' valuation."""
+    data = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    if global_dist is not None:
+        data["distributions"]["global"] = global_dist
+    for broker in data["brokers"]:
+        if broker["role"] == "local":
+            broker["valuation_bps"] = alpha_bps
+    path = tmp_path / "truthful.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["equilibrium", str(path), *sweep, "--format", "records"],
+                             capsys)
+    assert code == 0, err
+    rows = json.loads(out)["result"]["rows"]
+    want = 17.0 if sweep else float(alpha_bps)
+    assert [(r["bid_bps"], r["converged"], r["iterations"]) for r in rows] == [(want, True, 0)]
+
+
 @pytest.mark.parametrize("term, named", [
     ("shape", "'shape'"), ("foo=1", "'foo'"), ("shape=x", "'shape=x'"),
     ("shape=", "'shape='"), (";", "sweep grid is empty"),
