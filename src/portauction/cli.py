@@ -163,14 +163,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Sweep parameters: what each value must be, besides a finite number. q is
-# capped because each sweep point builds a list of q package weights.
+# Sweep parameters: what each finite value must be, and the message for any
+# value that is not. q is capped: each point builds a list of q weights.
 _SWEEP_DOMAINS = {
-    "shape": (lambda v: v > 1, "above 1"),
+    "shape": (lambda v: v > 1, "a finite number above 1"),
     "q": (lambda v: 1 <= v <= 1000 and v.is_integer(),
-          "a whole number of packages from 1 to 1000"),
-    "alpha_bps": (lambda v: True, "finite"),
-    "upper_bps": (lambda v: v > 0, "positive"),
+          "a finite whole number of packages from 1 to 1000"),
+    "alpha_bps": (lambda v: True, "a finite number"),
+    "upper_bps": (lambda v: v > 0, "a finite number above 0"),
 }
 
 

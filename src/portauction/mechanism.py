@@ -216,7 +216,7 @@ def settle_row(scenario, u) -> AuctionTranscript:
     profile = scenario.strategies
     if profile is None:
         raise ConfigurationError("no strategy profile supplied")
-    u = [float(x) for x in u]  # quantiles on Python floats, as in the kernel
+    u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
     rule = scenario.rule
     q = scenario.portfolio.q
     weights = scenario.weights

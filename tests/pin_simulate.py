@@ -2,9 +2,9 @@
 
 Every field of every result on a fixed matrix of cases, floats written
 with float.hex so a comparison is exact to the bit. The matrix covers the
-bundled scenarios under each rule, drawn local values (uniform and
-empirical, correlated and independent), a market with several locals per
-package and several globals (round-1 ties), equilibrium strategies
+bundled scenarios under each rule, drawn local values (uniform, empirical
+and power-law, correlated and independent), a market with several locals
+per package and several globals (round-1 ties), equilibrium strategies
 (prudent and not), a clamped round-2 bid, an exact allocation tie and the
 D-NVCG fallback.
 
@@ -66,9 +66,15 @@ def _doc(**overrides):
     return doc
 
 
+LOCAL_DISTRIBUTIONS = {
+    "uniform": {"kind": "uniform", "lower_bps": 5, "upper_bps": 30},
+    "empirical": {"kind": "empirical", "sample_bps": [8, 12, 12, 18, 20, 24, 30]},
+    "power-law": {"kind": "power-law", "upper_bps": 30, "shape": 1.5},
+}
+
+
 def _local_values(kind, correlated):
-    dist = ({"kind": "uniform", "lower_bps": 5, "upper_bps": 30} if kind == "uniform"
-            else {"kind": "empirical", "sample_bps": [8, 12, 12, 18, 20, 24, 30]})
+    dist = LOCAL_DISTRIBUTIONS[kind]
     return _doc(
         distributions={"local": dist,
                        "global": {"kind": "power-law", "upper_bps": 40, "shape": 3.0}},
@@ -190,6 +196,10 @@ def _simulate_cases():
                 label = "correlated" if correlated else "independent"
                 cases.append((f"locals-{kind}-{label}/{rule}",
                               _load(_local_values(kind, correlated)), rule, 2000, 8))
+    # Power-law locals: the kernel's local value slice through its quantiles.
+    for correlated, label in ((True, "correlated"), (False, "independent")):
+        cases.append((f"locals-power-law-{label}/dnvcg",
+                      _load(_local_values("power-law", correlated)), "dnvcg", 2000, 12))
     cases.append(("fallback/dnvcg", _load(_fallback()), "dnvcg", 1000, 9))
     # Long enough to span several of the simulation's row chunks.
     cases.append(("powerlaw/dnvcg/long", builtin_scenario("powerlaw"), "dnvcg", 20_005, 10))

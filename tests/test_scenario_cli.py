@@ -809,13 +809,16 @@ def test_cli_equilibrium_sweep(capsys):
 @pytest.mark.parametrize("term", [
     "q=0", "q=-1", "q=1e400", "q=2.5", "q=nan", "alpha_bps=nan", "alpha_bps=inf",
     "q=1001", "shape=1", "shape=0.5", "shape=inf", "upper_bps=0", "upper_bps=-40",
-    "upper_bps=inf", "shape=2,3;q=2,0",
+    "upper_bps=inf", "shape=2,3;q=2,0", "q=inf", "shape=nan", "upper_bps=nan",
 ])
 def test_cli_sweep_rejects_values_outside_their_domain(term, capsys):
     code, out, err = run_cli(["equilibrium", "powerlaw", "--sweep", term], capsys)
     assert code == 3
     assert out == ""
-    assert repr(term.split(";")[-1]) in err
+    last = term.split(";")[-1]
+    assert repr(last) in err
+    # Every value must be finite, so every domain's message says so.
+    assert f"{last.split('=')[0]} must be a finite" in err
 
 
 @pytest.mark.parametrize("args, where", [

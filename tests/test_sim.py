@@ -363,6 +363,25 @@ def test_quantiles_are_quantile_elementwise(dist, u):
     assert [x.hex() for x in got] == [float(dist.quantile(x)).hex() for x in u]
 
 
+@pytest.mark.parametrize("shape", [1.0000001, 1.5, 2.0, 3.0, 3.5, 5.0, 49.9])
+def test_power_law_quantiles_are_math_pow_bit_for_bit(shape):
+    """On 125,000 Philox uniforms and the edge uniforms, through the
+    kernel's strided (G, n) global view and its correlated (1, n) local
+    view, every power-law quantile is math.pow's to the bit: np.power and
+    np.sqrt round differently on a share of these draws."""
+    L, G = 2, 4
+    u = np.concatenate(list(row_chunks(18, 25_000, L + G + 2)))
+    u[:5] = np.array([0.0, 5e-324, 2.0**-1022, 0.5, 1 - 2.0**-53])[:, None]
+    dist = ValueDistribution.power_law(upper=1.0, shape=shape)
+    for view in (u[:, L:L + G].T, u[:, :1].T):
+        got = dist.quantiles(view)
+        assert got.shape == view.shape
+        flat = view.ravel().tolist()
+        want = np.fromiter((math.pow(x, 1.0 / shape) for x in flat), float, len(flat))
+        bad = np.flatnonzero(got.ravel().view(np.uint64) != want.view(np.uint64))
+        assert [(flat[i], got.ravel()[i].hex(), want[i].hex()) for i in bad[:5]] == []
+
+
 def _python_scalars(x):
     if isinstance(x, dict):
         return all(_python_scalars(v) for v in x.values())
