@@ -12,6 +12,7 @@ from .equilibrium import (
     HazardPoint,
     ValueDistribution,
     equilibrium_bid,
+    equilibrium_shading,
     hazard_point,
     optimality_residual,
     solve_symmetric_equilibrium,

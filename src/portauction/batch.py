@@ -4,13 +4,15 @@ Kernel settles a chunk of replications at once. Its arrays are
 broker-major, one column per replication, and every stage is a few numpy
 operations over the chunk: value draws, round-1 bids and qualification,
 round-2 bids, the allocation test, the payment rule, the core check and
-the payoffs. Kernel.compile groups each round's brokers by strategy kind,
-so the bids cost one operation per kind (at most five) on that kind's
-slab of brokers, however many brokers there are, and qualification
-settles every sealed auction in one pass. Kernel.chunks is the one
-replication loop: it settles K profiles on the same rows, drawing each
-chunk's valuations once (they depend on the rows alone) and qualifying
-once per chunk for every group of profiles that share round 1.
+the payoffs. bid_rule reduces every strategy to one of three bid rules
+(constant, offset, capped-value), which both this kernel and the scalar
+sim.strategy_bid evaluate. Kernel.compile groups each round's brokers by
+rule, so the bids cost one operation per rule (at most three) on that
+rule's slab of brokers, however many brokers there are, and
+qualification settles every sealed auction in one pass. Kernel.chunks is
+the one replication loop: it settles K profiles on the same rows,
+drawing each chunk's valuations once (they depend on the rows alone) and
+qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
 
 ExactSum aggregates: one accumulator takes all of a chunk's streams at
@@ -92,26 +94,46 @@ def check_weight(broker, strategy, weight):
             f"{broker!r} is a global broker: an equilibrium bid needs a local's package weight")
 
 
+def bid_rule(broker, strategy, rule, weight, q):
+    """The strategy as one of three bid rules, (kind, param), after
+    check_weight: ("constant", value) bids the value; ("offset", p) bids
+    valuation + p floored at zero, with p the strategy's offset, 0 for
+    truthful and minus the equilibrium shading under rule (VCG shades as
+    NVCG); ("capped-value", 0) bids min(round-1 bid, valuation). The
+    shading does not depend on the valuation, so it is computed here once.
+    This is the one place that reads Strategy.kind to make a bid."""
+    check_weight(broker, strategy, weight)
+    kind = strategy.kind
+    if kind == "constant":
+        return kind, strategy.value
+    if kind == "capped-value":
+        return kind, 0
+    if kind == "truthful":
+        return "offset", 0
+    if kind == "offset":
+        return kind, strategy.offset
+    return "offset", -equilibrium_shading(
+        rule if rule != "vcg" else "nvcg", strategy.sigma, weight, q,
+        in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
+    )
+
+
 def _floor0(x):
     """max(x, 0.0) elementwise, with Python's choice of operand."""
     return np.where(0.0 > x, 0.0, x)
 
 
 def _slab_bids(kind, brokers, param, vals, caps):
-    """One strategy kind's bids over its slab of brokers: vals and caps
+    """One bid rule's bids over its slab of brokers: vals and caps
     (round-1 bids, round 2 only) are read at the brokers' rows, and param
-    holds each broker's constant value, offset or equilibrium shading."""
+    holds each broker's constant value or offset."""
     if kind == "constant":
         return param
     val = vals[brokers]
-    if kind == "truthful":
-        return np.where(val > 0, val, 0.0)
     if kind == "offset":
         return _floor0(val + param)
-    if kind == "capped-value":
-        cap = caps[brokers]
-        return np.where(val < cap, val, cap)
-    return _floor0(np.where(val <= 0, 0.0, val - param))
+    cap = caps[brokers]
+    return np.where(val < cap, val, cap)
 
 
 class ExactSum:
@@ -266,48 +288,32 @@ class Kernel:
 
     def compile(self, profile, known):
         """The profile's (round 1, round 2) bid rules, each round's brokers
-        grouped by strategy kind as (kind, brokers, one parameter per
-        broker); equilibrium shading terms are computed, and validated,
-        here once. known[k] holds broker k's strategies and parameters
-        from the profile compiled before in the same Kernel.chunks call
-        (None at first): a broker whose BrokerStrategy is the same object
-        reuses them, so a deviation converts only the deviating broker's
-        strategies. Objects are matched by identity because hashing
-        Fraction fields costs more than converting them."""
+        grouped by bid_rule's kind as (kind, brokers, one parameter per
+        broker). It calls bid_rule once per broker and round and caches
+        float(param) in known: known[k] holds broker k's strategies and
+        (kind, float param) pairs from the profile compiled before in the
+        same Kernel.chunks call (None at first). A broker whose
+        BrokerStrategy is the same object reuses them, so a deviation
+        converts only the deviating broker's strategies. Objects are
+        matched by identity because hashing Fraction fields costs more
+        than converting them."""
         rounds = ({}, {})
         for k, bid in enumerate(self.ids):
             st = profile[bid]
             before = known[k]
             if before is None or before[0] is not st:
                 weight = self.w[self.local_pkg[k]] if k < self.L else None
-                before = known[k] = (st, (self._param(bid, st.round1, weight),
-                                          self._param(bid, st.round2, weight)))
-            for groups, strategy, param in zip(rounds, (st.round1, st.round2), before[1]):
-                brokers, params = groups.setdefault(strategy.kind, ([], []))
+                rules = [bid_rule(bid, s, self.rule, weight, self.q)
+                         for s in (st.round1, st.round2)]
+                before = known[k] = (st, [(kind, float(param)) for kind, param in rules])
+            for groups, (kind, param) in zip(rounds, before[1]):
+                brokers, params = groups.setdefault(kind, ([], []))
                 brokers.append(k)
                 params.append([param])
         return tuple(
             tuple((kind, np.array(brokers), np.array(params))
                   for kind, (brokers, params) in groups.items())
             for groups in rounds)
-
-    def _param(self, broker, strategy, weight):
-        """The one number a strategy's bid rule reads besides the
-        valuation and the cap: its constant value, offset or equilibrium
-        shading (VCG shades as NVCG). check_weight runs first, so a
-        global's equilibrium strategy fails with the broker's message."""
-        check_weight(broker, strategy, weight)
-        kind = strategy.kind
-        if kind == "constant":
-            return float(strategy.value)
-        if kind == "offset":
-            return float(strategy.offset)
-        if kind == "equilibrium":
-            return float(equilibrium_shading(
-                self.rule if self.rule != "vcg" else "nvcg", strategy.sigma, weight, self.q,
-                in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
-            ))
-        return 0.0
 
     def values(self, u):
         """The brokers' valuations on the rows of u, as (brokers,

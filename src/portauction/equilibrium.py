@@ -172,7 +172,8 @@ def hazard_point(dist: ValueDistribution, own_bid, own_weight, others_weighted_s
 
 def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
     """alpha - phi, the shading of the closed-form bid at any valuation
-    alpha > 0; it does not depend on alpha, so a batch of bids shares it."""
+    alpha > 0. It does not depend on alpha, so the bid is an offset bid:
+    alpha minus the shading, floored at zero (batch.bid_rule)."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if weight <= 0:
@@ -189,9 +190,8 @@ def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdo
 
 
 def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
-    """Closed-form round-2 equilibrium bid for a local broker."""
-    shading = equilibrium_shading(
-        rule, sigma, weight, q, in_qdown=in_qdown, ell=ell, sum_w_qdown=sum_w_qdown)
+    """Closed-form round-2 bid of a local; the engines bid it via batch.bid_rule."""
+    shading = equilibrium_shading(rule, sigma, weight, q, in_qdown, ell, sum_w_qdown)
     return alpha - shading if alpha > 0 else 0
 
 

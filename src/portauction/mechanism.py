@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import pricing, sim
 from .batch import PERIOD, row, row_width
 from .model import ConfigurationError
@@ -244,7 +242,7 @@ def settle_row(scenario, u) -> AuctionTranscript:
                                weights[j] if j < q else None, rule, q, broker=broker_id)
         bid = raw
         if bid < 0:
-            bid = 0 * bid
+            bid = type(bid)(0)
         if bid > cap:
             bid = cap
         if bid != raw:
@@ -288,8 +286,6 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.generic):
-        return x.item()  # numpy bool, integer or float scalar
     return x
 
 

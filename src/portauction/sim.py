@@ -5,7 +5,8 @@ stream keyed by the seed, so results do not depend on the replication
 count (beyond k) or on how work would be partitioned across workers, and
 two profiles simulated with the same seed share their random inputs
 (common random numbers). mechanism.settle_row settles any one row with
-the exact scalar rules (resolve_bids and strategy_bid here); run_auction
+the exact scalar rules (resolve_bids and strategy_bid here, which
+evaluate batch.bid_rule's three rules as the kernel does); run_auction
 is row 0.
 """
 
@@ -17,8 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import ExactSum, Kernel, check_weight
-from .equilibrium import equilibrium_bid
+from .batch import ExactSum, Kernel, bid_rule
+from .equilibrium import equilibrium_bid  # noqa: F401 (uncalled; bench/tracer.py binds it here)
 from .model import ConfigurationError
 
 ROUND1_KINDS = ("constant", "truthful", "offset", "equilibrium")
@@ -29,10 +30,11 @@ ROUND2_KINDS = ROUND1_KINDS + ("capped-value",)
 class Strategy:
     """One broker's bid rule for one round.
 
-    constant      bid = value
-    truthful      bid = valuation (floored at zero)
+    constant      bid = value, at least zero
+    truthful      bid = valuation (floored at zero): offset 0
     offset        bid = valuation + offset (floored at zero)
-    equilibrium   closed-form shaded bid (sigma, membership flags supplied)
+    equilibrium   closed-form shaded bid (sigma, membership flags supplied):
+                  offset minus the shading under the rule
     capped-value  bid = min(round-1 bid, valuation); round 2 only
     """
 
@@ -49,6 +51,8 @@ class Strategy:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "constant" and self.value is None:
             raise ConfigurationError("constant strategy needs a value")
+        if self.kind == "constant" and self.value < 0:
+            raise ConfigurationError(f"a constant bid is a fee, got {self.value} < 0")
 
 
 @dataclass(frozen=True)
@@ -86,26 +90,17 @@ class StrategyProfile:
 
 
 def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q, *, broker):
-    """The broker's bid under a strategy at its valuation, floored at zero
-    unless constant. round1_bid is the round-2 cap (None in round 1) and
-    weight the local's package weight (None for a global). Equilibrium
-    bids shade under rule, with VCG read as NVCG."""
-    check_weight(broker, strategy, weight)
-    kind = strategy.kind
+    """The broker's bid under a strategy at its valuation: batch.bid_rule's
+    rule evaluated exactly, a floored bid being +0 of the raw bid's type.
+    round1_bid is the round-2 cap (None in round 1) and weight the local's
+    package weight (None for a global)."""
+    kind, param = bid_rule(broker, strategy, rule, weight, q)
     if kind == "constant":
-        return strategy.value
+        return param
     if kind == "capped-value":
         return min(round1_bid, valuation)  # the global's dominant round-2 bid
-    if kind == "truthful":
-        raw = valuation
-    elif kind == "offset":
-        raw = valuation + strategy.offset
-    else:
-        raw = equilibrium_bid(
-            rule if rule != "vcg" else "nvcg", valuation, strategy.sigma, weight, q,
-            in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
-        )
-    return raw if raw > 0 else 0 * raw
+    raw = valuation + param
+    return raw if raw > 0 else type(raw)(0)
 
 
 def resolve_bids(scenario, u):

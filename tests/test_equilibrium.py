@@ -10,13 +10,14 @@ from portauction.equilibrium import (
     HazardPoint,
     ValueDistribution,
     equilibrium_bid,
+    equilibrium_shading,
     hazard_point,
     optimality_residual,
     solve_symmetric_equilibrium,
 )
 
 from portauction.scenario import scenario_from_dict
-from portauction.sim import simulate
+from portauction.sim import Strategy, simulate, strategy_bid
 from portauction.units import to_bps
 
 import pin_equilibrium
@@ -100,46 +101,58 @@ def test_hazard_matches_monte_carlo():
 
 
 def test_equilibrium_bid_worked_values():
-    assert equilibrium_bid("nvcg", 0.005, 0.001, 0.25, 3) == pytest.approx(0.0045)
-    got = equilibrium_bid(
-        "dnvcg", 0.005, 0.001, 0.25, 3, in_qdown=True, ell=1, sum_w_qdown=0.5
-    )
+    """The closed-form bid is alpha minus the shading, and strategy_bid
+    bids exactly that, shading VCG as NVCG."""
+    assert 0.005 - equilibrium_shading("nvcg", 0.001, 0.25, 3) == pytest.approx(0.0045)
+    got = 0.005 - equilibrium_shading("dnvcg", 0.001, 0.25, 3, in_qdown=True, ell=1,
+                                      sum_w_qdown=0.5)
     assert got == pytest.approx(0.004)
-    assert equilibrium_bid("nvcg", 0.42, 0.3, 0.5, 1) == 0.42
+    assert 0.42 - equilibrium_shading("nvcg", 0.3, 0.5, 1) == 0.42
+    prudent = Strategy(kind="equilibrium", sigma=0.001, in_qdown=True, ell=1, sum_w_qdown=0.5)
+    for rule, shading_rule in (("vcg", "nvcg"), ("nvcg", "nvcg"), ("dnvcg", "dnvcg")):
+        want = 0.005 - equilibrium_shading(shading_rule, 0.001, 0.25, 3, in_qdown=True, ell=1,
+                                           sum_w_qdown=0.5)
+        assert strategy_bid(prudent, 0.005, None, 0.25, rule, 3, broker="L") == want
+        assert equilibrium_bid(shading_rule, 0.005, 0.001, 0.25, 3, in_qdown=True, ell=1,
+                               sum_w_qdown=0.5) == want
     assert equilibrium_bid("nvcg", -0.01, 0.001, 0.25, 3) == 0
     assert equilibrium_bid("dnvcg", 0.0, 0.001, 0.25, 3) == 0
+    # alpha <= 0 bids zero, as does a valuation below the shading.
+    eq = Strategy(kind="equilibrium", sigma=0.001)
+    assert strategy_bid(eq, -0.01, None, 0.25, "nvcg", 3, broker="L") == 0
+    assert strategy_bid(eq, 0.0, None, 0.25, "dnvcg", 3, broker="L") == 0
+    assert strategy_bid(eq, F(-1, 100), None, F(1, 4), "nvcg", 3, broker="L") == 0
+    assert strategy_bid(eq, 0.0001, None, 0.25, "nvcg", 3, broker="L") == 0
 
 
 def test_equilibrium_bid_validation():
     with pytest.raises(ValueError):
-        equilibrium_bid("nvcg", 0.1, -0.1, 0.5, 2)
+        equilibrium_shading("nvcg", -0.1, 0.5, 2)
     with pytest.raises(ValueError):
-        equilibrium_bid("nvcg", 0.1, 0.1, 0.0, 2)
+        equilibrium_shading("nvcg", 0.1, 0.0, 2)
     with pytest.raises(ValueError):
-        equilibrium_bid("nvcg", 0.1, 0.1, 0.5, 0)
+        equilibrium_shading("nvcg", 0.1, 0.5, 0)
     with pytest.raises(ValueError):
-        equilibrium_bid("dnvcg", 0.1, 0.1, 0.5, 2, in_qdown=True, ell=1, sum_w_qdown=0)
+        equilibrium_shading("dnvcg", 0.1, 0.5, 2, in_qdown=True, ell=1, sum_w_qdown=0)
     with pytest.raises(ValueError):
-        equilibrium_bid("second-price", 0.1, 0.1, 0.5, 2)
+        equilibrium_shading("second-price", 0.1, 0.5, 2)
 
 
 def test_shading_order_and_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        alpha = float(rng.uniform(0.01, 1.0))
         sigma = float(rng.uniform(0.001, 0.2))
         w = float(rng.uniform(0.05, 0.5))
         q = int(rng.integers(2, 8))
         ell = int(rng.integers(1, q))
         w_down = float(rng.uniform(0.1, 1.0))
-        nv = equilibrium_bid("nvcg", alpha, sigma, w, q)
-        dv = equilibrium_bid("dnvcg", alpha, sigma, w, q, in_qdown=True,
-                             ell=ell, sum_w_qdown=w_down)
-        assert dv < nv < alpha
-        # non-increasing in q, weight, sigma
-        assert equilibrium_bid("nvcg", alpha, sigma, w, q + 1) <= nv
-        assert equilibrium_bid("nvcg", alpha, sigma, w * 1.1, q) <= nv
-        assert equilibrium_bid("nvcg", alpha, sigma * 1.1, w, q) <= nv
+        nv = equilibrium_shading("nvcg", sigma, w, q)
+        dv = equilibrium_shading("dnvcg", sigma, w, q, in_qdown=True, ell=ell, sum_w_qdown=w_down)
+        assert dv > nv > 0
+        # nondecreasing in q, weight, sigma
+        assert equilibrium_shading("nvcg", sigma, w, q + 1) >= nv
+        assert equilibrium_shading("nvcg", sigma, w * 1.1, q) >= nv
+        assert equilibrium_shading("nvcg", sigma * 1.1, w, q) >= nv
 
 
 def test_optimality_residual_symmetric_zero():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from portauction.batch import CHUNK, EXTRACT_MIN, ExactSum, Kernel, row, row_chunks, row_width
 from portauction.equilibrium import ValueDistribution
-from portauction.mechanism import run_auction, settle_row
+from portauction.mechanism import run_auction, settle_row, transcript_dict
 from portauction.model import ConfigurationError
 from portauction.pricing import vcg_fees
 from portauction.scenario import (
@@ -76,6 +76,8 @@ def test_strategy_validation():
         Strategy(kind="martingale")
     with pytest.raises(ConfigurationError):
         Strategy(kind="constant")  # needs a value
+    with pytest.raises(ConfigurationError, match="a constant bid is a fee"):
+        Strategy(kind="constant", value=F(-5, 10_000))
     with pytest.raises(ConfigurationError):
         BrokerStrategy(round1=Strategy(kind="capped-value"),
                        round2=Strategy(kind="truthful"))
@@ -397,6 +399,34 @@ def test_results_hold_python_scalars_only():
     dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
     report = compare_strategies(sc, sc.strategies, dev, n=300, seed=2)
     assert all(_python_scalars(getattr(report, f.name)) for f in fields(report))
+    mixed = pin_simulate._load(_mixed_market())
+    for rule in pin_simulate.RULES:
+        for seed in range(20):
+            t = run_auction(replace(mixed, rule=rule), seed=seed)
+            assert _python_scalars(transcript_dict(t)), (rule, seed)
+
+
+def test_floored_bids_are_positive_zero():
+    """Locals on [-10, 10] bps: a round-2 bid floored at zero is +0.0,
+    as in the batch kernel, whether the bid rule or the clamp floors it."""
+    sc = _scenario(local_dist={"kind": "uniform", "lower_bps": -10, "upper_bps": 10})
+    profiles = {
+        "offset": sc.strategies.with_strategy(
+            "L1", round2=Strategy(kind="offset", offset=F(-5, 10_000))),
+        "equilibrium": sc.strategies.with_strategy(
+            "L1", round2=Strategy(kind="equilibrium", sigma=0.01)),
+        "capped-value": sc.strategies.with_strategy("L2", round2=Strategy(kind="capped-value")),
+    }
+    for name, profile in profiles.items():
+        config = replace(sc, strategies=profile)
+        floored = 0
+        for seed in range(25):
+            t = run_auction(config, seed=seed)
+            for broker in ("L1", "L2"):
+                if t.ledger.round2[broker] == 0:
+                    floored += 1
+                    assert repr(t.ledger.round2[broker]) == "0.0", (name, seed, broker)
+        assert floored, name
 
 
 # settle_row keeps Fraction constants exact where the kernel rounds them to
