@@ -15,6 +15,13 @@ drawing each chunk's valuations once (they depend on the rows alone) and
 qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
 
+kernel(scenario) builds a scenario's Kernel once per process and layout,
+as re caches compiled patterns, and each Kernel compiles each strategy
+profile once. Both are pure functions of immutable inputs, so a loop of
+simulate or compare_strategies calls on one auction that varies the seed,
+the replication count or the profile reuses them. A one-shot call builds
+and compiles once, as it would without the caches.
+
 ExactSum aggregates: one accumulator takes all of a chunk's streams at
 once and keeps each stream's sum exact, so every mean equals math.fsum
 over the whole stream whatever the chunking.
@@ -28,6 +35,7 @@ the scalar rules.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +66,13 @@ PERIOD = 2**258
 # market's payoffs, 22-25% nonzero). The cost is per chunk, not per row,
 # so the threshold counts values, not columns.
 EXTRACT_MIN = 2048
+
+# kernel() keeps the Kernels of the KERNELS layouts used last, and each
+# Kernel the compiled rules of the PROFILES profiles it compiled last: more
+# than a loop over one auction's rules and deviations, or over a few dozen
+# exact files, cycles through. An entry is a few small arrays.
+KERNELS = 64
+PROFILES = 64
 
 
 def row_width(scenario):
@@ -116,6 +131,26 @@ def bid_rule(broker, strategy, rule, weight, q):
         rule if rule != "vcg" else "nvcg", strategy.sigma, weight, q,
         in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
     )
+
+
+def _lru(cache, key, bound, make):
+    """cache[key], or make() stored there; the OrderedDict cache keeps the
+    bound keys used last. Nothing is stored when make raises, so an error
+    is raised again on every call."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > bound:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+def _frozen(a):
+    """a, read-only: cached arrays are shared by every later call."""
+    a.flags.writeable = False
+    return a
 
 
 def _floor0(x):
@@ -240,6 +275,9 @@ class Kernel:
     package from 0.0, the same operations run in the same order, and floors
     keep Python's choice of operand (so a VCG fee floored from a negative
     raw value is -0.0).
+
+    A Kernel is shared by every call that kernel() gives it to, so its
+    arrays, and the compiled rules it caches, are read-only.
     """
 
     def __init__(self, scenario):
@@ -248,20 +286,21 @@ class Kernel:
         self.rule = scenario.rule
         self.w = tuple(float(x) for x in scenario.weights)
         self.q = len(self.w)
+        self.w_col = _frozen(np.array(self.w)[:, None])
         pf = scenario.portfolio
-        self.pkg_values = np.array([[float(v)] for v in pf.package_values])
+        self.pkg_values = _frozen(np.array([[float(v)] for v in pf.package_values]))
         self.total_value = float(pf.total_value)
 
         locals_ = [b for b in scenario.brokers if b.role == "local"]
         globals_ = [b for b in scenario.brokers if b.role == "global"]
         self.L, self.G = len(locals_), len(globals_)
-        self.ids = [b.id for b in locals_ + globals_]
-        self.local_pkg = [b.package_index for b in locals_]
+        self.ids = tuple(b.id for b in locals_ + globals_)
+        self.local_pkg = tuple(b.package_index for b in locals_)
         # A role without a distribution keeps its brokers' fixed valuations.
         self.dist_l = scenario.distributions.get("local")
         self.dist_g = scenario.distributions.get("global")
         def fixed(brokers):
-            return np.array([[float(b.valuation)] for b in brokers])
+            return _frozen(np.array([[float(b.valuation)] for b in brokers]))
         self.fixed_l = fixed(locals_) if self.dist_l is None else None
         self.fixed_g = fixed(globals_) if self.dist_g is None else None
         self.correlated = scenario.correlated_locals
@@ -279,39 +318,51 @@ class Kernel:
         auctions.append(list(range(self.L, self.L + self.G)))
         depth = max(map(len, auctions))
         pad = self.L + self.G
-        self.members = np.array([sorted(m, key=lambda k: self.ids[k]) + [pad] * (depth - len(m))
-                                 for m in auctions]).T
+        self.members = _frozen(np.array(
+            [sorted(m, key=lambda k: self.ids[k]) + [pad] * (depth - len(m))
+             for m in auctions]).T)
+        self.auctions = _frozen(np.arange(self.q + 1)[:, None])
         self.contested = depth > 1
         # Row p of running_count @ tied counts the ties among members 0..p.
-        self.running_count = np.tri(depth)
+        self.running_count = _frozen(np.tri(depth))
         self.width = row_width(scenario)
+        # compile's caches: the compiled rules by profile, and each broker's
+        # last strategies with their (kind, float param) pairs.
+        self._profiles = OrderedDict()
+        self._known = [None] * len(self.ids)
 
-    def compile(self, profile, known):
+    def compile(self, profile):
         """The profile's (round 1, round 2) bid rules, each round's brokers
         grouped by bid_rule's kind as (kind, brokers, one parameter per
-        broker). It calls bid_rule once per broker and round and caches
-        float(param) in known: known[k] holds broker k's strategies and
-        (kind, float param) pairs from the profile compiled before in the
-        same Kernel.chunks call (None at first). A broker whose
-        BrokerStrategy is the same object reuses them, so a deviation
-        converts only the deviating broker's strategies. Objects are
-        matched by identity because hashing Fraction fields costs more
-        than converting them."""
+        broker), read-only. A profile is compiled once: the rules are kept
+        under the identities of its BrokerStrategy objects in ids order,
+        and the entry holds those objects, so no id is reused while it
+        lives. Objects are matched by identity because hashing Fraction
+        fields costs more than converting them."""
+        strategies = tuple(profile[bid] for bid in self.ids)
+        return _lru(self._profiles, tuple(map(id, strategies)), PROFILES,
+                    lambda: (strategies, self._rules(strategies)))[1]
+
+    def _rules(self, strategies):
+        """compile's rules for the brokers' strategies in ids order. It calls
+        bid_rule once per broker and round and keeps float(param): a broker
+        whose BrokerStrategy is the object it had in the profile compiled
+        before reuses its pairs, so a deviation converts only the deviating
+        broker's strategies."""
         rounds = ({}, {})
-        for k, bid in enumerate(self.ids):
-            st = profile[bid]
-            before = known[k]
+        for k, st in enumerate(strategies):
+            before = self._known[k]
             if before is None or before[0] is not st:
                 weight = self.w[self.local_pkg[k]] if k < self.L else None
-                rules = [bid_rule(bid, s, self.rule, weight, self.q)
+                rules = [bid_rule(self.ids[k], s, self.rule, weight, self.q)
                          for s in (st.round1, st.round2)]
-                before = known[k] = (st, [(kind, float(param)) for kind, param in rules])
+                before = self._known[k] = (st, [(kind, float(param)) for kind, param in rules])
             for groups, (kind, param) in zip(rounds, before[1]):
                 brokers, params = groups.setdefault(kind, ([], []))
                 brokers.append(k)
                 params.append([param])
         return tuple(
-            tuple((kind, np.array(brokers), np.array(params))
+            tuple((kind, _frozen(np.array(brokers)), _frozen(np.array(params)))
                   for kind, (brokers, params) in groups.items())
             for groups in rounds)
 
@@ -341,13 +392,12 @@ class Kernel:
     def chunks(self, profiles, n, seed):
         """Settle replications 0..n-1 of the seed under each profile: for
         each chunk of row_chunks(seed, n, width), one Batch per profile.
-        Each profile is compiled once and each chunk's valuations drawn
-        once; profiles whose round-1 strategies are equal broker by broker
-        share one qualification per chunk."""
+        Each profile is compiled once per Kernel and each chunk's
+        valuations drawn once; profiles whose round-1 strategies are equal
+        broker by broker share one qualification per chunk."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
-        known = [None] * len(self.ids)
-        compiled = [self.compile(p, known) for p in profiles]
+        compiled = [self.compile(p) for p in profiles]
         round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
@@ -388,13 +438,13 @@ class Kernel:
         running = (self.running_count @ tied.reshape(len(tied), -1)).reshape(tied.shape)
         rank = (coins * running[-1]).astype(np.intp)
         pick = (running <= rank).sum(axis=0)
-        return bids1, self.members[pick, np.arange(q + 1)[:, None]] * len(u) + np.arange(len(u))
+        return bids1, self.members[pick, self.auctions] * len(u) + np.arange(len(u))
 
     def settle(self, u, vals, qualified, round2_rules) -> Batch:
         """Round 2, pricing and payoffs on the rows of u, after the round 1
         qualified (Kernel.qualify of the same rows)."""
         N, q = self.L + self.G, self.q
-        w = np.array(self.w)[:, None]
+        w = self.w_col
         bids1, seats = qualified
         flat = np.ravel if self.contested else np.asarray
 
@@ -459,3 +509,22 @@ class Kernel:
         bonus = np.where(up.any(axis=0) & prudent, pooled / np.where(prudent, w_down, 1.0), 0.0)
         split = np.where(up, base - dev, base + bonus)
         return np.where(prudent, split, base)
+
+
+_kernels = OrderedDict()
+
+
+def kernel(scenario):
+    """The scenario's Kernel, built once per layout and kept for the
+    KERNELS layouts used last. The layout is what Kernel reads: the rule,
+    portfolio, weights, brokers, local and global distributions and
+    correlated_locals, matched by identity; the entry holds them, so no id
+    is reused while it lives. A dataclasses.replace of the seed,
+    replications, name or strategies therefore reuses the Kernel, and one
+    of the rule or brokers builds another. An unknown rule raises on every
+    call."""
+    dists = scenario.distributions
+    layout = (scenario.rule, scenario.portfolio, scenario.weights, scenario.brokers,
+              dists.get("local"), dists.get("global"), scenario.correlated_locals)
+    return _lru(_kernels, tuple(map(id, layout)), KERNELS,
+                lambda: (layout, Kernel(scenario)))[1]

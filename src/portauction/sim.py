@@ -18,7 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import ExactSum, Kernel, bid_rule
+from . import batch
+from .batch import ExactSum, bid_rule
 from .equilibrium import equilibrium_bid  # noqa: F401 (uncalled; bench/tracer.py binds it here)
 from .model import ConfigurationError
 
@@ -144,19 +145,21 @@ def simulate(scenario, n=None, seed=None):
     """Run n independent auctions of the scenario under its strategies and
     aggregate the outcomes.
 
-    Deterministic for fixed (scenario, n, seed). The batch
-    kernel settles the replications a chunk of rows at a time. One
-    ExactSum takes each chunk's seller costs and payoffs together, by
-    extraction when the chunk is wide and through math.fsum otherwise;
-    either way every mean equals math.fsum over every replication, so
-    neither the chunking nor the aggregation route can change results.
+    Deterministic for fixed (scenario, n, seed). The scenario's batch
+    kernel (batch.kernel, built once per layout in a process, with the
+    profile compiled once) settles the replications a chunk of rows at a
+    time. One ExactSum takes each chunk's seller costs and payoffs
+    together, by extraction when the chunk is wide and through math.fsum
+    otherwise; either way every mean equals math.fsum over every
+    replication, so neither the chunking nor the aggregation route can
+    change results.
     """
     if scenario.strategies is None:
         raise ConfigurationError("no strategy profile supplied")
     n = n if n is not None else scenario.replications
     seed = seed if seed is not None else scenario.seed
 
-    kernel = Kernel(scenario)
+    kernel = batch.kernel(scenario)
     wins = violations = clamped = 0
     gaps_max = 0.0
     sums = ExactSum(1 + len(kernel.ids))  # seller cost, then each payoff
@@ -201,7 +204,9 @@ class DominanceReport:
 def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> str:
     if set(baseline.brokers) != set(deviation.brokers):
         raise ConfigurationError("profiles must cover the same brokers")
-    diff = [b for b in baseline.brokers if baseline[b] != deviation[b]]
+    # Identity first: a deviation shares every other broker's object.
+    diff = [b for b, s in baseline.brokers.items()
+            if s is not deviation.brokers[b] and s != deviation.brokers[b]]
     if len(diff) > 1:
         raise ConfigurationError(
             f"profiles must differ for at most one broker, found {len(diff)}"
@@ -212,10 +217,11 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
-    both profiles settle the same rows through Kernel.chunks. The paired
+    both profiles settle the same rows through Kernel.chunks, on the
+    scenario's batch.kernel, which compiles each profile once. The paired
     differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
-    kernel = Kernel(scenario)
+    kernel = batch.kernel(scenario)
     col = kernel.ids.index(broker)
 
     sums = ExactSum(3)  # baseline, deviation, difference

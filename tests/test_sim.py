@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portauction.batch import CHUNK, EXTRACT_MIN, ExactSum, Kernel, row, row_chunks, row_width
+from portauction import batch
+from portauction.batch import (
+    CHUNK,
+    EXTRACT_MIN,
+    KERNELS,
+    ExactSum,
+    Kernel,
+    kernel,
+    row,
+    row_chunks,
+    row_width,
+)
 from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import run_auction, settle_row, transcript_dict
 from portauction.model import ConfigurationError
@@ -301,6 +312,107 @@ def test_equilibrium_strategy_on_a_global_broker_is_rejected():
             compare_strategies(sc, sc.strategies, profile, n=10, seed=0)
     with pytest.raises(ConfigurationError, match="'G' is a global broker"):
         strategy_bid(eq, F(20, 10_000), None, None, "nvcg", 2, broker="G")
+
+
+def test_kernel_is_built_once_per_layout():
+    """A replace() of what Kernel does not read keeps the scenario's cached
+    Kernel; a new object for anything it reads builds another."""
+    sc = _scenario(local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
+    k = kernel(sc)
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
+    for same in (replace(sc, seed=3), replace(sc, replications=7), replace(sc, name="other"),
+                 replace(sc, strategies=dev), replace(sc, distributions=dict(sc.distributions))):
+        assert kernel(same) is k
+    power_law = ValueDistribution.power_law(F(30, 10_000), 2.0)
+    for changed in (replace(sc, rule="nvcg"), replace(sc, brokers=tuple(list(sc.brokers))),
+                    replace(sc, portfolio=replace(sc.portfolio)),
+                    replace(sc, weights=replace(sc.weights)),
+                    replace(sc, distributions={**sc.distributions, "local": power_law}),
+                    replace(sc, distributions={**sc.distributions, "global": power_law}),
+                    replace(sc, correlated_locals=False)):
+        assert kernel(changed) is not k
+        assert kernel(changed) is kernel(changed)
+    assert kernel(replace(sc, rule="nvcg")).rule == "nvcg"
+
+
+def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
+    """simulate and compare_strategies on cached Kernels, interleaved over
+    scenarios and rules and again after every entry was evicted, repeat a
+    fresh Kernel's results to the bit."""
+    market = pin_simulate._load(pin_simulate._market())
+    powerlaw = builtin_scenario("powerlaw")
+    calls = []
+    for sc, broker in ((market, "P0L2"), (powerlaw, "L1")):
+        dev = sc.strategies.with_strategy(broker, round2=Strategy(kind="offset",
+                                                                  offset=F(3, 10_000)))
+        for rule in ("nvcg", "dnvcg"):
+            ruled = replace(sc, rule=rule)
+            calls += [lambda s=ruled: simulate(s, n=300, seed=4),
+                      lambda s=ruled, d=dev: simulate(replace(s, strategies=d), n=300, seed=5),
+                      lambda s=ruled, d=dev: compare_strategies(s, s.strategies, d, 300, 6)]
+    calls = calls[::2] + calls[1::2]  # alternate the two scenarios
+
+    def results():
+        return [repr(call()) for call in calls]
+
+    warm = results() + results()
+    # Past eviction: KERNELS + 1 layouts push every entry out.
+    crowd = [replace(powerlaw, brokers=tuple(list(powerlaw.brokers))) for _ in range(KERNELS + 1)]
+    first = kernel(crowd[0])
+    for sc in crowd:
+        simulate(sc, n=10, seed=0)
+    assert kernel(crowd[0]) is not first
+    warm += results()
+    monkeypatch.setattr(batch, "kernel", Kernel)
+    assert warm == results() * 3
+
+
+def test_a_deviation_compiles_only_the_deviating_broker(monkeypatch):
+    """Kernel.compile converts a profile once, keyed by its BrokerStrategy
+    objects; a deviation from a compiled profile calls bid_rule only for
+    the deviating broker's two rounds."""
+    sc = _scenario(rule="nvcg")
+    k = kernel(sc)
+    rules = k.compile(sc.strategies)
+    calls = []
+    bid_rule = batch.bid_rule
+    monkeypatch.setattr(batch, "bid_rule", lambda *args: calls.append(args) or bid_rule(*args))
+    assert k.compile(StrategyProfile(sc.strategies.brokers)) is rules
+    assert calls == []
+    dev = sc.strategies.with_strategy("L2", round2=Strategy(kind="offset", offset=F(2, 10_000)))
+    assert k.compile(dev) is not rules
+    assert [args[0] for args in calls] == ["L2", "L2"]
+    assert k.compile(sc.strategies) is rules and len(calls) == 2
+
+
+def test_errors_are_raised_on_every_call():
+    """Neither an unknown rule nor an equilibrium strategy on a global is
+    cached: each raises again on the second call."""
+    sc = _scenario()
+    unknown = replace(sc, rule="second-price")
+    eq = sc.strategies.with_strategy("G", round2=Strategy(kind="equilibrium", sigma=0.001))
+    for call, message in ((lambda: simulate(unknown, n=10, seed=0), "unknown pricing rule"),
+                          (lambda: simulate(replace(sc, strategies=eq), n=10, seed=0),
+                           "'G' is a global broker"),
+                          (lambda: compare_strategies(sc, sc.strategies, eq, n=10, seed=0),
+                           "'G' is a global broker")):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=message):
+                call()
+
+
+def test_cached_arrays_are_read_only():
+    """Every call shares a cached Kernel's arrays and compiled rules, so a
+    write to any of them raises."""
+    sc = pin_simulate._load(pin_simulate._market())
+    k = kernel(sc)
+    arrays = [k.w_col, k.pkg_values, k.members, k.auctions, k.running_count]
+    for round_rules in k.compile(sc.strategies):
+        for _, brokers, param in round_rules:
+            arrays += [brokers, param]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_round2_bids_respect_round1_cap():
