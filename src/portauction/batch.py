@@ -46,7 +46,9 @@ from .pricing import RULES
 
 # Replications are drawn and settled CHUNK rows at a time, so a chunk's
 # arrays stay the same size whatever n is (compare_strategies keeps one
-# float per pair besides). The draws do not depend on the chunking.
+# float per pair besides). The draws do not depend on the chunking. Measured
+# end to end (in-process simulate at n = 1e5 on the bundled scenarios under
+# nvcg and dnvcg; 2 vCPUs, numpy 2.4), 8,192 beat 2,048, 4,096 and 16,384.
 CHUNK = 8192
 
 # A seed is a Philox key: 0 <= seed < SEED_LIMIT.

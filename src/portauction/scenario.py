@@ -21,12 +21,14 @@ import hashlib
 import json
 import reprlib
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .batch import SEED_LIMIT, check_weight
+from .batch import SEED_LIMIT, _lru, check_weight
 from .equilibrium import ValueDistribution
 from .model import BrokerProfile, ConfigurationError, PortfolioSpec, WeightVector, derive_weights
 from .pricing import RULES
@@ -41,6 +43,10 @@ SCHEMA_VERSION = 1
 # float engines is finite, and every exact Fraction converts to a float.
 LIMIT = 10**100
 _NO_OFFSET = 0 * BPS
+
+# loads_scenario keeps the configs of the LOADS documents loaded last: more
+# than a loop over a few dozen files cycles through. A config is small.
+LOADS = 64
 
 
 class ScenarioParseError(ValueError):
@@ -57,12 +63,14 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated auction instance."""
+    """A fully validated auction instance. It is immutable, distributions
+    a read-only mapping: loads_scenario shares one config among every load
+    of its document."""
 
     portfolio: PortfolioSpec
     weights: WeightVector
     brokers: tuple
-    distributions: dict
+    distributions: Mapping
     rule: str
     strategies: Optional[StrategyProfile]
     seed: int
@@ -70,6 +78,9 @@ class ScenarioConfig:
     correlated_locals: bool = True
     name: str = ""
     digest: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "distributions", MappingProxyType(dict(self.distributions)))
 
 
 def _real(x):
@@ -417,18 +428,40 @@ def scenario_from_dict(data: dict, name="", digest="") -> ScenarioConfig:
     )
 
 
+_loaded = OrderedDict()
+
+
 def loads_scenario(text: str, name="") -> ScenarioConfig:
+    """Parse and fully validate a scenario document, once per process: the
+    config is kept for the LOADS documents loaded last, keyed by the text's
+    sha256 digest and name (the name a document without a "name" key
+    takes), and a later load of the same text returns the same config.
+    Every load, kept or not, issues the document's ModelWarnings. Parse and
+    validation errors are not kept, so they are raised on every load."""
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    key = (digest, name)
+    kept = key in _loaded
+    config = _lru(_loaded, key, LOADS, lambda: _parse(text, name, digest))
+    if kept:
+        config.portfolio.warn_if_below_three_securities()
+        config.weights.warn_if_above_package_bound()
+    return config
+
+
+def _parse(text, name, digest):
     try:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioParseError("top-level value must be an object")
-    return scenario_from_dict(data, name=name, digest=hashlib.sha256(text.encode()).hexdigest())
+    return scenario_from_dict(data, name=name, digest=digest)
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Load and fully validate a scenario file."""
+    """Load and fully validate a scenario file: its text goes through
+    loads_scenario, so a file whose content is unchanged is validated once
+    per process, and a rewritten file is loaded afresh."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()

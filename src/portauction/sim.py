@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -68,12 +69,13 @@ class BrokerStrategy:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Per-broker strategies, keyed by broker id."""
+    """Per-broker strategies, keyed by broker id, in a read-only mapping: a
+    loaded profile is shared (scenario.loads_scenario)."""
 
     brokers: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "brokers", dict(self.brokers))
+        object.__setattr__(self, "brokers", MappingProxyType(dict(self.brokers)))
 
     def __getitem__(self, broker_id) -> BrokerStrategy:
         return self.brokers[broker_id]

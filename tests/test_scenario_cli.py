@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portauction import __version__, cli
+from portauction import __version__, batch, cli
 from portauction.batch import CHUNK
 from portauction.mechanism import run_auction, transcript_dict
 from portauction.model import ConfigurationError, ModelWarning
 from portauction.pricing import nvcg_fees
 from portauction.scenario import (
+    LOADS,
     ScenarioParseError,
     ScenarioValidationError,
     builtin_scenario,
@@ -97,6 +98,98 @@ def test_load_scenario_from_file(tmp_path):
     p.write_text(_example1_text())
     sc = load_scenario(p)
     assert sc.digest == builtin_scenario("example1").digest
+
+
+def test_a_document_is_loaded_once_per_text_and_name():
+    text = _example1_text()
+    assert loads_scenario(text) is loads_scenario(text)
+    assert builtin_scenario("example1") is builtin_scenario("example1")
+    # the name argument names a document without a "name" key
+    nameless = json.dumps({k: v for k, v in json.loads(text).items() if k != "name"})
+    a, b = loads_scenario(nameless, name="a"), loads_scenario(nameless, name="b")
+    assert (a.name, b.name) == ("a", "b")
+    assert a == replace(b, name="a")
+
+
+def test_a_rewritten_file_loads_its_new_content(tmp_path):
+    path = tmp_path / "powerlaw.json"
+    doc = json.loads(json.dumps(_BUNDLED["powerlaw"]))
+    path.write_text(json.dumps(doc))
+    first = load_scenario(path)
+    assert load_scenario(path) is first
+    doc["strategies"]["L1"]["round2"] = {"kind": "offset", "offset_bps": 3}
+    path.write_text(json.dumps(doc))
+    second = load_scenario(path)
+    assert (second.strategies["L1"].round2.kind, second.strategies["L1"].round2.offset) == \
+        ("offset", F(3, 10_000))
+    assert second == scenario_from_dict(json.loads(path.read_text(), parse_float=F),
+                                        digest=second.digest)
+    assert first.strategies["L1"].round2.kind == "truthful" and first.digest != second.digest
+
+
+def test_invalid_documents_raise_on_every_load(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scenario_from_dict(*args, **kwargs)
+
+    monkeypatch.setattr("portauction.scenario.scenario_from_dict", counted)
+    doc = json.loads(_example1_text())
+    doc["rule"] = "third-price"
+    for text, error in (("{", ScenarioParseError), ("[]", ScenarioParseError),
+                        (json.dumps(doc), ScenarioValidationError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                loads_scenario(text)
+    assert len(calls) == 2  # the invalid object is validated again on the second load
+
+
+def test_every_load_issues_the_model_warnings():
+    """Two securities and weights (0.6, 0.2, 0.2): both lint warnings, on a
+    first load and on a load of the kept config."""
+    doc = json.loads(_example1_text())
+    doc["portfolio"] = {"securities": ["A", "B"], "quantities": [4, 1], "agreed_prices": [1, 1],
+                        "packages": [[3, 0], [1, 0], [0, 1]]}
+    doc["brokers"] = [{"id": f"L{j}", "role": "local", "package_index": j, "valuation_bps": 10}
+                      for j in range(3)] + [{"id": "G", "role": "global", "valuation_bps": 12}]
+    doc.pop("strategies", None)
+    text = json.dumps(doc)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loads_scenario(text)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ModelWarning, "portfolio has only 2 securities; the model is stated for 3 or more"),
+            (ModelWarning, "weight 0 = 0.6000 exceeds 1/(q-1) = 0.5000 for q = 3 packages; "
+                           "NVCG can pay that package's local less than its bid"),
+        ]
+
+
+def test_a_document_past_the_bound_loads_again_equal():
+    doc = json.loads(_example1_text())
+    text = json.dumps(doc)
+    first = loads_scenario(text)
+    for i in range(LOADS + 1):
+        loads_scenario(json.dumps({**doc, "seed": doc["seed"] + 1 + i}))
+    again = loads_scenario(text)
+    assert again is not first and again == first
+
+
+def test_loaded_mappings_are_read_only():
+    sc = builtin_scenario("powerlaw")
+    with pytest.raises(TypeError):
+        sc.distributions["local"] = sc.distributions["global"]
+    with pytest.raises(TypeError):
+        sc.strategies.brokers["L1"] = sc.strategies["L2"]
+    with pytest.raises(TypeError):
+        del sc.strategies.brokers["G"]
+
+
+def test_loads_of_one_file_share_its_kernel(tmp_path):
+    path = tmp_path / "powerlaw.json"
+    path.write_text(json.dumps(_BUNDLED["powerlaw"]))
+    assert batch.kernel(load_scenario(path)) is batch.kernel(load_scenario(path))
 
 
 def test_portfolio_integers_stay_ints():
