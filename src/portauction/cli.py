@@ -228,9 +228,13 @@ def _cmd_equilibrium(args) -> int:
     if dist is None:
         raise ScenarioValidationError(["equilibrium analysis needs a global value distribution"])
     grid = _parse_sweep(args.sweep) if args.sweep else {}
-    # Every solve starts from alpha_bps: swept, or the locals' common valuation.
+    # Every solve starts from alpha_bps: swept, or the locals' common valuation,
+    # which they do not use when they draw their values.
     valuations = sorted({float(to_bps(b.valuation)) for b in scenario.brokers
                          if b.role == "local"})
+    if scenario.distributions.get("local") is not None and "alpha_bps" not in grid:
+        raise ScenarioValidationError(["the locals draw their values from distributions.local: "
+                                       "equilibrium needs a swept alpha_bps="])
     if len(valuations) != 1 and "alpha_bps" not in grid:
         raise ScenarioValidationError([f"the locals' valuations {valuations} bps differ: "
                                        "equilibrium needs one, or a swept alpha_bps="])

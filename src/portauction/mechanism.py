@@ -147,6 +147,7 @@ class AuctionTranscript:
     outcome: FeeOutcome
     rule: str
     rng_seed: object
+    payoffs: Mapping  # broker id -> payoff, every broker listed
 
 
 def run_round2(
@@ -210,7 +211,12 @@ def settle_row(scenario, u) -> AuctionTranscript:
     drawn valuations (sim.resolve_bids), the q+1 round-1 tie coins and the
     allocation tie coin. Round-2 bids are clamped into [0, round-1 bid];
     any clamping is flagged in the outcome diagnostics. rng_seed is left
-    None."""
+    None.
+
+    Payoffs are the batch kernel's: a seated local j on a coalition win
+    earns package_values[j] * (fee_j - valuation), the seated global on a
+    global win total_value * (global_payment - valuation), and every other
+    broker 0."""
     profile = scenario.strategies
     if profile is None:
         raise ConfigurationError("no strategy profile supplied")
@@ -254,6 +260,15 @@ def settle_row(scenario, u) -> AuctionTranscript:
     if clamped:
         outcome = replace(outcome, diagnostics={
             **outcome.diagnostics, "clamped_round2_bids": tuple(sorted(clamped))})
+
+    pf = scenario.portfolio
+    payoffs = dict.fromkeys((b.id for b in scenario.brokers), 0)
+    if outcome.winner == "coalition":
+        for j, broker_id in enumerate(qualification.qualified_locals):
+            payoffs[broker_id] = pf.package_values[j] * (outcome.fees[j] - values[broker_id])
+    else:
+        g = qualification.qualified_global
+        payoffs[g] = pf.total_value * (outcome.global_payment - values[g])
     return AuctionTranscript(
         qualification=qualification,
         update=update,
@@ -261,6 +276,7 @@ def settle_row(scenario, u) -> AuctionTranscript:
         outcome=outcome,
         rule=rule,
         rng_seed=None,
+        payoffs=payoffs,
     )
 
 
@@ -311,4 +327,5 @@ def transcript_dict(t: AuctionTranscript) -> dict:
             "epsilons": list(t.outcome.epsilons),
             "diagnostics": t.outcome.diagnostics,
         },
+        "payoffs": t.payoffs,
     })

@@ -6,6 +6,10 @@ fees next to the bundled reference values. Reference tables truncate fees
 at two decimals, so displays here truncate too; machine-readable records
 keep full precision. Known internal inconsistencies in the reference
 tables are annotated, never silently patched.
+
+One table maps each target to its scenario and renderer; a renderer
+returns its body lines, records and annotations, and build wraps them in
+the header, the records envelope and the annotations block.
 """
 
 from __future__ import annotations
@@ -18,17 +22,14 @@ from .pricing import dnvcg_fees, nvcg_fees, vcg_fees, weighted_total
 from .scenario import builtin_scenario
 from .units import fmt_bps, to_bps
 
-TARGETS = ("example1", "example2", "figure1", "figure2")
-
 # Reference values (bps) that example2 and figure2 are shown against, as
-# printed in the reference tables/plots. example2's dynamic-rule column is
-# listed twice: the table prints 25.55 for broker 2 while the companion
-# plot prints 22.55; only the latter is consistent with the rule (see
-# annotations).
+# printed in the reference tables/plots. example2's table prints 25.55 for
+# broker 2's dynamic-rule fee where figure2's plot prints 22.55; only the
+# latter is consistent with the rule (see annotations). A target with
+# reference values carries an annotations list in its records.
 REFERENCE = {
     "example2": {
         "dnvcg_table": (24.08, 25.55, 25.77, 25.0, 27.55),
-        "dnvcg_plot": (24.08, 22.55, 25.77, 25.0, 27.55),
         "global_interval_table": (22.0, 25.0),
     },
     "figure2": {
@@ -53,8 +54,8 @@ class Report:
 
 def _fee_table(name):
     """The bundled scenario's bids (bps, exact), read from run_auction's
-    transcript, and each rule's fees on them. The tables assume a coalition
-    win."""
+    transcript, and every rule's fees on them. The tables assume a
+    coalition win."""
     sc = builtin_scenario(name)
     t = run_auction(sc)
     assert t.outcome.winner == "coalition"
@@ -63,19 +64,20 @@ def _fee_table(name):
     bids1 = tuple(to_bps(t.ledger.round1[b]) for b in ids)
     bids2 = tuple(to_bps(t.ledger.round2[b]) for b in ids)
     g2 = to_bps(t.ledger.round2[g])
-    w = sc.weights
+    w = tuple(sc.weights)
+    d = dnvcg_fees(bids1, bids2, w, g2)
     return {
-        "scenario": sc,
+        "digest": sc.digest,
         "ids": ids,
-        "weights": tuple(w),
+        "weights": w,
         "bids1": bids1,
         "bids2": bids2,
         "global_bid1": to_bps(t.ledger.round1[g]),
         "global_bid2": g2,
         "total": weighted_total(bids2, w),
-        "vcg": vcg_fees(bids2, w, g2),
-        "nvcg": nvcg_fees(bids2, w, g2),
-        "dnvcg": dnvcg_fees(bids1, bids2, w, g2),
+        "rules": {"vcg": vcg_fees(bids2, w, g2), "nvcg": nvcg_fees(bids2, w, g2),
+                  "dnvcg": d.fees},
+        "dnvcg": d,
     }
 
 
@@ -83,238 +85,171 @@ def _row(cells, widths):
     return "  ".join(str(c).ljust(wd) for c, wd in zip(cells, widths)).rstrip()
 
 
-def reproduce_example1() -> Report:
-    tab = _fee_table("example1")
-    sc = tab["scenario"]
-    d = tab["dnvcg"]
-    rules = {"vcg": tab["vcg"], "nvcg": tab["nvcg"], "dnvcg": d.fees}
+def _floats(xs):
+    return [float(x) for x in xs]
 
-    lines = [
-        "reproduction: example1",
-        f"engine: portauction {__version__}",
-        f"scenario digest: {sc.digest}",
-        "weights: " + ", ".join(f"{float(w):g}" for w in tab["weights"]),
-        "round-1 bids (bps): "
-        + ", ".join(f"{i}={fmt_bps(b)}" for i, b in zip(tab["ids"], tab["bids1"]))
-        + f", G={fmt_bps(tab['global_bid1'])}",
-        "round-2 bids (bps): "
-        + ", ".join(f"{i}={fmt_bps(b)}" for i, b in zip(tab["ids"], tab["bids2"]))
-        + f", G={fmt_bps(tab['global_bid2'])}",
-        f"coalition total {fmt_bps(tab['total'])} < global bid "
-        f"{fmt_bps(tab['global_bid2'])}: coalition wins",
-        "",
-    ]
+
+def _interval(lo, hi):
+    return f"[{fmt_bps(lo)}, {fmt_bps(hi)}]"
+
+
+def _core(tab):
+    """Each local's core interval: [own round-2 bid, VCG fee]."""
+    return list(zip(tab["bids2"], tab["rules"]["vcg"]))
+
+
+def _coalition_wins(tab):
+    return (f"coalition total {fmt_bps(tab['total'])} < global bid "
+            f"{fmt_bps(tab['global_bid2'])}: coalition wins")
+
+
+def _example1(tab):
+    ids, w, rules = tab["ids"], tab["weights"], tab["rules"]
+    totals = {r: weighted_total(fees, w) for r, fees in rules.items()}
     widths = (6, 8, 8, 14)
-    lines.append(_row(("rule", *tab["ids"], "weighted total"), widths))
-    for rule, fees in rules.items():
-        total = weighted_total(fees, tab["weights"])
-        lines.append(_row((rule, *(fmt_bps(f) for f in fees), fmt_bps(total)), widths))
-    lines.append("")
-    for bid, lo, hi in zip(tab["ids"], tab["bids2"], tab["vcg"]):
-        lines.append(f"core interval {bid}: [{fmt_bps(lo)}, {fmt_bps(hi)}]")
-    lines.append(f"seller payment interval: [{fmt_bps(tab['total'])}, "
-                 f"{fmt_bps(tab['global_bid2'])}]")
-    lines.append(f"frontier total (bps): {fmt_bps(weighted_total(d.fees, tab['weights']))}")
-
-    records = {
-        "target": "example1",
-        "engine_version": __version__,
-        "scenario_digest": sc.digest,
-        "weights": [float(w) for w in tab["weights"]],
-        "fees_bps": {r: [float(f) for f in fees] for r, fees in rules.items()},
-        "weighted_totals_bps": {
-            r: float(weighted_total(fees, tab["weights"])) for r, fees in rules.items()
-        },
-        "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
-        "delta_bps": float(d.delta),
-    }
-    return Report(target="example1", lines=tuple(lines), records=records)
-
-
-def reproduce_example2() -> Report:
-    tab = _fee_table("table1")
-    sc = tab["scenario"]
-    d = tab["dnvcg"]
-    ref = REFERENCE["example2"]
-    annotations = []
-
-    plot_ref = ref["dnvcg_plot"]
-    table_ref = ref["dnvcg_table"]
-    for i, (fee, t_ref, p_ref) in enumerate(zip(d.fees, table_ref, plot_ref)):
-        if abs(float(fee) - t_ref) > 0.01:
-            annotations.append(
-                f"broker {tab['ids'][i]}: computed dynamic-rule fee "
-                f"{fmt_bps(fee)} bps; reference table prints {t_ref} "
-                f"(presumed typo; companion plot prints {p_ref}, which matches)"
-            )
-    gi = (float(tab["total"]), float(tab["global_bid2"]))
-    if abs(gi[0] - ref["global_interval_table"][0]) > 0.01:
-        annotations.append(
-            f"seller payment interval: computed [{fmt_bps(tab['total'])}, "
-            f"{fmt_bps(tab['global_bid2'])}]; reference table prints "
-            f"[{ref['global_interval_table'][0]:g}, {ref['global_interval_table'][1]:g}] "
-            f"(lower endpoint is the coalition total {fmt_bps(tab['total'])})"
-        )
-
     lines = [
-        "reproduction: example2",
-        f"engine: portauction {__version__}",
-        f"scenario digest: {sc.digest}",
-        f"coalition total {fmt_bps(tab['total'])} < global bid "
-        f"{fmt_bps(tab['global_bid2'])}: coalition wins",
+        "weights: " + ", ".join(f"{float(x):g}" for x in w),
+        *(f"round-{k} bids (bps): "
+          + ", ".join(f"{i}={fmt_bps(b)}" for i, b in zip(ids, tab[f"bids{k}"]))
+          + f", G={fmt_bps(tab[f'global_bid{k}'])}" for k in (1, 2)),
+        _coalition_wins(tab),
         "",
+        _row(("rule", *ids, "weighted total"), widths),
+        *(_row((r, *map(fmt_bps, fees), fmt_bps(totals[r])), widths)
+          for r, fees in rules.items()),
+        "",
+        *(f"core interval {i}: {_interval(lo, hi)}" for i, (lo, hi) in zip(ids, _core(tab))),
+        f"seller payment interval: {_interval(tab['total'], tab['global_bid2'])}",
+        f"frontier total (bps): {fmt_bps(totals['dnvcg'])}",
     ]
-    widths = (7, 7, 6, 6, 7, 16, 8, 8)
-    lines.append(_row(("broker", "weight", "r1", "r2", "vcg", "core interval",
-                       "nearest", "dynamic"), widths))
-    for i, bid in enumerate(tab["ids"]):
-        lines.append(
-            _row(
-                (
-                    bid,
-                    f"{float(tab['weights'][i]):.2f}",
-                    fmt_bps(tab["bids1"][i]),
-                    fmt_bps(tab["bids2"][i]),
-                    fmt_bps(tab["vcg"][i]),
-                    f"[{fmt_bps(tab['bids2'][i])}, {fmt_bps(tab['vcg'][i])}]",
-                    fmt_bps(tab["nvcg"][i]),
-                    fmt_bps(d.fees[i]),
-                ),
-                widths,
-            )
-        )
-    lines.append(
-        _row(
-            ("G", "", fmt_bps(tab["global_bid1"]), fmt_bps(tab["global_bid2"]), "",
-             f"[{fmt_bps(tab['total'])}, {fmt_bps(tab['global_bid2'])}]", "", ""),
-            widths,
-        )
-    )
-    lines.append("")
-    lines.append(f"delta: {fmt_bps(d.delta)}")
-    lines.append(
-        "overbid deviations: "
-        + ", ".join(f"{tab['ids'][j]}={fmt_bps(d.deviations[j])}" for j in d.q_up)
-    )
-    pooled = sum(tab["weights"][j] * d.deviations[j] for j in d.q_up)
-    w_down = sum(tab["weights"][i] for i in d.q_down)
-    lines.append(
-        f"prudent-set bonus per broker: {fmt_bps(d.bonus)} "
-        f"(pooled {fmt_bps(pooled)} over weight {float(w_down):g})"
-    )
-    if annotations:
-        lines.append("")
-        lines.append("annotations:")
-        lines.extend(f"  - {a}" for a in annotations)
-
     records = {
-        "target": "example2",
-        "engine_version": __version__,
-        "scenario_digest": sc.digest,
-        "weights": [float(w) for w in tab["weights"]],
-        "bids1_bps": [float(b) for b in tab["bids1"]],
-        "bids2_bps": [float(b) for b in tab["bids2"]],
-        "vcg_bps": [float(f) for f in tab["vcg"]],
-        "nvcg_bps": [float(f) for f in tab["nvcg"]],
-        "dnvcg_bps": [float(f) for f in d.fees],
-        "core_intervals_bps": [[float(a), float(b)] for a, b in zip(tab["bids2"], tab["vcg"])],
-        "global_interval_bps": [gi[0], gi[1]],
+        "weights": _floats(w),
+        "fees_bps": {r: _floats(fees) for r, fees in rules.items()},
+        "weighted_totals_bps": {r: float(total) for r, total in totals.items()},
+        "core_intervals_bps": [_floats(c) for c in _core(tab)],
+        "delta_bps": float(tab["dnvcg"].delta),
+    }
+    return lines, records, []
+
+
+def _example2(tab):
+    ids, w, rules, d = tab["ids"], tab["weights"], tab["rules"], tab["dnvcg"]
+    ref = REFERENCE["example2"]
+    annotations = [
+        f"broker {i}: computed dynamic-rule fee {fmt_bps(fee)} bps; reference table prints "
+        f"{t_ref} (presumed typo; companion plot prints {p_ref}, which matches)"
+        for i, fee, t_ref, p_ref in zip(ids, d.fees, ref["dnvcg_table"],
+                                        REFERENCE["figure2"]["dnvcg"])
+        if abs(float(fee) - t_ref) > 0.01
+    ]
+    lo, hi = ref["global_interval_table"]
+    if abs(float(tab["total"]) - lo) > 0.01:
+        annotations.append(
+            f"seller payment interval: computed {_interval(tab['total'], tab['global_bid2'])}; "
+            f"reference table prints [{lo:g}, {hi:g}] "
+            f"(lower endpoint is the coalition total {fmt_bps(tab['total'])})")
+
+    widths = (7, 7, 6, 6, 7, 16, 8, 8)
+    pooled = sum(w[j] * d.deviations[j] for j in d.q_up)
+    lines = [
+        _coalition_wins(tab),
+        "",
+        _row(("broker", "weight", "r1", "r2", "vcg", "core interval", "nearest", "dynamic"),
+             widths),
+        *(_row((i, f"{float(wi):.2f}", *map(fmt_bps, (b1, b2, cv)), _interval(b2, cv),
+                fmt_bps(nv), fmt_bps(dv)), widths)
+          for i, wi, b1, b2, cv, nv, dv in zip(ids, w, tab["bids1"], tab["bids2"],
+                                               *rules.values())),
+        _row(("G", "", fmt_bps(tab["global_bid1"]), fmt_bps(tab["global_bid2"]), "",
+              _interval(tab["total"], tab["global_bid2"]), "", ""), widths),
+        "",
+        f"delta: {fmt_bps(d.delta)}",
+        "overbid deviations: " + ", ".join(f"{ids[j]}={fmt_bps(d.deviations[j])}"
+                                           for j in d.q_up),
+        f"prudent-set bonus per broker: {fmt_bps(d.bonus)} "
+        f"(pooled {fmt_bps(pooled)} over weight {float(sum(w[i] for i in d.q_down)):g})",
+    ]
+    records = {
+        "weights": _floats(w),
+        "bids1_bps": _floats(tab["bids1"]),
+        "bids2_bps": _floats(tab["bids2"]),
+        **{f"{r}_bps": _floats(fees) for r, fees in rules.items()},
+        "core_intervals_bps": [_floats(c) for c in _core(tab)],
+        "global_interval_bps": _floats((tab["total"], tab["global_bid2"])),
         "delta_bps": float(d.delta),
         "overbidders": list(d.q_up),
         "bonus_bps": float(d.bonus),
-        "annotations": annotations,
     }
-    return Report(
-        target="example2",
-        lines=tuple(lines),
-        records=records,
-        annotations=tuple(annotations),
-    )
+    return lines, records, annotations
 
 
-def reproduce_figure1() -> Report:
-    tab = _fee_table("example1")
-    w = tab["weights"]
-    cv = tab["vcg"]
-    b2 = tab["bids2"]
-    g2 = tab["global_bid2"]
-    d = tab["dnvcg"]
+def _figure1(tab):
+    w, rules, g2 = tab["weights"], tab["rules"], tab["global_bid2"]
+    (b1, b2), (c1, c2) = tab["bids2"], rules["vcg"]
     # The frontier segment in (fee_1, fee_2) space clipped to the core box:
     # at fee_1 = own bid the partner sits at its VCG cap, and vice versa.
-    seg = ((b2[0], cv[1]), (cv[0], b2[1]))
-    points = {
-        "vcg": (cv[0], cv[1]),
-        "nvcg": (tab["nvcg"][0], tab["nvcg"][1]),
-        "dnvcg": (d.fees[0], d.fees[1]),
-    }
+    seg = ((b1, c2), (c1, b2))
     lines = [
-        "reproduction: figure1",
-        f"engine: portauction {__version__}",
         f"frontier: w1*c1 + w2*c2 = {fmt_bps(g2)} with weights "
         + ", ".join(f"{float(x):g}" for x in w),
-        f"frontier segment: ({fmt_bps(seg[0][0])}, {fmt_bps(seg[0][1])}) -> "
-        f"({fmt_bps(seg[1][0])}, {fmt_bps(seg[1][1])})",
+        f"frontier segment: ({fmt_bps(b1)}, {fmt_bps(c2)}) -> ({fmt_bps(c1)}, {fmt_bps(b2)})",
+        *(f"{r} point: ({fmt_bps(x)}, {fmt_bps(y)})  "
+          + ("[on frontier]" if weighted_total((x, y), w) == g2 else "[off frontier]")
+          for r, (x, y) in rules.items()),
     ]
-    for name, (x, y) in points.items():
-        on = weighted_total((x, y), w) == g2
-        lines.append(
-            f"{name} point: ({fmt_bps(x)}, {fmt_bps(y)})"
-            + ("  [on frontier]" if on else "  [off frontier]")
-        )
     records = {
-        "target": "figure1",
-        "engine_version": __version__,
-        "segment_bps": [[float(a), float(b)] for a, b in seg],
-        "points_bps": {k: [float(a), float(b)] for k, (a, b) in points.items()},
+        "segment_bps": [_floats(p) for p in seg],
+        "points_bps": {r: _floats(p) for r, p in rules.items()},
         "global_bid_bps": float(g2),
     }
-    return Report(target="figure1", lines=tuple(lines), records=records)
+    return lines, records, []
 
 
-def reproduce_figure2() -> Report:
-    tab = _fee_table("table1")
-    d = tab["dnvcg"]
-    series = {"vcg": tab["vcg"], "nvcg": tab["nvcg"], "dnvcg": d.fees}
-    ref = REFERENCE["figure2"]
-    annotations = []
+def _figure2(tab):
+    bids, rules, ref = tab["bids2"], tab["rules"], REFERENCE["figure2"]
     lines = [
-        "reproduction: figure2",
-        f"engine: portauction {__version__}",
         "series of (round-2 bid, fee) points in bps, one per local broker",
+        *(f"{r}: " + ", ".join(f"({fmt_bps(b)}, {fmt_bps(f)})" for b, f in zip(bids, fees))
+          for r, fees in rules.items()),
     ]
-    for rule, fees in series.items():
-        pts = ", ".join(
-            f"({fmt_bps(b)}, {fmt_bps(f)})" for b, f in zip(tab["bids2"], fees)
-        )
-        lines.append(f"{rule}: {pts}")
-        for bid, fee, r in zip(ref["bids"], fees, ref[rule]):
-            if abs(float(fee) - r) > 0.01:
-                annotations.append(
-                    f"{rule} at bid {bid}: computed {fmt_bps(fee)}, reference plot {r}"
-                )
-    if annotations:
-        lines.append("annotations:")
-        lines.extend(f"  - {a}" for a in annotations)
+    annotations = [
+        f"{r} at bid {bid}: computed {fmt_bps(fee)}, reference plot {want}"
+        for r, fees in rules.items()
+        for bid, fee, want in zip(ref["bids"], fees, ref[r]) if abs(float(fee) - want) > 0.01
+    ]
     records = {
-        "target": "figure2",
-        "engine_version": __version__,
-        "bids_bps": [float(b) for b in tab["bids2"]],
-        "series_bps": {r: [float(f) for f in fees] for r, fees in series.items()},
-        "annotations": annotations,
+        "bids_bps": _floats(bids),
+        "series_bps": {r: _floats(fees) for r, fees in rules.items()},
     }
-    return Report(
-        target="figure2", lines=tuple(lines), records=records,
-        annotations=tuple(annotations),
-    )
+    return lines, records, annotations
+
+
+# target -> (bundled scenario, renderer, whether the report names the
+# scenario's digest): the worked examples do, the figures drawn from them not.
+_TABLE = {
+    "example1": ("example1", _example1, True),
+    "example2": ("table1", _example2, True),
+    "figure1": ("example1", _figure1, False),
+    "figure2": ("table1", _figure2, False),
+}
+TARGETS = tuple(_TABLE)
 
 
 def build(target: str) -> Report:
-    if target == "example1":
-        return reproduce_example1()
-    if target == "example2":
-        return reproduce_example2()
-    if target == "figure1":
-        return reproduce_figure1()
-    if target == "figure2":
-        return reproduce_figure2()
-    raise ValueError(f"unknown reproduction target {target!r}; pick one of {TARGETS}")
+    if target not in _TABLE:
+        raise ValueError(f"unknown reproduction target {target!r}; pick one of {TARGETS}")
+    name, render, digested = _TABLE[target]
+    tab = _fee_table(name)
+    body, records, annotations = render(tab)
+    lines = [f"reproduction: {target}", f"engine: portauction {__version__}"]
+    records = {**records, "target": target, "engine_version": __version__}
+    if digested:
+        lines.append(f"scenario digest: {tab['digest']}")
+        records["scenario_digest"] = tab["digest"]
+    lines += body
+    if target in REFERENCE:
+        records["annotations"] = annotations
+    if annotations:
+        lines += ["", "annotations:", *(f"  - {a}" for a in annotations)]
+    return Report(target=target, lines=tuple(lines), records=records,
+                  annotations=tuple(annotations))

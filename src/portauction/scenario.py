@@ -10,9 +10,9 @@ Fractions and integers to ints, so derived quantities stay bit-stable.
 One schema table, checked by _SCENARIO, states each key's type, domain
 and whether it is required; distributions and strategies are kind-tagged,
 so a key the kind does not read is an unknown key. Every finding is
-reported at its JSON path, one message each in a ScenarioValidationError;
-a value that passes costs no path string. The section code then only
-builds model objects and checks keys against one another.
+reported at its JSON path, one message each in a ScenarioValidationError.
+The section code then only builds model objects and checks keys against
+one another.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def _leaf(ok, wanted):
     def check(value, path, errors):
         if not ok(value):
             errors.append(f"{path}: expected {wanted}, got {_show(value)}")
-    check.ok = ok  # lets a list or an object test a leaf without formatting its path
     return check
 
 
@@ -127,14 +126,10 @@ def _one_of(values):
 
 
 def _list(item, nonempty=False):
-    ok = getattr(item, "ok", None)
-
     def check(value, path, errors):
         if not isinstance(value, list) or nonempty and not value:
             errors.append(f"{path}: expected a {'nonempty ' * nonempty}list, got {_show(value)}")
             return
-        if ok is not None and all(map(ok, value)):
-            return  # no finding, so no item's path is needed
         for i, x in enumerate(value):
             item(x, f"{path}[{i}]", errors)
     return check
@@ -151,7 +146,6 @@ def _fields(table, kind=None):
     required)} (of the given kind, if tagged). It returns the keys whose
     values passed."""
     nodes = {key: node for key, (node, _) in table.items()}
-    leaves = {key: node.ok for key, node in nodes.items() if hasattr(node, "ok")}
     required = sorted(key for key, (_, needed) in table.items() if needed)
     unknown = f": unknown key for kind {kind!r}" if kind else ": unknown key"
 
@@ -160,10 +154,6 @@ def _fields(table, kind=None):
         for key, x in value.items():
             if key not in nodes:
                 errors.append(f"{path}.{key}{unknown}")
-                continue
-            ok = leaves.get(key)
-            if ok is not None and ok(x):
-                passed.add(key)  # a leaf that passes needs no path
                 continue
             found = len(errors)
             nodes[key](x, f"{path}.{key}", errors)

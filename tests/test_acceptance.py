@@ -123,7 +123,7 @@ def test_example2_table_reproduction():
             assert abs(float(got) - ref) <= 0.01
 
         # the report flags the inconsistent table entry for broker 2
-        report = reproduce.reproduce_example2()
+        report = reproduce.build("example2")
         assert any("25.55" in a and "typo" in a for a in report.annotations)
 
         compute()  # warm

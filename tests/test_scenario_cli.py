@@ -1119,17 +1119,27 @@ def test_cli_sweep_over_a_uniform_global_needs_shape_and_upper(capsys, tmp_path)
 
 def test_cli_equilibrium_starts_from_the_common_local_valuation(capsys, tmp_path):
     """Every solve starts from the locals' one valuation unless alpha_bps=
-    is swept, so locals at 20 and 25 bps need a swept alpha_bps."""
-    brokers = json.loads(json.dumps(_BUNDLED["powerlaw"]["brokers"]))
-    brokers[1]["valuation_bps"] = 25
-    path = _powerlaw_file(tmp_path, brokers=brokers)
-    for args in ([], ["--sweep", "shape=2,3"], ["--sweep", "q=3"]):
-        code, out, err = run_cli(["equilibrium", path, *args], capsys)
-        assert (code, out) == (4, "")
-        assert "[20.0, 25.0]" in err and "alpha_bps" in err
-    code, out, err = run_cli(["equilibrium", path, "--sweep", "shape=2;alpha_bps=20"], capsys)
-    assert code == 0, err
-    assert out.splitlines()[1].startswith("dnvcg,2.0,2,20.0,")
+    is swept, so locals at 20 and 25 bps need a swept alpha_bps, and so do
+    locals that draw their values, whose valuation_bps (0 when omitted) no
+    engine reads."""
+    unequal = json.loads(json.dumps(_BUNDLED["powerlaw"]["brokers"]))
+    unequal[1]["valuation_bps"] = 25
+    omitted = [{k: v for k, v in b.items() if k != "valuation_bps"}
+               for b in _BUNDLED["powerlaw"]["brokers"]]
+    drawn = {**_BUNDLED["powerlaw"]["distributions"],
+             "local": {"kind": "empirical", "sample_bps": [10, 20, 30]}}
+    for changes, named in (({"brokers": unequal}, "[20.0, 25.0]"),
+                           ({"brokers": omitted, "distributions": drawn},
+                            "distributions.local")):
+        path = _powerlaw_file(tmp_path, **changes)
+        for args in ([], ["--sweep", "shape=2,3"], ["--sweep", "q=3"]):
+            code, out, err = run_cli(["equilibrium", path, *args], capsys)
+            assert (code, out) == (4, ""), changes
+            assert named in err and "alpha_bps" in err
+        code, out, err = run_cli(["equilibrium", path, "--sweep", "shape=2;alpha_bps=20"],
+                                 capsys)
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("dnvcg,2.0,2,20.0,")
 
 
 def test_cli_equilibrium_needs_distribution(capsys):
@@ -1156,6 +1166,13 @@ def test_reproduce_golden_files(target, capsys):
     assert out.encode() == golden
     for token in GOLDEN_TOKENS[target]:
         assert token in out
+
+
+@pytest.mark.parametrize("target", ["example1", "example2", "figure1", "figure2"])
+def test_reproduce_records_golden_files(target, capsys):
+    code, out, _ = run_cli(["reproduce", target, "--format", "records"], capsys)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{target}.records.json").read_bytes()
 
 
 def test_reproduce_records_content(capsys):

@@ -582,6 +582,7 @@ def test_settle_row_matches_the_kernel(name, config, seed):
     u = np.concatenate(list(row_chunks(seed, n, row_width(config))))
     details = pin_simulate.replications(config, n, seed)
     w = config.weights.weights
+    pf = config.portfolio
     clamped = {}
     for k in rows:
         t = settle_row(config, u[k])
@@ -595,6 +596,11 @@ def test_settle_row_matches_the_kernel(name, config, seed):
         cost = (sum(wj * f for wj, f in zip(w, o.fees)) if details["won"][k]
                 else o.global_payment)
         assert abs(cost - details["seller_cost"][k]) <= ORACLE_TOL, k
+        assert t.payoffs.keys() == details["payoffs"].keys()
+        for b in config.brokers:
+            scale = pf.package_values[b.package_index] if b.role == "local" else pf.total_value
+            assert abs(t.payoffs[b.id] - details["payoffs"][b.id][k]) <= ORACLE_TOL * scale, \
+                (k, b.id)
         clamped[k] = len(o.diagnostics.get("clamped_round2_bids", ()))
     # simulate counts clamped bids per run: rows 0..199 together, and each
     # later row as the difference of two prefixes
