@@ -1158,13 +1158,34 @@ GOLDEN_TOKENS = {
 }
 
 
-@pytest.mark.parametrize("target", ["example1", "example2", "figure1", "figure2"])
-def test_reproduce_golden_files(target, capsys):
-    code, out, _ = run_cli(["reproduce", target], capsys)
+# (command, golden file), each file written by the CLI before a refactor of
+# the command path, so a change to any command's bytes shows here.
+GOLDEN_COMMANDS = [
+    *(pytest.param(["reproduce", t], f"{t}.txt", id=t)
+      for t in ("example1", "example2", "figure1", "figure2")),
+    pytest.param(["run", "powerlaw"], "run-powerlaw.txt", id="run-table"),
+    pytest.param(["run", "powerlaw", "--format", "records"], "run-powerlaw.records.json",
+                 id="run-records"),
+    pytest.param(["run", "table1", "--rule", "dnvcg", "--seed", "5", "--replication", "2",
+                  "--format", "records"], "run-table1-dnvcg.records.json", id="run-replication"),
+    pytest.param(["simulate", "powerlaw", "-n", "3000", "--seed", "13"],
+                 "simulate-powerlaw.csv", id="simulate-csv"),
+    pytest.param(["simulate", "powerlaw", "-n", "3000", "--seed", "13", "--format", "records"],
+                 "simulate-powerlaw.records.json", id="simulate-records"),
+    pytest.param(["equilibrium", "powerlaw"], "equilibrium-powerlaw.csv", id="equilibrium-csv"),
+    pytest.param(["equilibrium", "powerlaw", "--sweep", "shape=2,3;q=2,3;alpha_bps=15",
+                  "--format", "records"], "equilibrium-powerlaw-sweep.records.json",
+                 id="equilibrium-sweep-records"),
+    pytest.param(["validate", "table1"], "validate-table1.txt", id="validate"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_COMMANDS)
+def test_reproduce_golden_files(argv, golden, capsys):
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    golden = (GOLDEN / f"{target}.txt").read_bytes()
-    assert out.encode() == golden
-    for token in GOLDEN_TOKENS[target]:
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+    for token in GOLDEN_TOKENS.get(argv[1], ()):
         assert token in out
 
 
