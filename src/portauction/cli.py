@@ -4,8 +4,11 @@ Subcommands: run, simulate, equilibrium, reproduce, validate. Exit codes:
 0 success, 2 usage error (argparse), 3 scenario parse error / missing
 file, 4 validation error, 5 runtime failure. Machine-readable output
 (--format records) is a JSON document with stable key order and no
-timestamps, so identical inputs and seed reproduce identical bytes; every
-report carries the engine version, scenario digest, and seed.
+timestamps, so identical inputs and seed reproduce identical bytes. Every
+records document has one envelope: command, engine_version,
+scenario_digest, seed and result. run, simulate and equilibrium fill all
+of them, and run adds replication; reproduce names the scenario digest of
+the two worked examples, null for the figures, and its seed is null.
 """
 
 from __future__ import annotations
@@ -62,15 +65,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(data)
 
 
-def _seed(args, scenario):
-    """--seed, or the scenario's seed; a seed is a Philox key."""
-    if args.seed is None:
-        return scenario.seed
-    if not 0 <= args.seed < SEED_LIMIT:
-        raise ScenarioParseError(f"--seed must be an integer in [0, 2**128), got {args.seed}")
-    return args.seed
-
-
 def _records(command, scenario, seed, result, **envelope) -> str:
     doc = {
         "command": command,
@@ -91,22 +85,16 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _cmd_run(args) -> int:
-    scenario = _load(args.scenario)
-    seed = _seed(args, scenario)
+def _cmd_run(args, scenario, seed):
     k = args.replication
     if k < 0:
         raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
     if k >= PERIOD // row_width(scenario):
         raise ScenarioParseError(f"--replication must be below 2**258 // {row_width(scenario)}, "
                                  f"past which the seed's Philox stream repeats, got {k}")
-    if args.rule is not None:
-        scenario = replace(scenario, rule=args.rule)
     t = run_auction(scenario, seed=seed, replication=k)
     if args.format == "records":
-        _emit(_records("run", scenario, seed, transcript_dict(t), replication=k),
-              args.out)
-        return EXIT_OK
+        return {"result": transcript_dict(t), "replication": k}
     o = t.outcome
     lines = [
         f"engine: portauction {__version__}",
@@ -128,18 +116,13 @@ def _cmd_run(args) -> int:
         lines.append(f"global payment (bps): {fmt_bps(to_bps(o.global_payment))}")
     if o.diagnostics.get("core_violations"):
         lines.append("core violations: " + "; ".join(o.diagnostics["core_violations"]))
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def _cmd_simulate(args) -> int:
-    scenario = _load(args.scenario)
-    seed = _seed(args, scenario)
+def _cmd_simulate(args, scenario, seed):
     n = args.replications if args.replications is not None else scenario.replications
     if n < 1:
         raise ScenarioParseError(f"--replications must be a positive integer, got {n}")
-    if args.rule is not None:
-        scenario = replace(scenario, rule=args.rule)
     metrics = simulate(scenario, n=n, seed=seed)
     # The metrics in CSV column order; records nest the payoffs by broker.
     columns = {
@@ -153,14 +136,11 @@ def _cmd_simulate(args) -> int:
     }
     payoffs = {b: metrics.mean_broker_payoff[b] for b in sorted(metrics.mean_broker_payoff)}
     if args.format == "records":
-        _emit(_records("simulate", scenario, seed, {**columns, "mean_broker_payoff": payoffs}),
-              args.out)
-        return EXIT_OK
+        return {"result": {**columns, "mean_broker_payoff": payoffs}}
     header = ["engine_version", "scenario_digest", "seed", *columns,
               *(f"mean_payoff[{b}]" for b in payoffs)]
     row = [__version__, scenario.digest, seed, *columns.values(), *payoffs.values()]
-    _emit(_csv(header, [row]), args.out)
-    return EXIT_OK
+    return _csv(header, [row])
 
 
 # Sweep parameters: what each finite value must be, and the message for any
@@ -221,8 +201,7 @@ def _solve(where, dist, alpha_bps, weights):
         [f"{where}: the equilibrium solve leaves the float range ({failure})"])
 
 
-def _cmd_equilibrium(args) -> int:
-    scenario = _load(args.scenario)
+def _cmd_equilibrium(args, scenario, seed):
     rule = "nvcg" if scenario.rule == "vcg" else scenario.rule  # as equilibrium bids read it
     dist = scenario.distributions.get("global")
     if dist is None:
@@ -265,40 +244,28 @@ def _cmd_equilibrium(args) -> int:
     header = ["rule", "shape", "q", "alpha_bps", "bid_bps", "residual", "converged",
               "iterations"]
     if args.format == "records":
-        result = {
-            "rows": [dict(zip(header, r)) for r in rows],
-            "rule": rule,
-        }
-        _emit(_records("equilibrium", scenario, scenario.seed, result), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
-    return EXIT_OK
+        return {"result": {"rows": [dict(zip(header, r)) for r in rows], "rule": rule}}
+    return _csv(header, rows)
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, scenario, seed):
     report = reproduce.build(args.target)
     if args.format == "records":
-        _emit(
-            _records("reproduce", None, None, report.records),
-            args.out,
-        )
-    else:
-        _emit(report.text(), args.out)
-    return EXIT_OK
+        result = dict(report.records)
+        digest = result.pop("scenario_digest", None)  # only the worked examples name one
+        return {"result": result, "scenario_digest": digest}
+    return report.text()
 
 
-def _cmd_validate(args) -> int:
-    scenario = _load(args.scenario)
-    lines = [
+def _cmd_validate(args, scenario, seed):
+    return "\n".join([
         f"scenario: {scenario.name or args.scenario}",
         f"digest: {scenario.digest}",
         f"portfolio: {scenario.portfolio.m} securities, {scenario.portfolio.q} packages",
         f"brokers: {len(scenario.brokers)}",
         f"rule: {scenario.rule}",
         "valid",
-    ]
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    ])
 
 
 @functools.cache
@@ -314,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"portauction {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=True):
-        p.add_argument("scenario", help="scenario file path or builtin name")
+    def common(p, scenario=True, formats=True):
+        if scenario:
+            p.add_argument("scenario", help="scenario file path or builtin name")
         if formats:
             p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--out", default=None, help="write output to a file")
@@ -346,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute a bundled worked example")
     p.add_argument("target", choices=reproduce.TARGETS)
-    p.add_argument("--format", choices=("table", "records"), default="table")
-    p.add_argument("--out", default=None)
+    common(p, scenario=False)
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("validate", help="check a scenario file and report findings")
@@ -358,10 +325,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. main loads the scenario, settles the seed and the
+    rule, and writes the output; the command only computes it from (args,
+    scenario, seed): the table text, or a dict of the records' result and
+    any envelope keys of its own."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        scenario = seed = None
+        if hasattr(args, "scenario"):
+            scenario = _load(args.scenario)
+            seed = scenario.seed
+        if getattr(args, "seed", None) is not None:  # a seed is a Philox key
+            if not 0 <= args.seed < SEED_LIMIT:
+                raise ScenarioParseError(
+                    f"--seed must be an integer in [0, 2**128), got {args.seed}")
+            seed = args.seed
+        if getattr(args, "rule", None) is not None:
+            scenario = replace(scenario, rule=args.rule)
+        out = args.fn(args, scenario, seed)
+        if not isinstance(out, str):
+            out = _records(args.command, scenario, seed, **out)
+        _emit(out, args.out)
+        return EXIT_OK
     except ScenarioParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

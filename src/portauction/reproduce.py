@@ -8,8 +8,10 @@ keep full precision. Known internal inconsistencies in the reference
 tables are annotated, never silently patched.
 
 One table maps each target to its scenario and renderer; a renderer
-returns its body lines, records and annotations, and build wraps them in
-the header, the records envelope and the annotations block.
+returns its body lines, records and annotations, and build adds the
+header, every rule's fees as records["fees_bps"] and the annotations
+block. The records name the target and, for the worked examples, the
+scenario digest, which the CLI moves into its records envelope.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ REFERENCE = {
 
 @dataclass(frozen=True)
 class Report:
-    target: str
     lines: tuple
     records: dict
-    annotations: tuple = ()
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -124,7 +124,6 @@ def _example1(tab):
     ]
     records = {
         "weights": _floats(w),
-        "fees_bps": {r: _floats(fees) for r, fees in rules.items()},
         "weighted_totals_bps": {r: float(total) for r, total in totals.items()},
         "core_intervals_bps": [_floats(c) for c in _core(tab)],
         "delta_bps": float(tab["dnvcg"].delta),
@@ -173,7 +172,6 @@ def _example2(tab):
         "weights": _floats(w),
         "bids1_bps": _floats(tab["bids1"]),
         "bids2_bps": _floats(tab["bids2"]),
-        **{f"{r}_bps": _floats(fees) for r, fees in rules.items()},
         "core_intervals_bps": [_floats(c) for c in _core(tab)],
         "global_interval_bps": _floats((tab["total"], tab["global_bid2"])),
         "delta_bps": float(d.delta),
@@ -199,7 +197,6 @@ def _figure1(tab):
     ]
     records = {
         "segment_bps": [_floats(p) for p in seg],
-        "points_bps": {r: _floats(p) for r, p in rules.items()},
         "global_bid_bps": float(g2),
     }
     return lines, records, []
@@ -217,10 +214,7 @@ def _figure2(tab):
         for r, fees in rules.items()
         for bid, fee, want in zip(ref["bids"], fees, ref[r]) if abs(float(fee) - want) > 0.01
     ]
-    records = {
-        "bids_bps": _floats(bids),
-        "series_bps": {r: _floats(fees) for r, fees in rules.items()},
-    }
+    records = {"bids_bps": _floats(bids)}
     return lines, records, annotations
 
 
@@ -242,7 +236,8 @@ def build(target: str) -> Report:
     tab = _fee_table(name)
     body, records, annotations = render(tab)
     lines = [f"reproduction: {target}", f"engine: portauction {__version__}"]
-    records = {**records, "target": target, "engine_version": __version__}
+    records = {**records, "target": target,
+               "fees_bps": {r: _floats(fees) for r, fees in tab["rules"].items()}}
     if digested:
         lines.append(f"scenario digest: {tab['digest']}")
         records["scenario_digest"] = tab["digest"]
@@ -251,5 +246,4 @@ def build(target: str) -> Report:
         records["annotations"] = annotations
     if annotations:
         lines += ["", "annotations:", *(f"  - {a}" for a in annotations)]
-    return Report(target=target, lines=tuple(lines), records=records,
-                  annotations=tuple(annotations))
+    return Report(lines=tuple(lines), records=records)

@@ -124,7 +124,7 @@ def test_example2_table_reproduction():
 
         # the report flags the inconsistent table entry for broker 2
         report = reproduce.build("example2")
-        assert any("25.55" in a and "typo" in a for a in report.annotations)
+        assert any("25.55" in a and "typo" in a for a in report.records["annotations"])
 
         compute()  # warm
         assert _best_time(compute) < 1e-3

@@ -260,8 +260,7 @@ def test_run_auction_table1_scenario():
 @pytest.mark.parametrize("rule", pricing.RULES)
 @pytest.mark.parametrize("name, target", [("example1", "example1"), ("table1", "example2")])
 def test_run_auction_matches_every_reproduced_rule_column(name, target, rule):
-    records = reproduce.build(target).records
-    want = records["fees_bps"][rule] if "fees_bps" in records else records[f"{rule}_bps"]
+    want = reproduce.build(target).records["fees_bps"][rule]
     t = run_auction(replace(builtin_scenario(name), rule=rule))
     assert t.outcome.winner == "coalition"
     assert [float(to_bps(f)) for f in t.outcome.fees] == want

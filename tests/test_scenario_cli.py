@@ -1201,11 +1201,29 @@ def test_reproduce_records_content(capsys):
     assert code == 0
     doc = json.loads(out)
     rec = doc["result"]
-    assert rec["nvcg_bps"] == pytest.approx([23.888888888888889, 22.363636363636363,
-                                             25.888888888888889, 25.5,
-                                             27.363636363636363])
-    assert rec["dnvcg_bps"][1] == pytest.approx(22.55718475073314)
+    assert rec["fees_bps"]["nvcg"] == pytest.approx([23.888888888888889, 22.363636363636363,
+                                                     25.888888888888889, 25.5,
+                                                     27.363636363636363])
+    assert rec["fees_bps"]["dnvcg"][1] == pytest.approx(22.55718475073314)
     assert any("25.55" in a for a in rec["annotations"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "powerlaw"],
+    ["simulate", "powerlaw", "-n", "100"],
+    ["equilibrium", "powerlaw"],
+    *(["reproduce", t] for t in ("example1", "example2", "figure1", "figure2")),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_records_share_one_envelope(argv, capsys):
+    code, out, _ = run_cli([*argv, "--format", "records"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    envelope = {"command", "engine_version", "scenario_digest", "seed", "result"}
+    assert doc.keys() == envelope | ({"replication"} if argv[0] == "run" else set())
+    assert doc["command"] == argv[0] and doc["engine_version"] == __version__
+    assert not {"engine_version", "scenario_digest"} & doc["result"].keys()
+    # Every document names its scenario but the figures, drawn from the examples.
+    assert (doc["scenario_digest"] is None) == argv[1].startswith("figure")
 
 
 def test_reproduce_figure2_includes_pinned_point(capsys):
