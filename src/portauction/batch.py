@@ -16,11 +16,12 @@ qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
 
 kernel(scenario) builds a scenario's Kernel once per process and layout,
-as re caches compiled patterns, and each Kernel compiles each strategy
-profile once. Both are pure functions of immutable inputs, so a loop of
-simulate or compare_strategies calls on one auction that varies the seed,
-the replication count or the profile reuses them. A one-shot call builds
-and compiles once, as it would without the caches.
+as re caches compiled patterns, and each Kernel compiles each round's
+strategies once. Both are pure functions of immutable inputs, so a loop
+of simulate or compare_strategies calls on one auction that varies the
+seed, the replication count or the profile reuses them, and a deviation
+in one round compiles only that round. A one-shot call builds and
+compiles once, as it would without the caches.
 
 ExactSum aggregates: one accumulator takes all of a chunk's streams at
 once and keeps each stream's sum exact, so every mean equals math.fsum
@@ -70,7 +71,7 @@ PERIOD = 2**258
 EXTRACT_MIN = 2048
 
 # kernel() keeps the Kernels of the KERNELS layouts used last, and each
-# Kernel the compiled rules of the PROFILES profiles it compiled last: more
+# Kernel the compiled rules of the PROFILES rounds it compiled last: more
 # than a loop over one auction's rules and deviations, or over a few dozen
 # exact files, cycles through. An entry is a few small arrays.
 KERNELS = 64
@@ -328,45 +329,39 @@ class Kernel:
         # Row p of running_count @ tied counts the ties among members 0..p.
         self.running_count = _frozen(np.tri(depth))
         self.width = row_width(scenario)
-        # compile's caches: the compiled rules by profile, and each broker's
-        # last strategies with their (kind, float param) pairs.
-        self._profiles = OrderedDict()
-        self._known = [None] * len(self.ids)
+        # compile's memo: each round's rules, by the identities of its strategies.
+        self._rounds = OrderedDict()
 
     def compile(self, profile):
         """The profile's (round 1, round 2) bid rules, each round's brokers
         grouped by bid_rule's kind as (kind, brokers, one parameter per
-        broker), read-only. A profile is compiled once: the rules are kept
-        under the identities of its BrokerStrategy objects in ids order,
-        and the entry holds those objects, so no id is reused while it
-        lives. Objects are matched by identity because hashing Fraction
-        fields costs more than converting them."""
-        strategies = tuple(profile[bid] for bid in self.ids)
-        return _lru(self._profiles, tuple(map(id, strategies)), PROFILES,
-                    lambda: (strategies, self._rules(strategies)))[1]
+        broker), read-only."""
+        return tuple(map(self._compiled, self._strategies(profile)))
 
-    def _rules(self, strategies):
-        """compile's rules for the brokers' strategies in ids order. It calls
-        bid_rule once per broker and round and keeps float(param): a broker
-        whose BrokerStrategy is the object it had in the profile compiled
-        before reuses its pairs, so a deviation converts only the deviating
-        broker's strategies."""
-        rounds = ({}, {})
-        for k, st in enumerate(strategies):
-            before = self._known[k]
-            if before is None or before[0] is not st:
+    def _strategies(self, profile):
+        """The profile's (round 1, round 2) Strategy tuples, in ids order."""
+        brokers = [profile[bid] for bid in self.ids]
+        return tuple(st.round1 for st in brokers), tuple(st.round2 for st in brokers)
+
+    def _compiled(self, strategies):
+        """One round's rules, compiled once: bid_rule is called once per
+        broker and float(param) kept. The rules are kept under the
+        identities of the round's Strategy objects, and the entry holds
+        those objects, so no id is reused while it lives. Objects are
+        matched by identity because hashing Fraction fields costs more than
+        converting them. The rules do not depend on which round it is."""
+        def rules():
+            groups = {}
+            for k, strategy in enumerate(strategies):
                 weight = self.w[self.local_pkg[k]] if k < self.L else None
-                rules = [bid_rule(self.ids[k], s, self.rule, weight, self.q)
-                         for s in (st.round1, st.round2)]
-                before = self._known[k] = (st, [(kind, float(param)) for kind, param in rules])
-            for groups, (kind, param) in zip(rounds, before[1]):
+                kind, param = bid_rule(self.ids[k], strategy, self.rule, weight, self.q)
                 brokers, params = groups.setdefault(kind, ([], []))
                 brokers.append(k)
-                params.append([param])
-        return tuple(
-            tuple((kind, _frozen(np.array(brokers)), _frozen(np.array(params)))
-                  for kind, (brokers, params) in groups.items())
-            for groups in rounds)
+                params.append([float(param)])
+            return strategies, tuple(
+                (kind, _frozen(np.array(brokers)), _frozen(np.array(params)))
+                for kind, (brokers, params) in groups.items())
+        return _lru(self._rounds, tuple(map(id, strategies)), PROFILES, rules)[1]
 
     def values(self, u):
         """The brokers' valuations on the rows of u, as (brokers,
@@ -394,13 +389,14 @@ class Kernel:
     def chunks(self, profiles, n, seed):
         """Settle replications 0..n-1 of the seed under each profile: for
         each chunk of row_chunks(seed, n, width), one Batch per profile.
-        Each profile is compiled once per Kernel and each chunk's
-        valuations drawn once; profiles whose round-1 strategies are equal
-        broker by broker share one qualification per chunk."""
+        Each round is compiled once per Kernel and each chunk's valuations
+        drawn once; profiles whose round-1 strategies are equal broker by
+        broker share one qualification per chunk."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
-        compiled = [self.compile(p) for p in profiles]
-        round1 = [tuple(p[bid].round1 for bid in self.ids) for p in profiles]
+        rounds = [self._strategies(p) for p in profiles]
+        compiled = [tuple(map(self._compiled, r)) for r in rounds]
+        round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
         for u in row_chunks(seed, n, self.width):
@@ -520,13 +516,13 @@ def kernel(scenario):
     """The scenario's Kernel, built once per layout and kept for the
     KERNELS layouts used last. The layout is what Kernel reads: the rule,
     portfolio, weights, brokers, local and global distributions and
-    correlated_locals, matched by identity; the entry holds them, so no id
-    is reused while it lives. A dataclasses.replace of the seed,
-    replications, name or strategies therefore reuses the Kernel, and one
-    of the rule or brokers builds another. An unknown rule raises on every
-    call."""
+    correlated_locals, the rule matched by value and the rest by identity;
+    the entry holds them, so no id is reused while it lives. A
+    dataclasses.replace of the seed, replications, name or strategies
+    therefore reuses the Kernel, and another rule or a new brokers object
+    builds another. An unknown rule raises on every call."""
     dists = scenario.distributions
-    layout = (scenario.rule, scenario.portfolio, scenario.weights, scenario.brokers,
+    layout = (scenario.portfolio, scenario.weights, scenario.brokers,
               dists.get("local"), dists.get("global"), scenario.correlated_locals)
-    return _lru(_kernels, tuple(map(id, layout)), KERNELS,
+    return _lru(_kernels, (scenario.rule, *map(id, layout)), KERNELS,
                 lambda: (layout, Kernel(scenario)))[1]

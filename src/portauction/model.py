@@ -66,7 +66,7 @@ class PortfolioSpec:
         for name, vec in (("quantities", self.quantities), ("agreed_prices", self.agreed_prices)):
             if len(vec) != m:
                 raise ConfigurationError(f"{name} has length {len(vec)}, expected {m}")
-        self.warn_if_below_three_securities()
+        self.warn_if_below_three_securities(stacklevel=4)  # past the dataclass __init__
         if any(q < 0 for q in self.quantities):
             raise ConfigurationError("quantities must be nonnegative")
         if any(p <= 0 for p in self.agreed_prices):
@@ -93,15 +93,16 @@ class PortfolioSpec:
             if value <= 0:
                 raise ConfigurationError(f"package {j} has nonpositive agreed value")
 
-    def warn_if_below_three_securities(self) -> None:
+    def warn_if_below_three_securities(self, stacklevel=3) -> None:
         """Warn when the portfolio has fewer than 3 securities: the model
         is stated for 3 or more, but nothing breaks below, so this is a
-        lint warning only."""
+        lint warning only. stacklevel is warnings.warn's, counted from
+        here: the default names the line that called this method's caller."""
         if self.m < 3:
             warnings.warn(
                 f"portfolio has only {self.m} securities; the model is stated for 3 or more",
                 ModelWarning,
-                stacklevel=3,  # from __post_init__: the dataclass __init__
+                stacklevel=stacklevel,
             )
 
     @property

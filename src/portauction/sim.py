@@ -148,8 +148,8 @@ def simulate(scenario, n=None, seed=None):
     aggregate the outcomes.
 
     Deterministic for fixed (scenario, n, seed). The scenario's batch
-    kernel (batch.kernel, built once per layout in a process, with the
-    profile compiled once) settles the replications a chunk of rows at a
+    kernel (batch.kernel, built once per layout in a process, with each
+    round compiled once) settles the replications a chunk of rows at a
     time. One ExactSum takes each chunk's seller costs and payoffs
     together, by extraction when the chunk is wide and through math.fsum
     otherwise; either way every mean equals math.fsum over every
@@ -220,7 +220,7 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
     both profiles settle the same rows through Kernel.chunks, on the
-    scenario's batch.kernel, which compiles each profile once. The paired
+    scenario's batch.kernel, which compiles each round once. The paired
     differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = batch.kernel(scenario)

@@ -50,9 +50,11 @@ def test_portfolio_below_three_securities_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ModelWarning)
         PortfolioSpec(("a", "b", "c"), (1, 1, 1), (2, 3, 4), ((1, 1, 1),))
-    with pytest.warns(ModelWarning, match="only 1 securities"):
+    with pytest.warns(ModelWarning, match="only 1 securities") as caught:
         tiny = PortfolioSpec(("a",), (1,), (2,), ((1,),))
     assert tiny.package_values == (2,)
+    # The warning names the line that built the spec, not the dataclass __init__.
+    assert [w.filename for w in caught] == [__file__]
 
 
 def _random_spec(rng):

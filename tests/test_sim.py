@@ -316,7 +316,8 @@ def test_equilibrium_strategy_on_a_global_broker_is_rejected():
 
 def test_kernel_is_built_once_per_layout():
     """A replace() of what Kernel does not read keeps the scenario's cached
-    Kernel; a new object for anything it reads builds another."""
+    Kernel; another rule, or a new object for anything else it reads,
+    builds another."""
     sc = _scenario(local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
     k = kernel(sc)
     dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
@@ -333,6 +334,10 @@ def test_kernel_is_built_once_per_layout():
         assert kernel(changed) is not k
         assert kernel(changed) is kernel(changed)
     assert kernel(replace(sc, rule="nvcg")).rule == "nvcg"
+    # The rule is matched by value: an equal string built afresh is the same rule.
+    nvcg = kernel(replace(sc, rule="nvcg"))
+    for _ in range(3):
+        assert kernel(replace(sc, rule="".join(["nv", "cg"]))) is nvcg
 
 
 def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
@@ -367,22 +372,56 @@ def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
     assert warm == results() * 3
 
 
-def test_a_deviation_compiles_only_the_deviating_broker(monkeypatch):
-    """Kernel.compile converts a profile once, keyed by its BrokerStrategy
-    objects; a deviation from a compiled profile calls bid_rule only for
-    the deviating broker's two rounds."""
+def test_a_deviation_compiles_only_the_deviating_round(monkeypatch):
+    """Kernel.compile converts each round once, keyed by its Strategy
+    objects: the same objects call bid_rule 0 times, and a deviation in one
+    round calls it only on that round's strategies and returns the other
+    round's compiled rules as they were."""
     sc = _scenario(rule="nvcg")
     k = kernel(sc)
-    rules = k.compile(sc.strategies)
+    round1, round2 = k.compile(sc.strategies)
     calls = []
     bid_rule = batch.bid_rule
-    monkeypatch.setattr(batch, "bid_rule", lambda *args: calls.append(args) or bid_rule(*args))
-    assert k.compile(StrategyProfile(sc.strategies.brokers)) is rules
-    assert calls == []
+    monkeypatch.setattr(batch, "bid_rule", lambda *args: calls.append(args[1]) or bid_rule(*args))
+    again = k.compile(StrategyProfile(sc.strategies.brokers))
+    assert again[0] is round1 and again[1] is round2 and calls == []
     dev = sc.strategies.with_strategy("L2", round2=Strategy(kind="offset", offset=F(2, 10_000)))
-    assert k.compile(dev) is not rules
-    assert [args[0] for args in calls] == ["L2", "L2"]
-    assert k.compile(sc.strategies) is rules and len(calls) == 2
+    rules = k.compile(dev)
+    assert rules[0] is round1 and rules[1] is not round2
+    assert [id(s) for s in calls] == [id(dev[bid].round2) for bid in k.ids]
+    calls.clear()
+    dev = sc.strategies.with_strategy("L2", round1=Strategy(kind="constant", value=F(33, 10_000)))
+    rules = k.compile(dev)
+    assert rules[0] is not round1 and rules[1] is round2
+    assert [id(s) for s in calls] == [id(dev[bid].round1) for bid in k.ids]
+    calls.clear()
+    again = k.compile(sc.strategies)
+    assert again[0] is round1 and again[1] is round2 and calls == []
+
+
+def test_a_joint_grid_compiles_each_round_once(monkeypatch):
+    """R1 round-1 constants x R2 round-2 offsets on one broker, in one
+    Kernel.chunks call: R1 + R2 rounds compiled, R1 qualifications per
+    chunk, and each profile's outcomes equal to the bit to a lone run."""
+    sc = _scenario(rule="dnvcg", local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
+    k = Kernel(sc)
+    round1 = [Strategy(kind="constant", value=F(v, 10_000)) for v in (30, 32, 34)]
+    round2 = [Strategy(kind="offset", offset=F(v, 10_000)) for v in (-4, 0, 3, 6)]
+    grid = [sc.strategies.with_strategy("L1", r1, r2) for r1 in round1 for r2 in round2]
+    n, seed = CHUNK + 5, 9
+    compiled, qualified = [], []
+    bid_rule, qualify = batch.bid_rule, Kernel.qualify
+    monkeypatch.setattr(batch, "bid_rule", lambda *args: compiled.append(args) or bid_rule(*args))
+    monkeypatch.setattr(Kernel, "qualify",
+                        lambda self, *args: qualified.append(args) or qualify(self, *args))
+    joint = list(k.chunks(grid, n, seed))
+    assert len(compiled) == (len(round1) + len(round2)) * len(k.ids)
+    assert len(qualified) == len(round1) * len(joint) == len(round1) * 2
+    for i, profile in enumerate(grid):
+        lone = [b for (b,) in Kernel(sc).chunks([profile], n, seed)]
+        for batches, alone in zip(joint, lone, strict=True):
+            assert batches[i].payoffs.tobytes() == alone.payoffs.tobytes()
+            assert batches[i].seller_cost.tobytes() == alone.seller_cost.tobytes()
 
 
 def test_errors_are_raised_on_every_call():
