@@ -17,11 +17,11 @@ simulate is its K = 1 case and compare_strategies its K = 2 case.
 
 kernel(scenario) builds a scenario's Kernel once per process and layout,
 as re caches compiled patterns, and each Kernel compiles each round's
-strategies once. Both are pure functions of immutable inputs, so a loop
-of simulate or compare_strategies calls on one auction that varies the
-seed, the replication count or the profile reuses them, and a deviation
-in one round compiles only that round. A one-shot call builds and
-compiles once, as it would without the caches.
+strategies once per pricing rule, an argument of its calls. Both are
+pure functions of immutable inputs, so simulate or compare_strategies
+calls on one auction that vary the rule, seed, n or profile reuse them,
+and a deviation in one round compiles only that round. A one-shot call
+builds and compiles once, as it would without the caches.
 
 ExactSum aggregates: one accumulator takes all of a chunk's streams at
 once and keeps each stream's sum exact, so every mean equals math.fsum
@@ -71,7 +71,7 @@ PERIOD = 2**258
 EXTRACT_MIN = 2048
 
 # kernel() keeps the Kernels of the KERNELS layouts used last, and each
-# Kernel the compiled rules of the PROFILES rounds it compiled last: more
+# Kernel the PROFILES (pricing rule, round) entries it compiled last: more
 # than a loop over one auction's rules and deviations, or over a few dozen
 # exact files, cycles through. An entry is a few small arrays.
 KERNELS = 64
@@ -119,7 +119,10 @@ def bid_rule(broker, strategy, rule, weight, q):
     truthful and minus the equilibrium shading under rule (VCG shades as
     NVCG); ("capped-value", 0) bids min(round-1 bid, valuation). The
     shading does not depend on the valuation, so it is computed here once.
-    This is the one place that reads Strategy.kind to make a bid."""
+    Both engines call this, the one place that reads Strategy.kind to make
+    a bid, before any bid, so here they reject a rule outside RULES."""
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown pricing rule {rule!r}")
     check_weight(broker, strategy, weight)
     kind = strategy.kind
     if kind == "constant":
@@ -284,9 +287,6 @@ class Kernel:
     """
 
     def __init__(self, scenario):
-        if scenario.rule not in RULES:
-            raise ConfigurationError(f"unknown pricing rule {scenario.rule!r}")
-        self.rule = scenario.rule
         self.w = tuple(float(x) for x in scenario.weights)
         self.q = len(self.w)
         self.w_col = _frozen(np.array(self.w)[:, None])
@@ -329,39 +329,40 @@ class Kernel:
         # Row p of running_count @ tied counts the ties among members 0..p.
         self.running_count = _frozen(np.tri(depth))
         self.width = row_width(scenario)
-        # compile's memo: each round's rules, by the identities of its strategies.
+        # compile's memo: each round's rules, by rule and strategy identities.
         self._rounds = OrderedDict()
 
-    def compile(self, profile):
-        """The profile's (round 1, round 2) bid rules, each round's brokers
-        grouped by bid_rule's kind as (kind, brokers, one parameter per
-        broker), read-only."""
-        return tuple(map(self._compiled, self._strategies(profile)))
+    def compile(self, profile, rule):
+        """The profile's (round 1, round 2) bid rules under the pricing
+        rule, each round's brokers grouped by bid_rule's kind as (kind,
+        brokers, one parameter per broker), read-only."""
+        return tuple(self._compiled(r, rule) for r in self._strategies(profile))
 
     def _strategies(self, profile):
         """The profile's (round 1, round 2) Strategy tuples, in ids order."""
         brokers = [profile[bid] for bid in self.ids]
         return tuple(st.round1 for st in brokers), tuple(st.round2 for st in brokers)
 
-    def _compiled(self, strategies):
+    def _compiled(self, strategies, rule):
         """One round's rules, compiled once: bid_rule is called once per
-        broker and float(param) kept. The rules are kept under the
-        identities of the round's Strategy objects, and the entry holds
-        those objects, so no id is reused while it lives. Objects are
-        matched by identity because hashing Fraction fields costs more than
-        converting them. The rules do not depend on which round it is."""
+        broker and float(param) kept. The rules are kept under the pricing
+        rule (an equilibrium bid shades under it) and the identities of the
+        round's Strategy objects; the entry holds the objects, so no id is
+        reused while it lives. Objects are matched by identity because
+        hashing Fraction fields costs more than converting them. The rules
+        do not depend on which round it is."""
         def rules():
             groups = {}
             for k, strategy in enumerate(strategies):
                 weight = self.w[self.local_pkg[k]] if k < self.L else None
-                kind, param = bid_rule(self.ids[k], strategy, self.rule, weight, self.q)
+                kind, param = bid_rule(self.ids[k], strategy, rule, weight, self.q)
                 brokers, params = groups.setdefault(kind, ([], []))
                 brokers.append(k)
                 params.append([float(param)])
             return strategies, tuple(
                 (kind, _frozen(np.array(brokers)), _frozen(np.array(params)))
                 for kind, (brokers, params) in groups.items())
-        return _lru(self._rounds, tuple(map(id, strategies)), PROFILES, rules)[1]
+        return _lru(self._rounds, (rule, *map(id, strategies)), PROFILES, rules)[1]
 
     def values(self, u):
         """The brokers' valuations on the rows of u, as (brokers,
@@ -386,16 +387,16 @@ class Kernel:
             acc += wj * x[j]
         return acc
 
-    def chunks(self, profiles, n, seed):
-        """Settle replications 0..n-1 of the seed under each profile: for
-        each chunk of row_chunks(seed, n, width), one Batch per profile.
-        Each round is compiled once per Kernel and each chunk's valuations
-        drawn once; profiles whose round-1 strategies are equal broker by
-        broker share one qualification per chunk."""
+    def chunks(self, profiles, n, seed, rule):
+        """Settle replications 0..n-1 of the seed under each profile and the
+        rule: for each chunk of row_chunks(seed, n, width), one Batch per
+        profile. Each round is compiled once per Kernel and rule, each
+        chunk's valuations drawn once; profiles whose round-1 strategies
+        are equal broker by broker share one qualification per chunk."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
         rounds = [self._strategies(p) for p in profiles]
-        compiled = [tuple(map(self._compiled, r)) for r in rounds]
+        compiled = [tuple(self._compiled(r, rule) for r in both) for both in rounds]
         round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
@@ -406,7 +407,7 @@ class Kernel:
             for (round1_rules, round2_rules), i in zip(compiled, leader):
                 if i not in qualified:
                     qualified[i] = self.qualify(u, vals, round1_rules)
-                batches.append(self.settle(u, vals, qualified[i], round2_rules))
+                batches.append(self.settle(u, vals, qualified[i], round2_rules, rule))
             yield batches
 
     def qualify(self, u, vals, round1_rules):
@@ -438,9 +439,9 @@ class Kernel:
         pick = (running <= rank).sum(axis=0)
         return bids1, self.members[pick, self.auctions] * len(u) + np.arange(len(u))
 
-    def settle(self, u, vals, qualified, round2_rules) -> Batch:
-        """Round 2, pricing and payoffs on the rows of u, after the round 1
-        qualified (Kernel.qualify of the same rows)."""
+    def settle(self, u, vals, qualified, round2_rules, rule) -> Batch:
+        """Round 2, pricing under the rule and payoffs on the rows of u,
+        after the round 1 qualified (Kernel.qualify of the same rows)."""
         N, q = self.L + self.G, self.q
         w = self.w_col
         bids1, seats = qualified
@@ -464,11 +465,11 @@ class Kernel:
         # VCG fees, then the rule's fees; at an exact tie every rule pays the bids.
         raw_cv = (g2 - (total - w * bids2)) / w
         cv = np.where(raw_cv > 0, raw_cv, 0 * raw_cv)
-        if self.rule == "vcg":
+        if rule == "vcg":
             fees = cv
         else:
             fees = cv - (self._weighted(cv) - g2)
-            if self.rule == "dnvcg":
+            if rule == "dnvcg":
                 fees = self._dnvcg(fees, cv, round1)
         fees = np.where(won, np.where(tie, bids2, fees), 0.0)
 
@@ -514,15 +515,14 @@ _kernels = OrderedDict()
 
 def kernel(scenario):
     """The scenario's Kernel, built once per layout and kept for the
-    KERNELS layouts used last. The layout is what Kernel reads: the rule,
+    KERNELS layouts used last. The layout is what Kernel reads: the
     portfolio, weights, brokers, local and global distributions and
-    correlated_locals, the rule matched by value and the rest by identity;
-    the entry holds them, so no id is reused while it lives. A
-    dataclasses.replace of the seed, replications, name or strategies
-    therefore reuses the Kernel, and another rule or a new brokers object
-    builds another. An unknown rule raises on every call."""
+    correlated_locals, matched by identity; the entry holds them, so no id
+    is reused while it lives. A dataclasses.replace of the rule, seed,
+    replications, name or strategies therefore reuses the Kernel, and a new
+    brokers object builds another."""
     dists = scenario.distributions
     layout = (scenario.portfolio, scenario.weights, scenario.brokers,
               dists.get("local"), dists.get("global"), scenario.correlated_locals)
-    return _lru(_kernels, (scenario.rule, *map(id, layout)), KERNELS,
+    return _lru(_kernels, tuple(map(id, layout)), KERNELS,
                 lambda: (layout, Kernel(scenario)))[1]

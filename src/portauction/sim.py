@@ -149,12 +149,11 @@ def simulate(scenario, n=None, seed=None):
 
     Deterministic for fixed (scenario, n, seed). The scenario's batch
     kernel (batch.kernel, built once per layout in a process, with each
-    round compiled once) settles the replications a chunk of rows at a
-    time. One ExactSum takes each chunk's seller costs and payoffs
-    together, by extraction when the chunk is wide and through math.fsum
-    otherwise; either way every mean equals math.fsum over every
-    replication, so neither the chunking nor the aggregation route can
-    change results.
+    round compiled once per rule) settles the replications in chunks. One
+    ExactSum takes each chunk's seller costs and payoffs together, by
+    extraction when the chunk is wide and through math.fsum otherwise;
+    either way every mean equals math.fsum over every replication, so
+    neither the chunking nor the aggregation route can change results.
     """
     if scenario.strategies is None:
         raise ConfigurationError("no strategy profile supplied")
@@ -166,7 +165,7 @@ def simulate(scenario, n=None, seed=None):
     gaps_max = 0.0
     sums = ExactSum(1 + len(kernel.ids))  # seller cost, then each payoff
 
-    for (b,) in kernel.chunks([scenario.strategies], n, seed):
+    for (b,) in kernel.chunks([scenario.strategies], n, seed, scenario.rule):
         wins += int(np.count_nonzero(b.won))
         violations += int(np.count_nonzero(b.violations))
         clamped += b.clamped
@@ -220,15 +219,15 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
     both profiles settle the same rows through Kernel.chunks, on the
-    scenario's batch.kernel, which compiles each round once. The paired
-    differences are kept, one float per pair, for the variance."""
+    scenario's batch.kernel, which compiles each round once per rule. The
+    paired differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = batch.kernel(scenario)
     col = kernel.ids.index(broker)
 
     sums = ExactSum(3)  # baseline, deviation, difference
     diffs = []
-    for b, d in kernel.chunks([baseline, deviation], n, seed):
+    for b, d in kernel.chunks([baseline, deviation], n, seed, scenario.rule):
         base, dev = b.payoffs[col], d.payoffs[col]
         diffs.append(dev - base)
         sums.add([base, dev, diffs[-1]])

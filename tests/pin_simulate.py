@@ -249,7 +249,7 @@ def replications(config, n, seed) -> dict:
     cols = {"won": [], "seller_cost": [], "fees": [],
             "payoffs": {bid: [] for bid in kernel.ids}, "global_bid2": [], "local_values": []}
     for u, (b,) in zip(row_chunks(seed, n, kernel.width),
-                       kernel.chunks([config.strategies], n, seed)):
+                       kernel.chunks([config.strategies], n, seed, config.rule)):
         cols["won"] += b.won.tolist()
         cols["seller_cost"] += b.seller_cost.tolist()
         cols["fees"] += map(tuple, b.fees.T.tolist())

@@ -25,7 +25,7 @@ from portauction.batch import (
 from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import run_auction, settle_row, transcript_dict
 from portauction.model import ConfigurationError
-from portauction.pricing import vcg_fees
+from portauction.pricing import RULES, vcg_fees
 from portauction.scenario import (
     ScenarioValidationError,
     builtin_scenario,
@@ -134,15 +134,20 @@ def test_simulate_rejects_bad_replications():
 
 
 def test_kernel_rejects_an_unknown_rule():
-    """The batch kernel names a rule outside RULES as run_auction does,
-    instead of settling it as NVCG."""
-    sc = replace(builtin_scenario("powerlaw"), rule="second-price")
-    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="truthful"))
-    for call in (lambda: simulate(sc, n=2000, seed=1),
-                 lambda: compare_strategies(sc, sc.strategies, dev, n=2000, seed=1),
-                 lambda: run_auction(sc)):
-        with pytest.raises(ConfigurationError, match="unknown pricing rule 'second-price'"):
-            call()
+    """Both engines name a rule outside RULES in bid_rule, before any bid,
+    instead of settling it as NVCG or failing inside an equilibrium bid's
+    shading."""
+    powerlaw = replace(builtin_scenario("powerlaw"), rule="second-price")
+    shaded = powerlaw.strategies.with_strategy(
+        "L1", round2=Strategy(kind="equilibrium", sigma=1e-4))
+    for sc in (powerlaw, replace(powerlaw, strategies=shaded)):
+        dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="truthful"))
+        for call in (lambda: simulate(sc, n=2000, seed=1),
+                     lambda: compare_strategies(sc, sc.strategies, dev, n=2000, seed=1),
+                     lambda: run_auction(sc),
+                     lambda: settle_row(sc, row(1, 0, row_width(sc)))):
+            with pytest.raises(ConfigurationError, match="unknown pricing rule 'second-price'"):
+                call()
 
 
 def test_simulate_deterministic():
@@ -187,24 +192,31 @@ def test_zero_sum_on_frontier():
 
 
 def test_rule_equivalence_for_seller():
-    sc_n = _scenario(rule="nvcg")
-    sc_d = _scenario(rule="dnvcg")
-    dn = pin_simulate.replications(sc_n, 1500, 77)
-    dd = pin_simulate.replications(sc_d, 1500, 77)
-    assert dn["won"] == dd["won"]
-    for cn, cd in zip(dn["seller_cost"], dd["seller_cost"]):
-        assert cn == pytest.approx(cd, abs=1e-12)
-    # the rules differ only in the split: per-replication weighted fee
-    # adjustments cancel, and prudent brokers all move by the same bonus
-    w = [float(x) for x in sc_n.weights]
-    for won, fn, fd in zip(dn["won"], dn["fees"], dd["fees"]):
-        if not won:
-            continue
-        shift = sum(wi * (a - b) for wi, a, b in zip(w, fd, fn))
-        assert abs(shift) < 1e-12
-        diffs = [a - b for a, b in zip(fd, fn)]
-        bonuses = {round(x, 15) for x in diffs if x > 0}
-        assert len(bonuses) <= 1
+    """The three rules on the same rows, with fixed and with uniform
+    correlated locals: the same winners, the same seller cost under NVCG
+    and D-NVCG, and at least that under VCG on a coalition win."""
+    for local_dist in (None, {"kind": "uniform", "lower_bps": 5, "upper_bps": 30}):
+        sc_n = _scenario(rule="nvcg", local_dist=local_dist)
+        dn, dd, dv = (pin_simulate.replications(replace(sc_n, rule=rule), 1500, 77)
+                      for rule in ("nvcg", "dnvcg", "vcg"))
+        assert dn["won"] == dd["won"] == dv["won"]
+        for cn, cd in zip(dn["seller_cost"], dd["seller_cost"]):
+            assert cn == pytest.approx(cd, abs=1e-12)
+        # VCG fees sit on or above the frontier that the NVCG fees sit on;
+        # on a loss every rule pays the global the coalition's total
+        for won, cv, cn in zip(dv["won"], dv["seller_cost"], dn["seller_cost"]):
+            assert cv >= cn if won else cv == cn
+        # the rules differ only in the split: per-replication weighted fee
+        # adjustments cancel, and prudent brokers all move by the same bonus
+        w = [float(x) for x in sc_n.weights]
+        for won, fn, fd in zip(dn["won"], dn["fees"], dd["fees"]):
+            if not won:
+                continue
+            shift = sum(wi * (a - b) for wi, a, b in zip(w, fd, fn))
+            assert abs(shift) < 1e-12
+            diffs = [a - b for a, b in zip(fd, fn)]
+            bonuses = {round(x, 15) for x in diffs if x > 0}
+            assert len(bonuses) <= 1
 
 
 def test_independent_locals_toggle():
@@ -296,7 +308,7 @@ def test_simulate_aggregates_the_kernel_columns():
         bid: (math.fsum(p) / n).hex() for bid, p in cols["payoffs"].items()}
     kernel = Kernel(config)
     assert m.clamped_round2_count == sum(
-        b.clamped for (b,) in kernel.chunks([config.strategies], n, seed))
+        b.clamped for (b,) in kernel.chunks([config.strategies], n, seed, config.rule))
 
 
 def test_equilibrium_strategy_on_a_global_broker_is_rejected():
@@ -315,17 +327,18 @@ def test_equilibrium_strategy_on_a_global_broker_is_rejected():
 
 
 def test_kernel_is_built_once_per_layout():
-    """A replace() of what Kernel does not read keeps the scenario's cached
-    Kernel; another rule, or a new object for anything else it reads,
-    builds another."""
+    """A replace() of what Kernel does not read, the pricing rule among
+    them, keeps the scenario's cached Kernel; a new object for anything it
+    reads builds another."""
     sc = _scenario(local_dist={"kind": "uniform", "lower_bps": 5, "upper_bps": 30})
     k = kernel(sc)
     dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(-1, 10_000)))
     for same in (replace(sc, seed=3), replace(sc, replications=7), replace(sc, name="other"),
-                 replace(sc, strategies=dev), replace(sc, distributions=dict(sc.distributions))):
+                 replace(sc, strategies=dev), replace(sc, distributions=dict(sc.distributions)),
+                 *(replace(sc, rule=rule) for rule in RULES)):
         assert kernel(same) is k
     power_law = ValueDistribution.power_law(F(30, 10_000), 2.0)
-    for changed in (replace(sc, rule="nvcg"), replace(sc, brokers=tuple(list(sc.brokers))),
+    for changed in (replace(sc, brokers=tuple(list(sc.brokers))),
                     replace(sc, portfolio=replace(sc.portfolio)),
                     replace(sc, weights=replace(sc.weights)),
                     replace(sc, distributions={**sc.distributions, "local": power_law}),
@@ -333,11 +346,6 @@ def test_kernel_is_built_once_per_layout():
                     replace(sc, correlated_locals=False)):
         assert kernel(changed) is not k
         assert kernel(changed) is kernel(changed)
-    assert kernel(replace(sc, rule="nvcg")).rule == "nvcg"
-    # The rule is matched by value: an equal string built afresh is the same rule.
-    nvcg = kernel(replace(sc, rule="nvcg"))
-    for _ in range(3):
-        assert kernel(replace(sc, rule="".join(["nv", "cg"]))) is nvcg
 
 
 def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
@@ -373,29 +381,38 @@ def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
 
 
 def test_a_deviation_compiles_only_the_deviating_round(monkeypatch):
-    """Kernel.compile converts each round once, keyed by its Strategy
-    objects: the same objects call bid_rule 0 times, and a deviation in one
-    round calls it only on that round's strategies and returns the other
-    round's compiled rules as they were."""
+    """Kernel.compile converts each round once per pricing rule, keyed by
+    the rule and its Strategy objects: the same objects under the same rule
+    call bid_rule 0 times, a deviation in one round calls it only on that
+    round's strategies and returns the other round's compiled rules as they
+    were, and another rule compiles both rounds without evicting the
+    first's."""
     sc = _scenario(rule="nvcg")
     k = kernel(sc)
-    round1, round2 = k.compile(sc.strategies)
+    round1, round2 = k.compile(sc.strategies, "nvcg")
     calls = []
     bid_rule = batch.bid_rule
     monkeypatch.setattr(batch, "bid_rule", lambda *args: calls.append(args[1]) or bid_rule(*args))
-    again = k.compile(StrategyProfile(sc.strategies.brokers))
+    again = k.compile(StrategyProfile(sc.strategies.brokers), "nvcg")
     assert again[0] is round1 and again[1] is round2 and calls == []
     dev = sc.strategies.with_strategy("L2", round2=Strategy(kind="offset", offset=F(2, 10_000)))
-    rules = k.compile(dev)
+    rules = k.compile(dev, "nvcg")
     assert rules[0] is round1 and rules[1] is not round2
     assert [id(s) for s in calls] == [id(dev[bid].round2) for bid in k.ids]
     calls.clear()
     dev = sc.strategies.with_strategy("L2", round1=Strategy(kind="constant", value=F(33, 10_000)))
-    rules = k.compile(dev)
+    rules = k.compile(dev, "nvcg")
     assert rules[0] is not round1 and rules[1] is round2
     assert [id(s) for s in calls] == [id(dev[bid].round1) for bid in k.ids]
     calls.clear()
-    again = k.compile(sc.strategies)
+    again = k.compile(sc.strategies, "nvcg")
+    assert again[0] is round1 and again[1] is round2 and calls == []
+    vcg = k.compile(sc.strategies, "vcg")
+    assert vcg[0] is not round1 and vcg[1] is not round2
+    assert [id(s) for s in calls] == [id(sc.strategies[bid].round1) for bid in k.ids] + [
+        id(sc.strategies[bid].round2) for bid in k.ids]
+    calls.clear()
+    again = k.compile(sc.strategies, "nvcg")
     assert again[0] is round1 and again[1] is round2 and calls == []
 
 
@@ -414,11 +431,11 @@ def test_a_joint_grid_compiles_each_round_once(monkeypatch):
     monkeypatch.setattr(batch, "bid_rule", lambda *args: compiled.append(args) or bid_rule(*args))
     monkeypatch.setattr(Kernel, "qualify",
                         lambda self, *args: qualified.append(args) or qualify(self, *args))
-    joint = list(k.chunks(grid, n, seed))
+    joint = list(k.chunks(grid, n, seed, sc.rule))
     assert len(compiled) == (len(round1) + len(round2)) * len(k.ids)
     assert len(qualified) == len(round1) * len(joint) == len(round1) * 2
     for i, profile in enumerate(grid):
-        lone = [b for (b,) in Kernel(sc).chunks([profile], n, seed)]
+        lone = [b for (b,) in Kernel(sc).chunks([profile], n, seed, sc.rule)]
         for batches, alone in zip(joint, lone, strict=True):
             assert batches[i].payoffs.tobytes() == alone.payoffs.tobytes()
             assert batches[i].seller_cost.tobytes() == alone.seller_cost.tobytes()
@@ -446,7 +463,7 @@ def test_cached_arrays_are_read_only():
     sc = pin_simulate._load(pin_simulate._market())
     k = kernel(sc)
     arrays = [k.w_col, k.pkg_values, k.members, k.auctions, k.running_count]
-    for round_rules in k.compile(sc.strategies):
+    for round_rules in k.compile(sc.strategies, sc.rule):
         for _, brokers, param in round_rules:
             arrays += [brokers, param]
     for a in arrays:
@@ -701,7 +718,7 @@ def test_paired_se_of_payoffs_near_1e196_is_finite():
 
     kernel = Kernel(sc)
     col = kernel.ids.index("L1")
-    diffs = [F(x) for b, d in kernel.chunks([sc.strategies, dev], n, seed)
+    diffs = [F(x) for b, d in kernel.chunks([sc.strategies, dev], n, seed, sc.rule)
              for x in (d.payoffs[col] - b.payoffs[col]).tolist()]
     mean = sum(diffs) / n
     assert max(abs(x - mean) for x in diffs) >= 2**512  # its square is past the range
