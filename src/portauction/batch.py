@@ -87,21 +87,15 @@ def row_width(scenario):
     return len(scenario.brokers) + scenario.portfolio.q + 2
 
 
-def row_chunks(seed, n, width):
-    """Replication-major uniform draws, CHUNK rows at a time: row k is
-    replication k's budget, independent of n."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    for start in range(0, n, CHUNK):
-        yield gen.random((min(CHUNK, n - start), width))
-
-
-def row(seed, k, width):
-    """Row k of the seed's stream, as row_chunks(seed, n, width) draws it for
-    any n > k, in O(1): Philox makes four doubles per counter step, so the
-    row starts k * width % 4 doubles into step k * width // 4."""
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(k * width // 4))
-    gen.random(k * width % 4)
-    return gen.random(width)
+def rows(seed, start, count, width):
+    """Rows start..start+count-1 of the seed's replication-major stream of
+    uniforms, a (count, width) array: row k is replication k's budget,
+    whatever rows are drawn with it. O(1) in start: Philox makes four
+    doubles per counter step, so row start begins start * width % 4
+    doubles into step start * width // 4."""
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(start * width // 4))
+    gen.random(start * width % 4)
+    return gen.random((count, width))
 
 
 def check_weight(broker, strategy, weight):
@@ -389,10 +383,10 @@ class Kernel:
 
     def chunks(self, profiles, n, seed, rule):
         """Settle replications 0..n-1 of the seed under each profile and the
-        rule: for each chunk of row_chunks(seed, n, width), one Batch per
-        profile. Each round is compiled once per Kernel and rule, each
-        chunk's valuations drawn once; profiles whose round-1 strategies
-        are equal broker by broker share one qualification per chunk."""
+        rule: for each chunk of up to CHUNK rows, one Batch per profile.
+        Each round is compiled once per Kernel and rule, each chunk's rows
+        (one rows call) and valuations drawn once; profiles whose round-1
+        strategies are equal broker by broker share one qualification."""
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
         rounds = [self._strategies(p) for p in profiles]
@@ -400,7 +394,8 @@ class Kernel:
         round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
-        for u in row_chunks(seed, n, self.width):
+        for start in range(0, n, CHUNK):
+            u = rows(seed, start, min(CHUNK, n - start), self.width)
             vals = self.values(u)
             qualified = {}
             batches = []

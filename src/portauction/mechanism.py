@@ -10,19 +10,19 @@ bid is capped by the bidder's own round-1 bid.
 settle_row runs one auction on one row of uniforms in the batch kernel's
 layout: the row fixes the drawn valuations and the tie coins, so a
 transcript is a pure function of (inputs, row). run_auction settles row k
-of the seed's stream (row 0 by default), which is replication k of
-simulate. The rules here are exact under Fraction inputs and are the
-oracle for the batch kernel.
+of the seed's stream (row 0 by default), drawn by batch.rows as
+Kernel.chunks draws it, so it is replication k of simulate. The rules here
+are exact under Fraction inputs and are the oracle for the batch kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import pricing, sim
-from .batch import PERIOD, row, row_width
+from .batch import PERIOD, row_width, rows
 from .model import ConfigurationError
 
 
@@ -292,12 +292,15 @@ def run_auction(scenario, seed=None, replication=0) -> AuctionTranscript:
     if not 0 <= replication < PERIOD // width:  # a later row would repeat an earlier one
         raise ConfigurationError(f"replication {replication} is outside [0, 2**258 // {width})")
     rng_seed = scenario.seed if seed is None else seed
-    return replace(settle_row(scenario, row(rng_seed, replication, width)), rng_seed=rng_seed)
+    u = rows(rng_seed, replication, 1, width)[0]
+    return replace(settle_row(scenario, u), rng_seed=rng_seed)
 
 
 def _jsonable(x):
     if isinstance(x, Fraction):
         return float(x)
+    if is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -306,26 +309,5 @@ def _jsonable(x):
 
 
 def transcript_dict(t: AuctionTranscript) -> dict:
-    """The transcript as JSON values."""
-    return _jsonable({
-        "rule": t.rule,
-        "rng_seed": t.rng_seed,
-        "qualification": {
-            "qualified_locals": list(t.qualification.qualified_locals),
-            "local_bids": list(t.qualification.local_bids),
-            "qualified_global": t.qualification.qualified_global,
-            "global_bid": t.qualification.global_bid,
-        },
-        "update": {"revealed_bids": [list(p) for p in t.update.revealed_bids]},
-        "ledger": {"round1": t.ledger.round1, "round2": t.ledger.round2},
-        "outcome": {
-            "winner": t.outcome.winner,
-            "fees": list(t.outcome.fees),
-            "global_payment": t.outcome.global_payment,
-            "vcg_fees": list(t.outcome.vcg_fees),
-            "delta": t.outcome.delta,
-            "epsilons": list(t.outcome.epsilons),
-            "diagnostics": t.outcome.diagnostics,
-        },
-        "payoffs": t.payoffs,
-    })
+    """The transcript as JSON values, each field under its own name."""
+    return _jsonable(t)

@@ -7,7 +7,7 @@ two profiles simulated with the same seed share their random inputs
 (common random numbers). mechanism.settle_row settles any one row with
 the exact scalar rules (resolve_bids and strategy_bid here, which
 evaluate batch.bid_rule's three rules as the kernel does); run_auction
-is row 0.
+settles row k, drawn by batch.rows.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from portauction.batch import CHUNK, Kernel, row_chunks
+from portauction.batch import CHUNK, Kernel, rows
 from portauction.model import ModelWarning
 from portauction.scenario import builtin_scenario, scenario_from_dict
 from portauction.sim import Strategy, compare_strategies, simulate
@@ -248,8 +248,9 @@ def replications(config, n, seed) -> dict:
     kernel = Kernel(config)
     cols = {"won": [], "seller_cost": [], "fees": [],
             "payoffs": {bid: [] for bid in kernel.ids}, "global_bid2": [], "local_values": []}
-    for u, (b,) in zip(row_chunks(seed, n, kernel.width),
-                       kernel.chunks([config.strategies], n, seed, config.rule)):
+    for start, (b,) in zip(range(0, n, CHUNK),
+                           kernel.chunks([config.strategies], n, seed, config.rule)):
+        u = rows(seed, start, min(CHUNK, n - start), kernel.width)
         cols["won"] += b.won.tolist()
         cols["seller_cost"] += b.seller_cost.tolist()
         cols["fees"] += map(tuple, b.fees.T.tolist())

@@ -28,6 +28,8 @@ from portauction.pricing import (
 from portauction.scenario import scenario_from_dict
 from portauction.sim import Strategy, compare_strategies
 
+from test_pricing import oracle_in_core
+
 
 @contextmanager
 def criterion(name):
@@ -220,24 +222,6 @@ def test_equilibrium_fixed_point_grid():
 # 6. Core-oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _oracle_in_core(fees, bids2, weights, global_bid):
-    """Brute force: enumerate every blocking configuration (all subsets of
-    locals kept at the proposed fees, the rest reverting to their bids,
-    with the global as the outside option)."""
-    q = len(fees)
-    if any(c < b for c, b in zip(fees, bids2)):
-        return False
-    for keep in itertools.chain.from_iterable(
-        itertools.combinations(range(q), r) for r in range(q + 1)
-    ):
-        cost = sum(
-            weights[i] * (fees[i] if i in keep else bids2[i]) for i in range(q)
-        )
-        if cost > global_bid:
-            return False
-    return True
-
-
 def test_core_oracle_equivalence_10k():
     with criterion("core validator agrees with subset-enumeration oracle "
                    "on 10,000 instances (< 10 s)"):
@@ -264,7 +248,7 @@ def test_core_oracle_equivalence_10k():
                     b + F(int(x), 10) for b, x in zip(b2, rng.integers(-40, 80, q))
                 )
             report = validate_core_point(fees, b2, w, g2)
-            disagreements += report.in_core != _oracle_in_core(fees, b2, w, g2)
+            disagreements += report.in_core != oracle_in_core(fees, b2, w, g2)
         assert disagreements == 0
         assert time.perf_counter() - t0 < 10.0
 

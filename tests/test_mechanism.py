@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from portauction import pricing, reproduce
-from portauction.batch import row_chunks, row_width
+from portauction.batch import row_width, rows
 from portauction.mechanism import (
     BidLedger,
     publish_update,
@@ -277,7 +277,7 @@ def test_settle_row_takes_a_full_row():
 
 def test_run_auction_settles_the_asked_replication():
     sc = builtin_scenario("powerlaw")
-    u = next(row_chunks(sc.seed, 3, row_width(sc)))[2]
+    u = rows(sc.seed, 0, 3, row_width(sc))[2]
     assert run_auction(sc, replication=2).outcome == settle_row(sc, u).outcome
     assert run_auction(sc, replication=2).outcome != run_auction(sc).outcome
     with pytest.raises(ConfigurationError, match="replication"):
