@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
 import warnings
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
@@ -17,7 +19,7 @@ from portauction import __version__, batch, cli
 from portauction.batch import CHUNK
 from portauction.mechanism import run_auction, transcript_dict
 from portauction.model import ConfigurationError, ModelWarning
-from portauction.pricing import nvcg_fees
+from portauction.pricing import RULES, nvcg_fees
 from portauction.scenario import (
     LOADS,
     ScenarioParseError,
@@ -111,14 +113,35 @@ def test_a_document_is_loaded_once_per_text_and_name():
     assert a == replace(b, name="a")
 
 
-def test_a_rewritten_file_loads_its_new_content(tmp_path):
+def test_a_rewritten_file_loads_its_new_content(tmp_path, capsys, monkeypatch):
+    """The load and kernel caches are keyed by content: the records of every
+    command on a file rewritten in place are those of a process whose
+    caches are empty."""
     path = tmp_path / "powerlaw.json"
+    commands = (["run"], ["simulate", "-n", "1000"], ["equilibrium"])
+
+    def records():
+        outs = [run_cli([c, str(path), *args, "--format", "records"], capsys)
+                for c, *args in commands]
+        assert [code for code, _, _ in outs] == [0] * len(commands)
+        return [out for _, out, _ in outs]
+
     doc = json.loads(json.dumps(_BUNDLED["powerlaw"]))
     path.write_text(json.dumps(doc))
     first = load_scenario(path)
     assert load_scenario(path) is first
+    before = records()
+    assert records() == before
     doc["strategies"]["L1"]["round2"] = {"kind": "offset", "offset_bps": 3}
     path.write_text(json.dumps(doc))
+    after = records()
+    assert all(a != b for a, b in zip(after, before))  # a new scenario_digest
+    # L1's round-2 bid moves run's and simulate's results; equilibrium reads no strategy
+    assert [json.loads(a)["result"] != json.loads(b)["result"]
+            for a, b in zip(after, before)] == [True, True, False]
+    monkeypatch.setattr("portauction.scenario._loaded", OrderedDict())
+    monkeypatch.setattr("portauction.batch._kernels", OrderedDict())
+    assert records() == after
     second = load_scenario(path)
     assert (second.strategies["L1"].round2.kind, second.strategies["L1"].round2.offset) == \
         ("offset", F(3, 10_000))
@@ -546,6 +569,14 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _strict_json(text):
+    """The records document, failing on the NaN and Infinity that
+    json.loads would accept."""
+    def reject(constant):
+        raise AssertionError(f"records hold {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_cli_run_table(capsys):
     code, out, _ = run_cli(["run", "example1", "--rule", "dnvcg"], capsys)
     assert code == 0
@@ -661,7 +692,6 @@ def test_numbers_are_at_most_1e100(keys, at_limit, above, path):
     assert [e.split(": ")[0] for e in exc.value.errors] == [path]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings
 @pytest.mark.parametrize("rule", ["vcg", "nvcg", "dnvcg"])
 @pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "fixed"])
 def test_documents_at_the_bound_print_finite_numbers(rule, drawn, capsys, tmp_path):
@@ -751,25 +781,30 @@ def test_cli_records_with_drawn_values_round_trip(command, capsys, tmp_path):
 
 @pytest.mark.parametrize("name", ["powerlaw", "market"])
 def test_cli_run_is_replication_zero_of_simulate(name, capsys, tmp_path):
+    """Under every rule; the market's locals play equilibrium and offset bids."""
     if name == "powerlaw":
         ref, config = name, builtin_scenario(name)
     else:
         path = tmp_path / "market.json"
         path.write_text(json.dumps(pin_simulate._market()))
         ref, config = str(path), load_scenario(path)
-    for seed in range(4):
-        code, out, err = run_cli(["run", ref, "--seed", str(seed), "--format", "records"],
-                                 capsys)
-        assert code == 0, err
-        run = json.loads(out)["result"]
-        code, out, err = run_cli(["simulate", ref, "-n", "1", "--seed", str(seed),
+    for rule, seed in itertools.product(RULES, range(4)):
+        code, out, err = run_cli(["run", ref, "--seed", str(seed), "--rule", rule,
                                   "--format", "records"], capsys)
         assert code == 0, err
-        won = json.loads(out)["result"]["coalition_win_rate"] == 1.0
+        run = _strict_json(out)["result"]
+        assert run["rule"] == rule
+        code, out, err = run_cli(["simulate", ref, "-n", "1", "--seed", str(seed),
+                                  "--rule", rule, "--format", "records"], capsys)
+        assert code == 0, err
+        result = _strict_json(out)["result"]
+        assert result["rule"] == rule
+        won = result["coalition_win_rate"] == 1.0
         assert (run["outcome"]["winner"] == "coalition") is won
         g2 = run["ledger"]["round2"][run["qualification"]["qualified_global"]]
-        assert g2 == pin_simulate.replications(config, 1, seed)["global_bid2"][0]
-        if (name, seed) == ("powerlaw", 0):
+        assert g2 == pin_simulate.replications(replace(config, rule=rule), 1, seed)[
+            "global_bid2"][0]
+        if (name, rule, seed) == ("powerlaw", config.rule, 0):
             assert not won and round(g2 * 10_000, 2) == 13.35
 
 
@@ -798,6 +833,11 @@ def test_cli_run_replication_table_and_bounds(capsys):
     code, out, err = run_cli(["run", "powerlaw", "--replication", "-1"], capsys)
     assert (code, out) == (3, "")
     assert "--replication" in err
+    # batch.rows jumps the stream in constant time, however far the row
+    code, out, err = run_cli(["run", "powerlaw", "--replication", str(10**12),
+                              "--format", "records"], capsys)
+    assert code == 0, err
+    assert _strict_json(out)["replication"] == 10**12
 
 
 def test_replication_past_the_philox_period_is_rejected(capsys):
@@ -1213,15 +1253,21 @@ def test_reproduce_records_content(capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "powerlaw"],
     ["simulate", "powerlaw", "-n", "100"],
+    # Two full chunks summed by extraction, then 5 rows through fsum.
+    pytest.param(["simulate", "powerlaw", "-n", str(2 * CHUNK + 5)], id="simulate-powerlaw-long"),
     ["equilibrium", "powerlaw"],
     *(["reproduce", t] for t in ("example1", "example2", "figure1", "figure2")),
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_records_share_one_envelope(argv, capsys):
     code, out, _ = run_cli([*argv, "--format", "records"], capsys)
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     envelope = {"command", "engine_version", "scenario_digest", "seed", "result"}
     assert doc.keys() == envelope | ({"replication"} if argv[0] == "run" else set())
+    if argv[0] == "run":
+        assert doc["replication"] == 0
+    if argv[0] == "simulate":
+        assert doc["result"]["replications"] == int(argv[3])
     assert doc["command"] == argv[0] and doc["engine_version"] == __version__
     assert not {"engine_version", "scenario_digest"} & doc["result"].keys()
     # Every document names its scenario but the figures, drawn from the examples.
