@@ -14,6 +14,12 @@ the one replication loop: it settles K profiles on the same rows,
 drawing each chunk's valuations once (they depend on the rows alone) and
 qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
+Kernel.settle is split at the pricing rule: Kernel.head computes what no
+rule reads (round 2, the allocation and the VCG fees) and Kernel.tail the
+rule's fees, the core check and the payoffs. Kernel.chunks keeps the heads
+of the last call's chunk 0 in one process-wide entry, so a call on the
+same rows and strategies under another rule, as a loop over the rules on
+one seed makes, runs only the tails there.
 
 kernel(scenario) builds a scenario's Kernel once per process and layout,
 as re caches compiled patterns, and each Kernel compiles each round's
@@ -36,6 +42,7 @@ the scalar rules.
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -149,7 +156,7 @@ def _lru(cache, key, bound, make):
 
 def _frozen(a):
     """a, read-only: cached arrays are shared by every later call."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -266,6 +273,23 @@ class Batch:
     payoffs: np.ndarray     # (brokers, replications), in Kernel.ids order
 
 
+@dataclass
+class Head:
+    """Kernel.head of a chunk's rows under one profile: what settle
+    computes before it reads the pricing rule. Every array is read-only."""
+
+    clamped: int            # round-2 bids clamped
+    seats: np.ndarray       # the q+1 qualified brokers' seats (Kernel.qualify)
+    value: np.ndarray       # (q+1, replications): the seated brokers' valuations
+    round1: np.ndarray      # (q, replications): the seated locals' round-1 bids
+    bids2: np.ndarray       # (q, replications): their round-2 bids
+    g2: np.ndarray          # the seated global's round-2 bid
+    total: np.ndarray       # the locals' weighted round-2 total
+    tie: np.ndarray         # total == g2
+    won: np.ndarray         # coalition win
+    cv: np.ndarray          # (q, replications): VCG fees
+
+
 class Kernel:
     """The auction over a chunk of rows, every stage slab-wise.
 
@@ -320,6 +344,7 @@ class Kernel:
              for m in auctions]).T)
         self.auctions = _frozen(np.arange(self.q + 1)[:, None])
         self.contested = depth > 1
+        self._flat = np.ravel if self.contested else np.asarray
         # Row p of running_count @ tied counts the ties among members 0..p.
         self.running_count = _frozen(np.tri(depth))
         self.width = row_width(scenario)
@@ -386,7 +411,15 @@ class Kernel:
         rule: for each chunk of up to CHUNK rows, one Batch per profile.
         Each round is compiled once per Kernel and rule, each chunk's rows
         (one rows call) and valuations drawn once; profiles whose round-1
-        strategies are equal broker by broker share one qualification."""
+        strategies are equal broker by broker share one qualification.
+
+        Chunk 0's heads (Kernel.head, one per profile) are kept in one
+        process-wide entry, and a call whose chunk 0 matches it runs only
+        each profile's tail under its rule (see _kept_heads). The entry
+        holds the Kernel and the strategies, so no id is reused while it
+        lives; a head is a pure function of what is matched, so a call
+        repeats a cold call's results to the bit."""
+        global _chunk0
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
         rounds = [self._strategies(p) for p in profiles]
@@ -394,16 +427,44 @@ class Kernel:
         round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
+        count = min(CHUNK, n)
         for start in range(0, n, CHUNK):
-            u = rows(seed, start, min(CHUNK, n - start), self.width)
-            vals = self.values(u)
-            qualified = {}
-            batches = []
-            for (round1_rules, round2_rules), i in zip(compiled, leader):
-                if i not in qualified:
-                    qualified[i] = self.qualify(u, vals, round1_rules)
-                batches.append(self.settle(u, vals, qualified[i], round2_rules, rule))
-            yield batches
+            heads = self._kept_heads(seed, count, rule, rounds) if start == 0 else None
+            if heads is None:
+                u = rows(seed, start, min(CHUNK, n - start), self.width)
+                vals = self.values(u)
+                qualified = {}
+                heads = []
+                for (round1_rules, round2_rules), i in zip(compiled, leader):
+                    if i not in qualified:
+                        qualified[i] = self.qualify(u, vals, round1_rules)
+                    heads.append(self.head(u, vals, qualified[i], round2_rules))
+                if start == 0:
+                    _chunk0 = (self, seed, count, rule, rounds, heads)
+            yield [self.tail(h, rule) for h in heads]
+
+    def _kept_heads(self, seed, count, rule, rounds):
+        """The entry's heads if it is chunk 0 of this call, else None. It
+        is when it has this Kernel, int seed and chunk-0 row count, the same
+        round-1 and round-2 Strategy objects for every profile, and the
+        same rule if some strategy is "equilibrium", whose bid shades under
+        the rule. The Kernel, seed and count are compared first, so a call
+        on another layout or seed costs a few comparisons."""
+        entry = _chunk0
+        if entry is None:
+            return None
+        kernel, seed0, count0, rule0, rounds0, heads = entry
+        # Philox also takes an array of words as its key; only int seeds match.
+        if (kernel is not self or count0 != count
+                or type(seed0) is not int or type(seed) is not int or seed0 != seed):
+            return None
+        now = [st for both in rounds for r in both for st in r]
+        then = [st for both in rounds0 for r in both for st in r]
+        if len(now) != len(then) or any(map(operator.is_not, now, then)):
+            return None
+        if rule0 != rule and any(st.kind == "equilibrium" for st in now):
+            return None
+        return heads
 
     def qualify(self, u, vals, round1_rules):
         """Round 1 on the rows of u: (bids1, seats), every broker's round-1
@@ -419,9 +480,9 @@ class Kernel:
 
         # Qualification: each auction's lowest round-1 bid; on an exact tie
         # the int(coin * ties)-th tied bidder in id order. The winners'
-        # seats index any (brokers, replications) array x, as settle's
-        # flat(x). When every auction has one bidder they are fixed rows
-        # of x itself. Otherwise they are flat indices from one pass over
+        # seats index _flat(x) of any (brokers, replications) array x. When
+        # every auction has one bidder they are fixed rows of x itself.
+        # Otherwise they are flat indices from one pass over
         # (depth, auction, replication) that takes the first member whose
         # running tie count exceeds the rank: the counts are exact in
         # floats, and numpy reduces fast across the leading axis.
@@ -436,11 +497,19 @@ class Kernel:
 
     def settle(self, u, vals, qualified, round2_rules, rule) -> Batch:
         """Round 2, pricing under the rule and payoffs on the rows of u,
-        after the round 1 qualified (Kernel.qualify of the same rows)."""
+        after the round 1 qualified (Kernel.qualify of the same rows): the
+        tail under the rule of the head."""
+        return self.tail(self.head(u, vals, qualified, round2_rules), rule)
+
+    def head(self, u, vals, qualified, round2_rules) -> Head:
+        """All of settle that the pricing rule does not read, on the rows
+        of u after the round 1 qualified: round 2, the allocation and the
+        VCG fees. Its arrays are read-only, so chunks can keep it for a
+        later call under another rule."""
         N, q = self.L + self.G, self.q
         w = self.w_col
         bids1, seats = qualified
-        flat = np.ravel if self.contested else np.asarray
+        flat = self._flat
 
         # Round 2 for the q+1 qualified brokers: floor at zero, cap at round 1.
         raw = np.empty((N, len(u)))
@@ -451,42 +520,59 @@ class Kernel:
         floored = _floor0(raw)
         bid2 = np.where(cap < floored, cap, floored)
         clamped = int(np.count_nonzero(bid2 != raw))
-        round1, bids2, g2 = cap[:q], bid2[:q], bid2[q]
+        bids2, g2 = bid2[:q], bid2[q]
 
         total = self._weighted(bids2)
         tie = total == g2
         won = np.where(tie, u[:, -1] < 0.5, total < g2)  # the allocation coin
 
-        # VCG fees, then the rule's fees; at an exact tie every rule pays the bids.
+        # VCG fees.
         raw_cv = (g2 - (total - w * bids2)) / w
         cv = np.where(raw_cv > 0, raw_cv, 0 * raw_cv)
+        return Head(
+            clamped=clamped,
+            seats=_frozen(seats),
+            value=_frozen(flat(vals)[seats]),
+            round1=_frozen(cap[:q]),
+            bids2=_frozen(bids2),
+            g2=_frozen(g2),
+            total=_frozen(total),
+            tie=_frozen(tie),
+            won=_frozen(won),
+            cv=_frozen(cv),
+        )
+
+    def tail(self, head, rule) -> Batch:
+        """The rule's fees, the core check and the payoffs after the head
+        (Kernel.head) of a chunk's rows."""
+        h, q = head, self.q
         if rule == "vcg":
-            fees = cv
+            fees = h.cv
         else:
-            fees = cv - (self._weighted(cv) - g2)
+            fees = h.cv - (self._weighted(h.cv) - h.g2)
             if rule == "dnvcg":
-                fees = self._dnvcg(fees, cv, round1)
-        fees = np.where(won, np.where(tie, bids2, fees), 0.0)
+                fees = self._dnvcg(fees, h.cv, h.round1)
+        # At an exact tie every rule pays the bids.
+        fees = np.where(h.won, np.where(h.tie, h.bids2, fees), 0.0)
 
         paid = self._weighted(fees)
-        seller_cost = np.where(won, paid, total)
-        in_core = (fees >= bids2).all(axis=0) & (fees <= cv).all(axis=0) & (paid <= g2)
+        seller_cost = np.where(h.won, paid, h.total)
+        in_core = (fees >= h.bids2).all(axis=0) & (fees <= h.cv).all(axis=0) & (paid <= h.g2)
 
         # Payoffs: the qualified locals' on a coalition win, the qualified
         # global's otherwise, zero for every other broker.
-        value = flat(vals)[seats]
-        payoffs = np.zeros((N, len(u)))
-        seated = flat(payoffs)
-        seated[seats[:q]] = np.where(won, self.pkg_values * (fees - value[:q]), 0.0)
-        seated[seats[q]] = np.where(won, 0.0, self.total_value * (seller_cost - value[q]))
+        payoffs = np.zeros((self.L + self.G, len(h.won)))
+        seated = self._flat(payoffs)
+        seated[h.seats[:q]] = np.where(h.won, self.pkg_values * (fees - h.value[:q]), 0.0)
+        seated[h.seats[q]] = np.where(h.won, 0.0, self.total_value * (seller_cost - h.value[q]))
         return Batch(
-            won=won,
+            won=h.won,
             seller_cost=seller_cost,
             fees=fees,
-            gap=paid - g2,
-            violations=won & ~in_core,
-            clamped=clamped,
-            g2=g2,
+            gap=paid - h.g2,
+            violations=h.won & ~in_core,
+            clamped=h.clamped,
+            g2=h.g2,
             payoffs=payoffs,
         )
 
@@ -506,6 +592,11 @@ class Kernel:
 
 
 _kernels = OrderedDict()
+
+# Kernel.chunks' one entry, chunk 0 of the last call: (Kernel, seed, row
+# count, rule, each profile's Strategy tuples, heads), at most CHUNK rows'
+# heads per profile.
+_chunk0 = None
 
 
 def kernel(scenario):

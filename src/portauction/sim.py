@@ -4,10 +4,15 @@ Replication k draws its randomness from row k of a counter-based Philox
 stream keyed by the seed, so results do not depend on the replication
 count (beyond k) or on how work would be partitioned across workers, and
 two profiles simulated with the same seed share their random inputs
-(common random numbers). mechanism.settle_row settles any one row with
-the exact scalar rules (resolve_bids and strategy_bid here, which
-evaluate batch.bid_rule's three rules as the kernel does); run_auction
-settles row k, drawn by batch.rows.
+(common random numbers). Consecutive calls on the same rows and
+strategies that differ only in a rule no bid reads, such as simulate
+under vcg, nvcg and dnvcg on one seed and n, also share the work before
+the pricing rule: batch.Kernel.chunks keeps the last call's first chunk
+settled up to the rule and prices only the new rule's tail there.
+mechanism.settle_row settles any one row with the exact scalar rules
+(resolve_bids and strategy_bid here, which evaluate batch.bid_rule's
+three rules as the kernel does); run_auction settles row k, drawn by
+batch.rows.
 """
 
 from __future__ import annotations

@@ -523,6 +523,77 @@ def test_warm_kernels_give_cold_results_bit_for_bit(monkeypatch):
     assert warm == results() * 3
 
 
+def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch):
+    """Kernel.chunks keeps the last call's chunk-0 heads. Consecutive calls
+    on the same rows repeat a fresh Kernel's results to the bit, and only a
+    call with the entry's key skips chunk 0's draw: the same Kernel, seed,
+    chunk-0 row count and Strategy objects, and the same rule when a bid
+    shades under it. A hit's arrays are settle's, and its won is read-only."""
+    monkeypatch.setattr(batch, "_chunk0", None)
+    powerlaw = builtin_scenario("powerlaw")  # no bid reads the rule
+    market = pin_simulate._load(pin_simulate._market())  # equilibrium bids shade by rule
+    nvcg, dnvcg = (replace(powerlaw, rule=rule) for rule in ("nvcg", "dnvcg"))
+    dev2 = powerlaw.strategies.with_strategy("L1", round2=Strategy(kind="offset",
+                                                                   offset=F(3, 10_000)))
+    dev1 = powerlaw.strategies.with_strategy("L1", round1=Strategy(kind="constant",
+                                                                   value=F(34, 10_000)))
+    # Another layout with the same Strategy objects.
+    relaid = replace(nvcg, distributions={
+        **powerlaw.distributions, "global": ValueDistribution.power_law(F(30, 10_000), 2.0)})
+
+    def sim(sc, n=300, strategies=None, seed=4):
+        return lambda: simulate(replace(sc, strategies=strategies or sc.strategies), n=n, seed=seed)
+
+    def paired(sc, dev):
+        return lambda: compare_strategies(sc, sc.strategies, dev, 300, 4)
+
+    # (call, whether it draws chunk 0)
+    calls = [
+        *((sim(replace(powerlaw, rule=rule)), rule == "vcg")
+          for rule in ("vcg", "nvcg", "dnvcg", "nvcg")),
+        *((sim(replace(market, rule=rule)), True) for rule in ("vcg", "nvcg", "dnvcg", "nvcg")),
+        (sim(nvcg), True), (sim(nvcg, strategies=dev2), True),
+        (sim(nvcg), True), (sim(nvcg, strategies=dev1), True),
+        (sim(nvcg), True), (paired(nvcg, dev2), True), (paired(dnvcg, dev2), False),
+        (sim(nvcg), True), (paired(nvcg, dev1), True), (paired(dnvcg, dev1), False),
+        (sim(nvcg, n=7), True), (sim(nvcg), True), (sim(nvcg, seed=5), True),
+        # A Philox key of two words is a seed too.
+        *((sim(nvcg, seed=np.array([4, 1], dtype=np.uint64)), True) for _ in range(2)),
+        (sim(nvcg), True),
+        # Chunk 0 has CHUNK rows at either n.
+        (sim(nvcg, n=CHUNK + 5), True), (sim(dnvcg, n=CHUNK + 9), False),
+        (sim(relaid, n=CHUNK + 9), True),
+    ]
+    starts = []
+    draw = batch.rows
+    monkeypatch.setattr(batch, "rows",
+                        lambda seed, start, *args: starts.append(start) or draw(seed, start, *args))
+    warm, drew = [], []
+    for call, _ in calls:
+        starts.clear()
+        warm.append(repr(call()))
+        drew.append(0 in starts)
+    assert drew == [d for _, d in calls]
+
+    k = kernel(relaid)
+    starts.clear()
+    hit = next(k.chunks([relaid.strategies], CHUNK + 9, 4, "vcg"))[0]
+    assert starts == []
+    cold = Kernel(relaid)
+    u = rows(4, 0, CHUNK, cold.width)
+    vals = cold.values(u)
+    round1, round2 = cold.compile(relaid.strategies, "vcg")
+    want = cold.settle(u, vals, cold.qualify(u, vals, round1), round2, "vcg")
+    for field in fields(batch.Batch):
+        assert np.asarray(getattr(hit, field.name)).tobytes() == \
+            np.asarray(getattr(want, field.name)).tobytes(), field.name
+    with pytest.raises(ValueError, match="read-only"):
+        hit.won[0] = not hit.won[0]
+
+    monkeypatch.setattr(batch, "kernel", Kernel)
+    assert warm == [repr(call()) for call, _ in calls]
+
+
 def test_a_deviation_compiles_only_the_deviating_round(monkeypatch):
     """Kernel.compile converts each round once per pricing rule, keyed by
     the rule and its Strategy objects: the same objects under the same rule
