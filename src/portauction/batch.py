@@ -14,16 +14,16 @@ the one replication loop: it settles K profiles on the same rows,
 drawing each chunk's valuations once (they depend on the rows alone) and
 qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
-Kernel.settle is split at the pricing rule: Kernel.head computes what no
-rule reads (round 2, the allocation and the VCG fees) and Kernel.tail the
-rule's fees, the core check and the payoffs. Kernel.chunks keeps the heads
-of the last call's chunk 0 in one process-wide entry, so a call on the
-same rows and strategies under another rule, as a loop over the rules on
-one seed makes, runs only the tails there.
+Kernel.head computes what no pricing rule reads (round 2, the allocation
+and the VCG fees) and Kernel.tail the rule's fees, the core check and the
+payoffs. Kernel.chunks keeps the heads of the last call's chunk 0 in one
+process-wide entry, so a call on the same rows and compiled rounds under
+another rule, as a loop over the rules on one seed makes, runs only the
+tails there.
 
 kernel(scenario) builds a scenario's Kernel once per process and layout,
 as re caches compiled patterns, and each Kernel compiles each round's
-strategies once per pricing rule, an argument of its calls. Both are
+strategies once (once per rule where an equilibrium bid shades). Both are
 pure functions of immutable inputs, so simulate or compare_strategies
 calls on one auction that vary the rule, seed, n or profile reuse them,
 and a deviation in one round compiles only that round. A one-shot call
@@ -78,9 +78,9 @@ PERIOD = 2**258
 EXTRACT_MIN = 2048
 
 # kernel() keeps the Kernels of the KERNELS layouts used last, and each
-# Kernel the PROFILES (pricing rule, round) entries it compiled last: more
-# than a loop over one auction's rules and deviations, or over a few dozen
-# exact files, cycles through. An entry is a few small arrays.
+# Kernel the PROFILES rounds it compiled last: more than a loop over one
+# auction's rules and deviations, or over a few dozen exact files, cycles
+# through. An entry is a few small arrays.
 KERNELS = 64
 PROFILES = 64
 
@@ -94,13 +94,26 @@ def row_width(scenario):
     return len(scenario.brokers) + scenario.portfolio.q + 2
 
 
+def check_seed(seed):
+    """seed as an int, once it is checked to be a Philox key: an int or a
+    numpy integer in [0, SEED_LIMIT). A bool, a float or an array, which
+    Philox would take as a key, raises ConfigurationError."""
+    try:
+        key = operator.index(seed)
+    except TypeError:  # not an integer
+        key = -1
+    if isinstance(seed, (bool, np.ndarray)) or not 0 <= key < SEED_LIMIT:
+        raise ConfigurationError(f"a seed is an integer in [0, 2**128), got {seed!r}")
+    return key
+
+
 def rows(seed, start, count, width):
     """Rows start..start+count-1 of the seed's replication-major stream of
     uniforms, a (count, width) array: row k is replication k's budget,
     whatever rows are drawn with it. O(1) in start: Philox makes four
     doubles per counter step, so row start begins start * width % 4
     doubles into step start * width // 4."""
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(start * width // 4))
+    gen = np.random.Generator(np.random.Philox(key=check_seed(seed)).advance(start * width // 4))
     gen.random(start * width % 4)
     return gen.random((count, width))
 
@@ -121,7 +134,7 @@ def bid_rule(broker, strategy, rule, weight, q):
     NVCG); ("capped-value", 0) bids min(round-1 bid, valuation). The
     shading does not depend on the valuation, so it is computed here once.
     Both engines call this, the one place that reads Strategy.kind to make
-    a bid, before any bid, so here they reject a rule outside RULES."""
+    a bid; the scalar engine rejects a rule outside RULES here."""
     if rule not in RULES:
         raise ConfigurationError(f"unknown pricing rule {rule!r}")
     check_weight(broker, strategy, weight)
@@ -275,8 +288,8 @@ class Batch:
 
 @dataclass
 class Head:
-    """Kernel.head of a chunk's rows under one profile: what settle
-    computes before it reads the pricing rule. Every array is read-only."""
+    """Kernel.head of a chunk's rows under one profile: what a chunk's
+    outcomes need besides the pricing rule. Every array is read-only."""
 
     clamped: int            # round-2 bids clamped
     seats: np.ndarray       # the q+1 qualified brokers' seats (Kernel.qualify)
@@ -348,7 +361,7 @@ class Kernel:
         # Row p of running_count @ tied counts the ties among members 0..p.
         self.running_count = _frozen(np.tri(depth))
         self.width = row_width(scenario)
-        # compile's memo: each round's rules, by rule and strategy identities.
+        # compile's memo: each round's rules (see _compiled).
         self._rounds = OrderedDict()
 
     def compile(self, profile, rule):
@@ -360,16 +373,19 @@ class Kernel:
     def _strategies(self, profile):
         """The profile's (round 1, round 2) Strategy tuples, in ids order."""
         brokers = [profile[bid] for bid in self.ids]
-        return tuple(st.round1 for st in brokers), tuple(st.round2 for st in brokers)
+        return tuple([st.round1 for st in brokers]), tuple([st.round2 for st in brokers])
 
     def _compiled(self, strategies, rule):
         """One round's rules, compiled once: bid_rule is called once per
-        broker and float(param) kept. The rules are kept under the pricing
-        rule (an equilibrium bid shades under it) and the identities of the
-        round's Strategy objects; the entry holds the objects, so no id is
-        reused while it lives. Objects are matched by identity because
-        hashing Fraction fields costs more than converting them. The rules
-        do not depend on which round it is."""
+        broker and float(param) kept, under the identities of the round's
+        Strategy objects and shades, the pricing rule if one of them is
+        "equilibrium" (whose bid shades under it), else None. The entry
+        holds the objects, so no id is reused while it lives; hashing
+        Fraction fields would cost more than converting them. A kept round
+        calls no bid_rule, so the rule is checked here."""
+        if rule not in RULES:
+            raise ConfigurationError(f"unknown pricing rule {rule!r}")
+        shades = rule if "equilibrium" in map(operator.attrgetter("kind"), strategies) else None
         def rules():
             groups = {}
             for k, strategy in enumerate(strategies):
@@ -381,7 +397,7 @@ class Kernel:
             return strategies, tuple(
                 (kind, _frozen(np.array(brokers)), _frozen(np.array(params)))
                 for kind, (brokers, params) in groups.items())
-        return _lru(self._rounds, (rule, *map(id, strategies)), PROFILES, rules)[1]
+        return _lru(self._rounds, (shades, *map(id, strategies)), PROFILES, rules)[1]
 
     def values(self, u):
         """The brokers' valuations on the rows of u, as (brokers,
@@ -409,27 +425,33 @@ class Kernel:
     def chunks(self, profiles, n, seed, rule):
         """Settle replications 0..n-1 of the seed under each profile and the
         rule: for each chunk of up to CHUNK rows, one Batch per profile.
-        Each round is compiled once per Kernel and rule, each chunk's rows
-        (one rows call) and valuations drawn once; profiles whose round-1
-        strategies are equal broker by broker share one qualification.
+        Each round is compiled once (_compiled), each chunk's rows (one rows
+        call) and valuations drawn once; profiles whose round-1 strategies
+        are equal broker by broker share one qualification.
 
         Chunk 0's heads (Kernel.head, one per profile) are kept in one
-        process-wide entry, and a call whose chunk 0 matches it runs only
-        each profile's tail under its rule (see _kept_heads). The entry
-        holds the Kernel and the strategies, so no id is reused while it
-        lives; a head is a pure function of what is matched, so a call
-        repeats a cold call's results to the bit."""
+        process-wide entry, and a call with its Kernel, seed and row count
+        and the same compiled rounds (is) runs only each tail there. A
+        compiled round encodes its strategies and, where a bid shades, the
+        rule, and a head is a pure function of what is matched, so a hit
+        repeats a cold call's results to the bit. The seed is checked
+        first, as a hit draws nothing."""
         global _chunk0
         if n < 1:
             raise ConfigurationError("replication count must be at least 1")
+        seed = check_seed(seed)
         rounds = [self._strategies(p) for p in profiles]
         compiled = [tuple(self._compiled(r, rule) for r in both) for both in rounds]
         round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
         count = min(CHUNK, n)
+        kept = _chunk0
+        hit = (kept is not None and kept[:3] == (self, seed, count)
+               and len(kept[3]) == len(compiled)
+               and all(a is x and b is y for (a, b), (x, y) in zip(kept[3], compiled)))
         for start in range(0, n, CHUNK):
-            heads = self._kept_heads(seed, count, rule, rounds) if start == 0 else None
+            heads = kept[4] if start == 0 and hit else None
             if heads is None:
                 u = rows(seed, start, min(CHUNK, n - start), self.width)
                 vals = self.values(u)
@@ -440,31 +462,8 @@ class Kernel:
                         qualified[i] = self.qualify(u, vals, round1_rules)
                     heads.append(self.head(u, vals, qualified[i], round2_rules))
                 if start == 0:
-                    _chunk0 = (self, seed, count, rule, rounds, heads)
+                    _chunk0 = (self, seed, count, compiled, heads)
             yield [self.tail(h, rule) for h in heads]
-
-    def _kept_heads(self, seed, count, rule, rounds):
-        """The entry's heads if it is chunk 0 of this call, else None. It
-        is when it has this Kernel, int seed and chunk-0 row count, the same
-        round-1 and round-2 Strategy objects for every profile, and the
-        same rule if some strategy is "equilibrium", whose bid shades under
-        the rule. The Kernel, seed and count are compared first, so a call
-        on another layout or seed costs a few comparisons."""
-        entry = _chunk0
-        if entry is None:
-            return None
-        kernel, seed0, count0, rule0, rounds0, heads = entry
-        # Philox also takes an array of words as its key; only int seeds match.
-        if (kernel is not self or count0 != count
-                or type(seed0) is not int or type(seed) is not int or seed0 != seed):
-            return None
-        now = [st for both in rounds for r in both for st in r]
-        then = [st for both in rounds0 for r in both for st in r]
-        if len(now) != len(then) or any(map(operator.is_not, now, then)):
-            return None
-        if rule0 != rule and any(st.kind == "equilibrium" for st in now):
-            return None
-        return heads
 
     def qualify(self, u, vals, round1_rules):
         """Round 1 on the rows of u: (bids1, seats), every broker's round-1
@@ -495,17 +494,11 @@ class Kernel:
         pick = (running <= rank).sum(axis=0)
         return bids1, self.members[pick, self.auctions] * len(u) + np.arange(len(u))
 
-    def settle(self, u, vals, qualified, round2_rules, rule) -> Batch:
-        """Round 2, pricing under the rule and payoffs on the rows of u,
-        after the round 1 qualified (Kernel.qualify of the same rows): the
-        tail under the rule of the head."""
-        return self.tail(self.head(u, vals, qualified, round2_rules), rule)
-
     def head(self, u, vals, qualified, round2_rules) -> Head:
-        """All of settle that the pricing rule does not read, on the rows
-        of u after the round 1 qualified: round 2, the allocation and the
-        VCG fees. Its arrays are read-only, so chunks can keep it for a
-        later call under another rule."""
+        """All that the pricing rule does not read on the rows of u, after
+        the round 1 qualified (Kernel.qualify of the same rows): round 2,
+        the allocation and the VCG fees. Its arrays are read-only, so
+        chunks can keep it for a later call under another rule."""
         N, q = self.L + self.G, self.q
         w = self.w_col
         bids1, seats = qualified
@@ -594,8 +587,8 @@ class Kernel:
 _kernels = OrderedDict()
 
 # Kernel.chunks' one entry, chunk 0 of the last call: (Kernel, seed, row
-# count, rule, each profile's Strategy tuples, heads), at most CHUNK rows'
-# heads per profile.
+# count, each profile's compiled (round 1, round 2), heads), at most CHUNK
+# rows' heads per profile.
 _chunk0 = None
 
 

@@ -1,14 +1,15 @@
 """Monte Carlo harness: strategies, replicated auctions, dominance checks.
 
 Replication k draws its randomness from row k of a counter-based Philox
-stream keyed by the seed, so results do not depend on the replication
-count (beyond k) or on how work would be partitioned across workers, and
-two profiles simulated with the same seed share their random inputs
-(common random numbers). Consecutive calls on the same rows and
-strategies that differ only in a rule no bid reads, such as simulate
-under vcg, nvcg and dnvcg on one seed and n, also share the work before
-the pricing rule: batch.Kernel.chunks keeps the last call's first chunk
-settled up to the rule and prices only the new rule's tail there.
+stream keyed by the seed, an int (batch.check_seed), so results do not
+depend on the replication count (beyond k) or on how work would be
+partitioned across workers, and two profiles simulated with the same seed
+share their random inputs (common random numbers). Consecutive calls on
+the same rows and strategies that differ only in a rule no bid reads,
+such as simulate under vcg, nvcg and dnvcg on one seed and n, also share
+the work before the pricing rule: batch.Kernel.chunks keeps the last
+call's first chunk settled up to the rule and prices only the new rule's
+tail there.
 mechanism.settle_row settles any one row with the exact scalar rules
 (resolve_bids and strategy_bid here, which evaluate batch.bid_rule's
 three rules as the kernel does); run_auction settles row k, drawn by
@@ -145,25 +146,27 @@ class SimMetrics:
     core_violation_count: int
     frontier_gap_max: float
     clamped_round2_count: int
-    seed: object
+    seed: int
 
 
 def simulate(scenario, n=None, seed=None):
     """Run n independent auctions of the scenario under its strategies and
     aggregate the outcomes.
 
-    Deterministic for fixed (scenario, n, seed). The scenario's batch
-    kernel (batch.kernel, built once per layout in a process, with each
-    round compiled once per rule) settles the replications in chunks. One
-    ExactSum takes each chunk's seller costs and payoffs together, by
-    extraction when the chunk is wide and through math.fsum otherwise;
-    either way every mean equals math.fsum over every replication, so
-    neither the chunking nor the aggregation route can change results.
+    Deterministic for fixed (scenario, n, seed); the seed defaults to the
+    scenario's, and SimMetrics.seed is batch.check_seed's int. The
+    scenario's batch kernel (batch.kernel, built once per layout in a
+    process, each round compiled once) settles the replications in
+    chunks. One ExactSum takes each chunk's seller costs and payoffs
+    together, by extraction when the chunk is wide and through math.fsum
+    otherwise; either way every mean equals math.fsum over every
+    replication, so neither the chunking nor the aggregation route can
+    change results.
     """
     if scenario.strategies is None:
         raise ConfigurationError("no strategy profile supplied")
     n = n if n is not None else scenario.replications
-    seed = seed if seed is not None else scenario.seed
+    seed = batch.check_seed(seed if seed is not None else scenario.seed)
 
     kernel = batch.kernel(scenario)
     wins = violations = clamped = 0
@@ -224,7 +227,7 @@ def _differing_broker(baseline: StrategyProfile, deviation: StrategyProfile) -> 
 def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceReport:
     """Common-random-numbers payoff comparison for a unilateral deviation:
     both profiles settle the same rows through Kernel.chunks, on the
-    scenario's batch.kernel, which compiles each round once per rule. The
+    scenario's batch.kernel, which compiles each round once. The
     paired differences are kept, one float per pair, for the variance."""
     broker = _differing_broker(baseline, deviation)
     kernel = batch.kernel(scenario)

@@ -12,7 +12,8 @@ residual cases cover both rules and D-NVCG prudent bidders (ell, W_down).
     PYTHONPATH=src python tests/pin_equilibrium.py      # rewrite the pins
 
 tests/test_equilibrium.py::test_solver_outputs_match_pins recomputes every
-case and requires equality with tests/golden/equilibrium_pins.json.
+case and requires tests/golden/equilibrium_pins.json to be, byte for byte,
+the render() that main writes.
 """
 
 from __future__ import annotations
@@ -121,8 +122,13 @@ def compute_pins() -> dict:
     return pins
 
 
+def render() -> str:
+    """The golden file's text: the pins as sorted, indented JSON."""
+    return json.dumps(compute_pins(), indent=1, sort_keys=True) + "\n"
+
+
 def main():
-    PINS.write_text(json.dumps(compute_pins(), indent=1, sort_keys=True) + "\n")
+    PINS.write_text(render())
     print(f"wrote {PINS}")
 
 

@@ -11,7 +11,8 @@ D-NVCG fallback.
     PYTHONPATH=src python tests/pin_simulate.py      # rewrite the pins
 
 tests/test_sim.py::test_outputs_match_pins recomputes every case and
-requires equality with tests/golden/simulate_pins.json.
+requires tests/golden/simulate_pins.json to be, byte for byte, the render()
+that main writes.
 """
 
 from __future__ import annotations
@@ -293,8 +294,13 @@ def compute_pins() -> dict:
     return pins
 
 
+def render() -> str:
+    """The golden file's text: the pins as sorted, indented JSON."""
+    return json.dumps(compute_pins(), indent=1, sort_keys=True) + "\n"
+
+
 def main():
-    PINS.write_text(json.dumps(compute_pins(), indent=1, sort_keys=True) + "\n")
+    PINS.write_text(render())
     print(f"wrote {PINS}")
 
 

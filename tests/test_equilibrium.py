@@ -294,7 +294,10 @@ def test_kernel_vcg_fee_against_quadrature():
 
 
 def test_solver_outputs_match_pins():
-    want = json.loads(pin_equilibrium.PINS.read_text())
-    got = pin_equilibrium.compute_pins()
+    """The golden file is the bytes pin_equilibrium.main would write; the
+    differing cases are named first."""
+    text = pin_equilibrium.render()
+    got, want = json.loads(text), json.loads(pin_equilibrium.PINS.read_text())
     assert sorted(got) == sorted(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+    assert pin_equilibrium.PINS.read_bytes() == text.encode()

@@ -3,7 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import replace
@@ -593,6 +596,20 @@ def test_cli_run_records(capsys):
     assert doc["scenario_digest"]
     assert doc["seed"] == 7
     assert doc["result"]["outcome"]["winner"] == "coalition"
+
+
+def test_the_module_entry_point_writes_strict_json_records(capsys):
+    """python -m portauction.cli in a fresh process writes the records that
+    cli.main writes in this one, as strict JSON, and exits 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    args = ["run", "powerlaw", "--format", "records"]
+    proc = subprocess.run([sys.executable, "-m", "portauction.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert _strict_json(proc.stdout)["command"] == "run"
+    assert proc.stdout == run_cli(args, capsys)[1]
 
 
 def test_cli_run_rule_runs_the_scenario_under_that_rule(capsys):

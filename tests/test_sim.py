@@ -133,9 +133,9 @@ def test_simulate_rejects_bad_replications():
 
 
 def test_kernel_rejects_an_unknown_rule():
-    """Both engines name a rule outside RULES in bid_rule, before any bid,
-    instead of settling it as NVCG or failing inside an equilibrium bid's
-    shading."""
+    """Both engines name a rule outside RULES before any bid, the kernel in
+    Kernel._compiled and the scalar engine in bid_rule, instead of settling
+    it as NVCG or failing inside an equilibrium bid's shading."""
     powerlaw = replace(builtin_scenario("powerlaw"), rule="second-price")
     shaded = powerlaw.strategies.with_strategy(
         "L1", round2=Strategy(kind="equilibrium", sigma=1e-4))
@@ -527,8 +527,10 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
     """Kernel.chunks keeps the last call's chunk-0 heads. Consecutive calls
     on the same rows repeat a fresh Kernel's results to the bit, and only a
     call with the entry's key skips chunk 0's draw: the same Kernel, seed,
-    chunk-0 row count and Strategy objects, and the same rule when a bid
-    shades under it. A hit's arrays are settle's, and its won is read-only."""
+    chunk-0 row count and compiled rounds, which differ by rule only where
+    a bid shades under it. A seed that is not an int is rejected before the
+    entry is read. A hit's arrays are tail(head(...))'s, and its won is
+    read-only."""
     monkeypatch.setattr(batch, "_chunk0", None)
     powerlaw = builtin_scenario("powerlaw")  # no bid reads the rule
     market = pin_simulate._load(pin_simulate._market())  # equilibrium bids shade by rule
@@ -547,6 +549,13 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
     def paired(sc, dev):
         return lambda: compare_strategies(sc, sc.strategies, dev, 300, 4)
 
+    def rejected(sc, seed):
+        def call():
+            with pytest.raises(ConfigurationError, match="a seed is an integer"):
+                simulate(sc, n=300, seed=seed)
+            return "rejected"
+        return call
+
     # (call, whether it draws chunk 0)
     calls = [
         *((sim(replace(powerlaw, rule=rule)), rule == "vcg")
@@ -556,10 +565,11 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
         (sim(nvcg), True), (sim(nvcg, strategies=dev1), True),
         (sim(nvcg), True), (paired(nvcg, dev2), True), (paired(dnvcg, dev2), False),
         (sim(nvcg), True), (paired(nvcg, dev1), True), (paired(dnvcg, dev1), False),
-        (sim(nvcg, n=7), True), (sim(nvcg), True), (sim(nvcg, seed=5), True),
-        # A Philox key of two words is a seed too.
-        *((sim(nvcg, seed=np.array([4, 1], dtype=np.uint64)), True) for _ in range(2)),
-        (sim(nvcg), True),
+        (sim(nvcg, n=7), True), (sim(nvcg), True),
+        # Neither a float equal to the kept seed nor a Philox key of two
+        # words is a seed.
+        (rejected(nvcg, 4.0), False), (rejected(nvcg, np.array([4, 1], dtype=np.uint64)), False),
+        (sim(nvcg, seed=5), True), (sim(nvcg), True),
         # Chunk 0 has CHUNK rows at either n.
         (sim(nvcg, n=CHUNK + 5), True), (sim(dnvcg, n=CHUNK + 9), False),
         (sim(relaid, n=CHUNK + 9), True),
@@ -583,7 +593,7 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
     u = rows(4, 0, CHUNK, cold.width)
     vals = cold.values(u)
     round1, round2 = cold.compile(relaid.strategies, "vcg")
-    want = cold.settle(u, vals, cold.qualify(u, vals, round1), round2, "vcg")
+    want = cold.tail(cold.head(u, vals, cold.qualify(u, vals, round1), round2), "vcg")
     for field in fields(batch.Batch):
         assert np.asarray(getattr(hit, field.name)).tobytes() == \
             np.asarray(getattr(want, field.name)).tobytes(), field.name
@@ -595,12 +605,12 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
 
 
 def test_a_deviation_compiles_only_the_deviating_round(monkeypatch):
-    """Kernel.compile converts each round once per pricing rule, keyed by
-    the rule and its Strategy objects: the same objects under the same rule
-    call bid_rule 0 times, a deviation in one round calls it only on that
-    round's strategies and returns the other round's compiled rules as they
-    were, and another rule compiles both rounds without evicting the
-    first's."""
+    """Kernel.compile converts each round once, keyed by its Strategy
+    objects: the same objects call bid_rule 0 times, and a deviation in one
+    round calls it only on that round's strategies and returns the other
+    round's compiled rules as they were. The key holds the pricing rule
+    only where an equilibrium bid shades under it: a round without one
+    serves every rule, and a round with one compiles once per rule."""
     sc = _scenario(rule="nvcg")
     k = kernel(sc)
     round1, round2 = k.compile(sc.strategies, "nvcg")
@@ -619,15 +629,21 @@ def test_a_deviation_compiles_only_the_deviating_round(monkeypatch):
     assert rules[0] is not round1 and rules[1] is round2
     assert [id(s) for s in calls] == [id(dev[bid].round1) for bid in k.ids]
     calls.clear()
-    again = k.compile(sc.strategies, "nvcg")
-    assert again[0] is round1 and again[1] is round2 and calls == []
-    vcg = k.compile(sc.strategies, "vcg")
-    assert vcg[0] is not round1 and vcg[1] is not round2
-    assert [id(s) for s in calls] == [id(sc.strategies[bid].round1) for bid in k.ids] + [
-        id(sc.strategies[bid].round2) for bid in k.ids]
+    for rule in RULES:
+        again = k.compile(sc.strategies, rule)
+        assert again[0] is round1 and again[1] is round2
+    assert calls == []
+
+    market = pin_simulate._load(pin_simulate._market())  # both rounds hold equilibrium bids
+    m = Kernel(market)
+    shaded = {rule: m.compile(market.strategies, rule) for rule in RULES}
+    assert len(calls) == len(RULES) * 2 * len(m.ids)
+    assert len({id(r) for both in shaded.values() for r in both}) == 2 * len(RULES)
     calls.clear()
-    again = k.compile(sc.strategies, "nvcg")
-    assert again[0] is round1 and again[1] is round2 and calls == []
+    for rule in RULES:
+        again = m.compile(market.strategies, rule)
+        assert again[0] is shaded[rule][0] and again[1] is shaded[rule][1]
+    assert calls == []
 
 
 def test_a_joint_grid_compiles_each_round_once(monkeypatch):
@@ -657,18 +673,52 @@ def test_a_joint_grid_compiles_each_round_once(monkeypatch):
 
 def test_errors_are_raised_on_every_call():
     """Neither an unknown rule nor an equilibrium strategy on a global is
-    cached: each raises again on the second call."""
+    cached: each raises again on the second call. An unknown rule raises
+    even right after a valid call kept the same rule-free rounds and
+    chunk 0, where no bid_rule call would name it."""
     sc = _scenario()
     unknown = replace(sc, rule="second-price")
     eq = sc.strategies.with_strategy("G", round2=Strategy(kind="equilibrium", sigma=0.001))
     for call, message in ((lambda: simulate(unknown, n=10, seed=0), "unknown pricing rule"),
+                          (lambda: compare_strategies(unknown, sc.strategies, sc.strategies,
+                                                      n=10, seed=0), "unknown pricing rule"),
                           (lambda: simulate(replace(sc, strategies=eq), n=10, seed=0),
                            "'G' is a global broker"),
                           (lambda: compare_strategies(sc, sc.strategies, eq, n=10, seed=0),
                            "'G' is a global broker")):
-        for _ in range(2):
+        for valid in (lambda: simulate(sc, n=10, seed=0),
+                      lambda: compare_strategies(sc, sc.strategies, sc.strategies, n=10, seed=0)):
+            valid()
             with pytest.raises(ConfigurationError, match=message):
                 call()
+
+
+@pytest.mark.parametrize("seed", [2.9, True, -1, 2**128, np.array([4, 1], dtype=np.uint64), 4.0],
+                         ids=["float", "bool", "negative", "2**128", "array", "4.0"])
+def test_bad_seeds_are_rejected_on_every_call(seed):
+    """A seed is an int or numpy integer in [0, 2**128). Each call rejects
+    anything else, right after the same call on seed 4 kept its chunk 0,
+    instead of truncating a float, playing True as 1 or failing inside
+    numpy; so 4.0 does not hit seed 4's entry either."""
+    sc = builtin_scenario("powerlaw")
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(3, 10_000)))
+    k = kernel(sc)
+    calls = (lambda s: simulate(sc, n=300, seed=s),
+             lambda s: compare_strategies(sc, sc.strategies, dev, 300, s),
+             lambda s: run_auction(sc, seed=s),
+             lambda s: next(k.chunks([sc.strategies], 300, s, sc.rule)))
+    for call in calls:
+        call(4)
+        with pytest.raises(ConfigurationError, match=r"a seed is an integer in \[0, 2\*\*128\)"):
+            call(seed)
+
+
+def test_a_numpy_integer_seed_is_that_int():
+    sc = builtin_scenario("powerlaw")
+    m = simulate(sc, n=300, seed=np.uint64(4))
+    assert type(m.seed) is int and m == simulate(sc, n=300, seed=4)
+    t = run_auction(sc, seed=np.int64(4), replication=3)
+    assert type(t.rng_seed) is int and t == run_auction(sc, seed=4, replication=3)
 
 
 def test_cached_arrays_are_read_only():
@@ -699,10 +749,13 @@ def test_round2_bids_respect_round1_cap():
 
 
 def test_outputs_match_pins():
-    want = json.loads(pin_simulate.PINS.read_text())
-    got = pin_simulate.compute_pins()
+    """The golden file is the bytes pin_simulate.main would write; the
+    differing cases are named first."""
+    text = pin_simulate.render()
+    got, want = json.loads(text), json.loads(pin_simulate.PINS.read_text())
     assert sorted(got) == sorted(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+    assert pin_simulate.PINS.read_bytes() == text.encode()
 
 
 def test_chunk_boundaries_keep_row_prefixes():
