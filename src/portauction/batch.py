@@ -30,8 +30,9 @@ and a deviation in one round compiles only that round. A one-shot call
 builds and compiles once, as it would without the caches.
 
 ExactSum aggregates: one accumulator takes all of a chunk's streams at
-once and keeps each stream's sum exact, so every mean equals math.fsum
-over the whole stream whatever the chunking.
+once and keeps a few exact terms per chunk and stream, which one math.fsum
+rounds at the end, so every mean equals math.fsum over the whole stream
+whatever the chunking.
 
 mechanism.settle_row settles one row alone with the exact scalar rules and
 is the oracle for this kernel: the two agree on every winner, exactly on
@@ -94,17 +95,25 @@ def row_width(scenario):
     return len(scenario.brokers) + scenario.portfolio.q + 2
 
 
-def check_seed(seed):
-    """seed as an int, once it is checked to be a Philox key: an int or a
-    numpy integer in [0, SEED_LIMIT). A bool, a float or an array, which
-    Philox would take as a key, raises ConfigurationError."""
+def check_int(x, lo, hi, what):
+    """x as an int once it is an int or a numpy integer in [lo, hi], else
+    ConfigurationError(what): a bool, a float or an array is no seed, row
+    or count, though operator.index or Philox would take some of them."""
     try:
-        key = operator.index(seed)
+        i = operator.index(x)
     except TypeError:  # not an integer
-        key = -1
-    if isinstance(seed, (bool, np.ndarray)) or not 0 <= key < SEED_LIMIT:
-        raise ConfigurationError(f"a seed is an integer in [0, 2**128), got {seed!r}")
-    return key
+        i = None
+    if i is None or isinstance(x, (bool, np.ndarray)) or not lo <= i <= hi:
+        raise ConfigurationError(f"{what}, got {x!r}")
+    return i
+
+
+def check_seed(seed):
+    return check_int(seed, 0, SEED_LIMIT - 1, "a seed is an integer in [0, 2**128)")
+
+
+def check_count(n):
+    return check_int(n, 1, math.inf, "a replication count is an integer at least 1")
 
 
 def rows(seed, start, count, width):
@@ -112,7 +121,10 @@ def rows(seed, start, count, width):
     uniforms, a (count, width) array: row k is replication k's budget,
     whatever rows are drawn with it. O(1) in start: Philox makes four
     doubles per counter step, so row start begins start * width % 4
-    doubles into step start * width // 4."""
+    doubles into step start * width // 4. A row past the PERIOD would
+    repeat an earlier one."""
+    start = check_int(start, 0, PERIOD // width - count,
+                      f"a replication is an integer in [0, 2**258 // {width} - {count}]")
     gen = np.random.Generator(np.random.Philox(key=check_seed(seed)).advance(start * width // 4))
     gen.random(start * width % 4)
     return gen.random((count, width))
@@ -192,9 +204,11 @@ def _slab_bids(kind, brokers, param, vals, caps):
 
 
 class ExactSum:
-    """math.fsum over each of k streams of arrays without keeping the
-    streams: past the first chunk a stream's running sum is carried
-    exactly, as a few floats, and totals() rounds it once.
+    """math.fsum over each of k streams of arrays. Each stream keeps exact
+    terms: one per extraction level of a chunk (two on the bundled
+    scenarios), or the nonzero values of a chunk too narrow or too large
+    to extract. totals() rounds each stream's terms once by math.fsum, so
+    a total is the correctly rounded stream sum whatever the chunking.
 
     A chunk of EXTRACT_MIN values or more is summed by error-free
     extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
@@ -215,7 +229,7 @@ class ExactSum:
     """
 
     def __init__(self, k):
-        self._parts = [[] for _ in range(k)]
+        self.terms = [[] for _ in range(k)]
 
     def add(self, rows):
         """Add one chunk: rows is a (k, n) array, or k arrays of length n,
@@ -225,18 +239,17 @@ class ExactSum:
             r = np.stack(rows)  # the working copy that extraction consumes
             m = float(np.abs(r).max())
             if m < 2.0**1000 / n:  # false on inf and nan
-                self._extend(self._extract(r, m, n))
+                self._extract(r, m, n)
                 return
             rows = r
         # fsum stores no zero partial, so dropping zeros (and -0.0) changes
         # no bit of the total.
-        self._extend([values[values != 0].tolist() for values in rows])
+        for terms, values in zip(self.terms, rows):
+            terms += values[values != 0].tolist()
 
-    @staticmethod
-    def _extract(r, m, n):
-        """Each row's level sums, exact; r is consumed and m is its largest
-        magnitude."""
-        sums = [[] for _ in r]
+    def _extract(self, r, m, n):
+        """Append each row's level sums, exact; r is consumed and m is its
+        largest magnitude."""
         shift = n.bit_length() + 1  # 2**shift > 2n
         q = np.empty_like(r)
         while m:
@@ -244,32 +257,13 @@ class ExactSum:
             np.add(r, sigma, out=q)
             q -= sigma
             r -= q
-            for row_sums, s in zip(sums, q.sum(axis=1).tolist()):
+            for terms, s in zip(self.terms, q.sum(axis=1).tolist()):
                 if s:
-                    row_sums.append(s)
+                    terms.append(s)
             m = float(np.abs(r, out=q).max())
-        return sums
-
-    def _extend(self, terms):
-        """Fold each stream's new exact terms into its running parts."""
-        for parts, new in zip(self._parts, terms):
-            if new:
-                parts[:] = self._exact_parts(parts + new) if parts else new
-
-    @staticmethod
-    def _exact_parts(terms):
-        parts = []
-        s = math.fsum(terms)
-        while s != 0.0:
-            parts.append(s)
-            if not math.isfinite(s):
-                break
-            terms.append(-s)
-            s = math.fsum(terms)
-        return parts
 
     def totals(self):
-        return [math.fsum(parts) for parts in self._parts]
+        return [math.fsum(terms) for terms in self.terms]
 
 
 @dataclass
@@ -434,11 +428,10 @@ class Kernel:
         and the same compiled rounds (is) runs only each tail there. A
         compiled round encodes its strategies and, where a bid shades, the
         rule, and a head is a pure function of what is matched, so a hit
-        repeats a cold call's results to the bit. The seed is checked
-        first, as a hit draws nothing."""
+        repeats a cold call's results to the bit. n and the seed are
+        checked first, as a hit draws nothing."""
         global _chunk0
-        if n < 1:
-            raise ConfigurationError("replication count must be at least 1")
+        n = check_count(n)
         seed = check_seed(seed)
         rounds = [self._strategies(p) for p in profiles]
         compiled = [tuple(self._compiled(r, rule) for r in both) for both in rounds]

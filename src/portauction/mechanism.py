@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import pricing, sim
-from .batch import PERIOD, check_seed, row_width, rows
+from .batch import check_seed, row_width, rows
 from .model import ConfigurationError
 
 
@@ -285,15 +285,12 @@ def run_auction(scenario, seed=None, replication=0) -> AuctionTranscript:
     `replication` of the seed's row stream, so the transcript is that
     replication of simulate(scenario, seed=seed).
 
-    seed defaults to the scenario's own, and batch.check_seed makes it an
-    int or raises; the scenario's rule is both the pricing rule and the
-    rule equilibrium bids shade under.
+    seed defaults to the scenario's own; batch.rows makes it and the
+    replication ints or raises. The scenario's rule is both the pricing
+    rule and the rule equilibrium bids shade under.
     """
-    width = row_width(scenario)
-    if not 0 <= replication < PERIOD // width:  # a later row would repeat an earlier one
-        raise ConfigurationError(f"replication {replication} is outside [0, 2**258 // {width})")
     rng_seed = check_seed(scenario.seed if seed is None else seed)
-    u = rows(rng_seed, replication, 1, width)[0]
+    u = rows(rng_seed, replication, 1, row_width(scenario))[0]
     return replace(settle_row(scenario, u), rng_seed=rng_seed)
 
 

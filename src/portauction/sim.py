@@ -154,18 +154,17 @@ def simulate(scenario, n=None, seed=None):
     aggregate the outcomes.
 
     Deterministic for fixed (scenario, n, seed); the seed defaults to the
-    scenario's, and SimMetrics.seed is batch.check_seed's int. The
-    scenario's batch kernel (batch.kernel, built once per layout in a
-    process, each round compiled once) settles the replications in
-    chunks. One ExactSum takes each chunk's seller costs and payoffs
-    together, by extraction when the chunk is wide and through math.fsum
-    otherwise; either way every mean equals math.fsum over every
-    replication, so neither the chunking nor the aggregation route can
-    change results.
+    scenario's, and SimMetrics' n and seed are batch.check_count's and
+    batch.check_seed's ints. The scenario's batch kernel (batch.kernel,
+    built once per layout in a process, each round compiled once) settles
+    the replications in chunks. One ExactSum takes each chunk's seller costs and payoffs
+    together and keeps each stream's exact terms, a few a chunk; one
+    math.fsum of a stream's terms equals math.fsum over every replication,
+    so neither the chunking nor the aggregation route can change results.
     """
     if scenario.strategies is None:
         raise ConfigurationError("no strategy profile supplied")
-    n = n if n is not None else scenario.replications
+    n = batch.check_count(n if n is not None else scenario.replications)
     seed = batch.check_seed(seed if seed is not None else scenario.seed)
 
     kernel = batch.kernel(scenario)
@@ -229,6 +228,7 @@ def compare_strategies(scenario, baseline, deviation, n, seed) -> DominanceRepor
     both profiles settle the same rows through Kernel.chunks, on the
     scenario's batch.kernel, which compiles each round once. The
     paired differences are kept, one float per pair, for the variance."""
+    n = batch.check_count(n)
     broker = _differing_broker(baseline, deviation)
     kernel = batch.kernel(scenario)
     col = kernel.ids.index(broker)

@@ -721,6 +721,57 @@ def test_a_numpy_integer_seed_is_that_int():
     assert type(t.rng_seed) is int and t == run_auction(sc, seed=4, replication=3)
 
 
+def _count_and_row_calls():
+    """{name: (call, the message it raises)} for each call that takes a
+    replication count or a row index."""
+    sc = builtin_scenario("powerlaw")
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(3, 10_000)))
+    return {
+        "simulate": (lambda n: simulate(sc, n=n, seed=4), "at least 1"),
+        "compare_strategies": (lambda n: compare_strategies(sc, sc.strategies, dev, n, 4),
+                               "at least 1"),
+        "chunks": (lambda n: next(kernel(sc).chunks([sc.strategies], n, 4, sc.rule)),
+                   "at least 1"),
+        "run_auction": (lambda k: run_auction(sc, replication=k), "replication"),
+        "rows": (lambda k: rows(4, k, 1, 6), "replication"),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, np.array(5)], ids=["bool", "float", "0-d-array"])
+@pytest.mark.parametrize("name", ["simulate", "compare_strategies", "chunks", "run_auction",
+                                  "rows"])
+def test_bad_counts_and_rows_are_rejected_on_every_call(name, bad):
+    """A replication count and a row index are ints or numpy integers, as
+    a seed is: True is not 1, and 2.0 raises ConfigurationError, not
+    numpy's TypeError."""
+    call, message = _count_and_row_calls()[name]
+    with pytest.raises(ConfigurationError, match=message):
+        call(bad)
+
+
+def test_a_numpy_integer_count_or_row_is_that_int():
+    """np.int64 counts and rows are their ints: Philox.advance takes no
+    numpy integer start * width // 4, and each result reports an int."""
+    sc = builtin_scenario("powerlaw")
+    dev = sc.strategies.with_strategy("L1", round2=Strategy(kind="offset", offset=F(3, 10_000)))
+    assert np.array_equal(rows(1, np.int64(3), 1, 6), rows(1, 3, 1, 6))
+    assert run_auction(sc, replication=np.int64(3)) == run_auction(sc, replication=3)
+    m = simulate(sc, n=np.int64(5), seed=4)
+    assert type(m.replications) is int and m == simulate(sc, n=5, seed=4)
+    r = compare_strategies(sc, sc.strategies, dev, np.int64(5), 4)
+    assert type(r.replications) is int and r == compare_strategies(sc, sc.strategies, dev, 5, 4)
+
+
+def test_rows_end_within_the_period():
+    """A row past 2**258 // width, or before row 0, would replay another
+    row's draws."""
+    last = 2**258 // 7 - 1
+    assert rows(4, last - 1, 2, 7).shape == (2, 7)
+    for start, count in ((last, 2), (-1, 1)):
+        with pytest.raises(ConfigurationError, match="replication"):
+            rows(4, start, count, 7)
+
+
 def test_cached_arrays_are_read_only():
     """Every call shares a cached Kernel's arrays and compiled rules, so a
     write to any of them raises."""
@@ -1075,6 +1126,23 @@ def test_exact_sum_over_any_chunking_is_fsum(k, chunks):
             rows = [values[i:] + values[:i] for i in range(k)]
             arrays.append(np.array(rows, dtype=float).reshape(k, len(values)))
     assert _sum_or_error(arrays) == _fsum_or_error(arrays)
+
+
+def test_exact_sum_keeps_two_terms_a_wide_chunk():
+    """ExactSum keeps each stream's exact terms, not the stream: a CHUNK-wide
+    chunk of values in +-[1, 2) takes two extraction levels, so it adds at
+    most two terms to each stream, and totals() is still math.fsum of the
+    whole streams."""
+    rng = np.random.default_rng(31)
+    chunks = [rng.uniform(1.0, 2.0, (2, CHUNK)) * rng.choice([-1.0, 1.0], (2, CHUNK))
+              for _ in range(100)]
+    total = ExactSum(2)
+    for chunk in chunks:
+        before = [len(terms) for terms in total.terms]
+        total.add(chunk)
+        assert all(len(terms) - k <= 2 for terms, k in zip(total.terms, before))
+    streams = np.concatenate(chunks, axis=1)
+    assert total.totals() == [math.fsum(stream.tolist()) for stream in streams]
 
 
 def _limit(n):
