@@ -51,7 +51,7 @@ import numpy as np
 
 from .equilibrium import equilibrium_shading
 from .model import ConfigurationError
-from .pricing import RULES
+from .pricing import check_rule
 
 # Replications are drawn and settled CHUNK rows at a time, so a chunk's
 # arrays stay the same size whatever n is (compare_strategies keeps one
@@ -69,13 +69,17 @@ PERIOD = 2**258
 
 # ExactSum sums a chunk of at least EXTRACT_MIN values (streams x rows) by
 # extraction and a smaller one through math.fsum. Extraction costs a fixed
-# 35-45 us a chunk plus about 5 ns a value; the fsum route about 40 ns a
-# nonzero value and less on zeros. Timed on chunks of simulate's and
-# compare_strategies' streams (2 vCPUs, Python 3.11, numpy 2.4), they broke
-# even near 1,000 values on dense rows (powerlaw's seller cost and payoffs,
-# 60-80% nonzero) and near 2,000-3,000 on sparse ones (an 18-broker
-# market's payoffs, 22-25% nonzero). The cost is per chunk, not per row,
-# so the threshold counts values, not columns.
+# 20-35 us a chunk and little per value; the fsum route, which keeps every
+# nonzero value as a term, about 1-2 us a stream plus 40-50 ns a nonzero
+# value. Timed as the best of 2,500 ExactSum(k).add and totals() calls on
+# chunks of simulate's and compare_strategies' streams (2 vCPUs, Python
+# 3.11, numpy 2.4), they broke even near 600-1,200 values: fsum won at 200
+# values (13-20 vs 21-33 us) and 600 (19-26 vs 22-35 us), extraction won
+# or tied at 800-1,200 and won clearly at 1,900-2,000 (43 vs 77 us on
+# powerlaw, 70% nonzero; 57-60 vs 77-79 us on an 18-broker market, 25%
+# nonzero). So chunks of 1,000-2,047 values take the slower route; moving
+# the threshold is a speed change of its own. The cost is per chunk, not
+# per row, so the threshold counts values, not columns.
 EXTRACT_MIN = 2048
 
 # kernel() keeps the Kernels of the KERNELS layouts used last, and each
@@ -116,15 +120,21 @@ def check_count(n):
     return check_int(n, 1, math.inf, "a replication count is an integer at least 1")
 
 
+def check_row(start, count, width):
+    """start as an int once rows start..start+count-1, of width uniforms
+    each, end within the PERIOD, else ConfigurationError: a row past it
+    would repeat an earlier one."""
+    return check_int(start, 0, PERIOD // width - count,
+                     f"a replication is an integer in [0, 2**258 // {width} - {count}]")
+
+
 def rows(seed, start, count, width):
     """Rows start..start+count-1 of the seed's replication-major stream of
     uniforms, a (count, width) array: row k is replication k's budget,
     whatever rows are drawn with it. O(1) in start: Philox makes four
     doubles per counter step, so row start begins start * width % 4
-    doubles into step start * width // 4. A row past the PERIOD would
-    repeat an earlier one."""
-    start = check_int(start, 0, PERIOD // width - count,
-                      f"a replication is an integer in [0, 2**258 // {width} - {count}]")
+    doubles into step start * width // 4. check_row bounds start."""
+    start = check_row(start, count, width)
     gen = np.random.Generator(np.random.Philox(key=check_seed(seed)).advance(start * width // 4))
     gen.random(start * width % 4)
     return gen.random((count, width))
@@ -146,9 +156,8 @@ def bid_rule(broker, strategy, rule, weight, q):
     NVCG); ("capped-value", 0) bids min(round-1 bid, valuation). The
     shading does not depend on the valuation, so it is computed here once.
     Both engines call this, the one place that reads Strategy.kind to make
-    a bid; the scalar engine rejects a rule outside RULES here."""
-    if rule not in RULES:
-        raise ConfigurationError(f"unknown pricing rule {rule!r}")
+    a bid; the scalar engine rejects an unknown rule here."""
+    check_rule(rule)
     check_weight(broker, strategy, weight)
     kind = strategy.kind
     if kind == "constant":
@@ -377,8 +386,7 @@ class Kernel:
         holds the objects, so no id is reused while it lives; hashing
         Fraction fields would cost more than converting them. A kept round
         calls no bid_rule, so the rule is checked here."""
-        if rule not in RULES:
-            raise ConfigurationError(f"unknown pricing rule {rule!r}")
+        check_rule(rule)
         shades = rule if "equilibrium" in map(operator.attrgetter("kind"), strategies) else None
         def rules():
             groups = {}

@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, reproduce
-from .batch import PERIOD, SEED_LIMIT, row_width
+from .batch import check_count, check_row, check_seed, row_width
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
 from .mechanism import run_auction, transcript_dict
 from .model import ConfigurationError
@@ -85,13 +85,17 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _flag(name, check, *args):
+    """check(*args), batch's one check of the value a flag gives, with its
+    ConfigurationError re-raised as a parse error naming the flag."""
+    try:
+        return check(*args)
+    except ConfigurationError as e:
+        raise ScenarioParseError(f"{name}: {e}") from None
+
+
 def _cmd_run(args, scenario, seed):
-    k = args.replication
-    if k < 0:
-        raise ScenarioParseError(f"--replication must be a non-negative integer, got {k}")
-    if k >= PERIOD // row_width(scenario):
-        raise ScenarioParseError(f"--replication must be below 2**258 // {row_width(scenario)}, "
-                                 f"past which the seed's Philox stream repeats, got {k}")
+    k = _flag("--replication", check_row, args.replication, 1, row_width(scenario))
     t = run_auction(scenario, seed=seed, replication=k)
     if args.format == "records":
         return {"result": transcript_dict(t), "replication": k}
@@ -120,10 +124,9 @@ def _cmd_run(args, scenario, seed):
 
 
 def _cmd_simulate(args, scenario, seed):
-    n = args.replications if args.replications is not None else scenario.replications
-    if n < 1:
-        raise ScenarioParseError(f"--replications must be a positive integer, got {n}")
-    metrics = simulate(scenario, n=n, seed=seed)
+    if args.replications is not None:
+        _flag("--replications", check_count, args.replications)
+    metrics = simulate(scenario, n=args.replications, seed=seed)
     # The metrics in CSV column order; records nest the payoffs by broker.
     columns = {
         "rule": scenario.rule,
@@ -335,11 +338,8 @@ def main(argv=None) -> int:
         if hasattr(args, "scenario"):
             scenario = _load(args.scenario)
             seed = scenario.seed
-        if getattr(args, "seed", None) is not None:  # a seed is a Philox key
-            if not 0 <= args.seed < SEED_LIMIT:
-                raise ScenarioParseError(
-                    f"--seed must be an integer in [0, 2**128), got {args.seed}")
-            seed = args.seed
+        if getattr(args, "seed", None) is not None:
+            seed = _flag("--seed", check_seed, args.seed)
         if getattr(args, "rule", None) is not None:
             scenario = replace(scenario, rule=args.rule)
         out = args.fn(args, scenario, seed)

@@ -160,8 +160,7 @@ def run_round2(
     """Settle the second round under the selected pricing rule. coin, a
     uniform in [0, 1), settles an exact allocation tie: the coalition wins
     it iff coin < 0.5."""
-    if rule not in pricing.RULES:
-        raise ConfigurationError(f"unknown pricing rule {rule!r}")
+    pricing.check_rule(rule)
     _check_coin(coin)
     locals_ = qualification.qualified_locals
     q = len(locals_)

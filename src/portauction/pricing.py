@@ -31,9 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .model import ConfigurationError
+
 RULES = ("vcg", "nvcg", "dnvcg")
 
 FRONTIER_TOL = 1e-9
+
+
+def check_rule(rule):
+    """The one check that rule names a payment rule: every engine and
+    entry point calls it before pricing or bidding under rule."""
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown pricing rule {rule!r}")
 
 
 class AllocationError(ValueError):
@@ -147,8 +156,7 @@ class Pricing:
 def price(rule: str, bids1, bids2: Sequence, weights, global_bid) -> Pricing:
     """Price a strict coalition win under rule in one pass. bids1, the
     round-1 reference bids, is read only by dnvcg."""
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}")
+    check_rule(rule)
     w = tuple(weights)
     total = weighted_total(bids2, w)
     if not total < global_bid:

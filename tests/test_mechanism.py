@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from portauction import pricing, reproduce
-from portauction.batch import row_width, rows
+from portauction.batch import Kernel, row_width, rows
+from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import (
     BidLedger,
     publish_update,
@@ -16,9 +17,9 @@ from portauction.mechanism import (
     settle_row,
     transcript_dict,
 )
-from portauction.model import ConfigurationError
+from portauction.model import ConfigurationError, PortfolioSpec
 from portauction.scenario import builtin_scenario
-from portauction.sim import Strategy, strategy_bid
+from portauction.sim import Strategy, StrategyProfile, compare_strategies, strategy_bid
 from portauction.units import to_bps
 
 
@@ -299,3 +300,66 @@ def test_global_round2_helper():
     capped = Strategy(kind="capped-value")
     assert strategy_bid(capped, 25, 22, None, "dnvcg", 2, broker="G") == 22
     assert strategy_bid(capped, 18, 22, None, "dnvcg", 2, broker="G") == 18
+
+
+def _powerlaw(**changes):
+    return replace(builtin_scenario("powerlaw"), **changes)
+
+
+def _without_l1(profile):
+    return StrategyProfile({b: s for b, s in profile.brokers.items() if b != "L1"})
+
+
+def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
+    return PortfolioSpec(("S1", "S2", "S3"), quantities, prices, packages)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    # the global wins, so no price call would name the rule
+    pytest.param(lambda: run_round2(_qual_a(), _ledger_a(G=15), WA, "bogus", 0.0),
+                 ConfigurationError, "unknown pricing rule 'bogus'", id="run_round2-rule"),
+    pytest.param(lambda: run_round2(_qual_a(), _ledger_a(), WA[:1], "nvcg", 0.0),
+                 ConfigurationError, "2 qualified locals for 1 weights", id="run_round2-weights"),
+    pytest.param(lambda: settle_row(_powerlaw(strategies=None), [0.5] * 7),
+                 ConfigurationError, "no strategy profile", id="settle_row-profile"),
+    pytest.param(lambda: run_auction(_powerlaw(strategies=None)),
+                 ConfigurationError, "no strategy profile", id="run_auction-profile"),
+    pytest.param(lambda: compare_strategies(_powerlaw(), _powerlaw().strategies,
+                                            _without_l1(_powerlaw().strategies), 10, 0),
+                 ConfigurationError, "same brokers", id="compare_strategies-brokers"),
+    pytest.param(lambda: Kernel(_powerlaw(brokers=_powerlaw().brokers[1:])),
+                 ConfigurationError, "package 0 has no local bidder", id="Kernel-package"),
+    pytest.param(lambda: pricing.weighted_total((25, 10, 5), WA),
+                 ValueError, "3 bids for 2 weights", id="weighted_total-length"),
+    pytest.param(lambda: pricing.validate_core_point((20, 24), (25, 10, 5), WA, 22),
+                 ValueError, "equal length", id="validate_core_point-length"),
+    pytest.param(lambda: pricing.price("dnvcg", (27,), (25, 10), WA, 22),
+                 ValueError, "1 round-1 bids for 2 round-2 bids", id="price-bids1"),
+    pytest.param(lambda: pricing.price("bogus", (27, 19), (25, 10), WA, 22),
+                 ConfigurationError, "unknown pricing rule 'bogus'", id="price-rule"),
+    pytest.param(lambda: reproduce.build("figure9"),
+                 ValueError, "unknown reproduction target 'figure9'", id="reproduce-target"),
+    pytest.param(lambda: ValueDistribution.empirical(()),
+                 ValueError, "nonempty sample", id="empirical-empty"),
+    pytest.param(lambda: ValueDistribution(kind="lognormal"),
+                 ValueError, "unknown distribution kind 'lognormal'", id="distribution-kind"),
+    pytest.param(lambda: ValueDistribution.power_law(upper=1.0, shape=2.0).scaled(0),
+                 ValueError, "scale factor must be positive", id="scaled-zero"),
+    pytest.param(lambda: _portfolio(quantities=(1, -1, 1), packages=((1, -1, 1),)),
+                 ConfigurationError, "quantities must be nonnegative", id="portfolio-quantity"),
+    pytest.param(lambda: _portfolio(prices=(1, 0, 1)),
+                 ConfigurationError, "agreed prices must be strictly positive",
+                 id="portfolio-price"),
+    pytest.param(lambda: _portfolio(packages=((1, 1),)),
+                 ConfigurationError, "package 0 has length 2, expected 3", id="portfolio-short"),
+    pytest.param(lambda: _portfolio(packages=((2, 1, 1), (-1, 0, 0))),
+                 ConfigurationError, "package 1 has a negative quantity",
+                 id="portfolio-package-quantity"),
+])
+def test_entry_points_reject_bad_inputs(call, kind, message):
+    """Each public entry point's own input check, by its exact error type:
+    a ConfigurationError is a ValueError, so a looser match would hide a
+    check that raised the other."""
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert exc.type is kind

@@ -168,17 +168,6 @@ def test_replication_prefix_stability():
     assert long["won"][:50] == short["won"]
 
 
-def test_win_rate_matches_closed_form():
-    # truthful correlated locals at fixed alpha against a power-law global:
-    # the coalition wins when the global's value exceeds alpha
-    sc = _scenario(alpha_bps=20, upper_bps=40, shape=2.0)
-    n = 100_000
-    metrics = simulate(sc, n=n, seed=42)
-    p = 1.0 - (20.0 / 40.0) ** 2.0
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(metrics.coalition_win_rate - p) <= 3 * se
-
-
 def test_zero_sum_on_frontier():
     sc = _scenario(rule="nvcg")
     metrics = simulate(sc, n=2000, seed=8)
