@@ -152,9 +152,9 @@ def bid_rule(broker, strategy, rule, weight, q):
     """The strategy as one of three bid rules, (kind, param), after
     check_weight: ("constant", value) bids the value; ("offset", p) bids
     valuation + p floored at zero, with p the strategy's offset, 0 for
-    truthful and minus the equilibrium shading under rule (VCG shades as
-    NVCG); ("capped-value", 0) bids min(round-1 bid, valuation). The
-    shading does not depend on the valuation, so it is computed here once.
+    truthful and minus equilibrium_shading under rule; ("capped-value", 0)
+    bids min(round-1 bid, valuation). The shading does not depend on the
+    valuation, so it is computed here once.
     Both engines call this, the one place that reads Strategy.kind to make
     a bid; the scalar engine rejects an unknown rule here."""
     check_rule(rule)
@@ -169,7 +169,7 @@ def bid_rule(broker, strategy, rule, weight, q):
     if kind == "offset":
         return kind, strategy.offset
     return "offset", -equilibrium_shading(
-        rule if rule != "vcg" else "nvcg", strategy.sigma, weight, q,
+        rule, strategy.sigma, weight, q,
         in_qdown=strategy.in_qdown, ell=strategy.ell, sum_w_qdown=strategy.sum_w_qdown,
     )
 

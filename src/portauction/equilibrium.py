@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import WeightVector
+from .pricing import check_rule
 
 
 @dataclass(frozen=True)
@@ -173,15 +174,15 @@ def hazard_point(dist: ValueDistribution, own_bid, own_weight, others_weighted_s
 def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
     """alpha - phi, the shading of the closed-form bid at any valuation
     alpha > 0. It does not depend on alpha, so the bid is an offset bid:
-    alpha minus the shading, floored at zero (batch.bid_rule)."""
+    alpha minus the shading, floored at zero (batch.bid_rule). VCG shades
+    as NVCG: only a prudent local under dnvcg shades differently."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if weight <= 0:
         raise ValueError("weight must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if rule not in ("nvcg", "dnvcg"):
-        raise ValueError(f"unknown rule {rule!r}")
+    check_rule(rule)
     if rule == "dnvcg" and in_qdown:
         if not sum_w_qdown or sum_w_qdown <= 0:
             raise ValueError("prudent-set weight must be positive")

@@ -206,11 +206,11 @@ def run_round2(
 
 def settle_row(scenario, u) -> AuctionTranscript:
     """Settle one auction of the scenario under its strategies on one
-    row u of uniforms in the batch.row_width layout: the row fixes the
-    drawn valuations (sim.resolve_bids), the q+1 round-1 tie coins and the
-    allocation tie coin. Round-2 bids are clamped into [0, round-1 bid];
-    any clamping is flagged in the outcome diagnostics. rng_seed is left
-    None.
+    row u of uniforms in the batch.row_width layout, each in [0, 1), both
+    checked at once: the row fixes the drawn valuations (sim.resolve_bids),
+    the q+1 round-1 tie coins and the allocation tie coin. Round-2 bids are
+    clamped into [0, round-1 bid]; any clamping is flagged in the outcome
+    diagnostics. rng_seed is left None.
 
     Payoffs are the batch kernel's: a seated local j on a coalition win
     earns package_values[j] * (fee_j - valuation), the seated global on a
@@ -224,8 +224,8 @@ def settle_row(scenario, u) -> AuctionTranscript:
     q = scenario.portfolio.q
     weights = scenario.weights
     width = row_width(scenario)
-    if len(u) != width:
-        raise ConfigurationError(f"a row of {len(u)} uniforms for width {width}")
+    if len(u) != width or not all(0 <= x < 1 for x in u):
+        raise ConfigurationError(f"need a row of {width} uniforms in [0, 1), got {len(u)}: {u}")
 
     values, round1 = sim.resolve_bids(scenario, u)
     package_bids = [{} for _ in range(q)]

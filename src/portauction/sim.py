@@ -84,11 +84,15 @@ class StrategyProfile:
         object.__setattr__(self, "brokers", MappingProxyType(dict(self.brokers)))
 
     def __getitem__(self, broker_id) -> BrokerStrategy:
-        return self.brokers[broker_id]
+        """The broker's strategy: the one lookup every engine makes."""
+        try:
+            return self.brokers[broker_id]
+        except KeyError:
+            raise ConfigurationError(f"no strategy for broker {broker_id!r}") from None
 
     def with_strategy(self, broker_id, round1=None, round2=None) -> "StrategyProfile":
         """Copy of the profile with one broker's strategy replaced."""
-        current = self.brokers[broker_id]
+        current = self[broker_id]
         updated = BrokerStrategy(
             round1=round1 if round1 is not None else current.round1,
             round2=round2 if round2 is not None else current.round2,

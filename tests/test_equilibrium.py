@@ -194,11 +194,18 @@ def test_optimality_residual_decreasing_at_alpha():
 
 def test_residual_and_solver_validate_rule_weight_and_q():
     d = ValueDistribution.power_law(upper=1.0, shape=2.0)
-    for args, message in ((("vcg", 0.4, 0.5, 0.5, 0.25, d, 2), "unknown rule"),
+    for args, message in ((("second-price", 0.4, 0.5, 0.5, 0.25, d, 2),
+                           "unknown pricing rule"),
                           (("nvcg", 0.4, 0.5, 0.0, 0.25, d, 2), "weight"),
                           (("nvcg", 0.4, 0.5, 0.5, 0.25, d, 0), "q must be")):
         with pytest.raises(ValueError, match=message):
             optimality_residual(*args)
+    # VCG shades as NVCG, in or out of the prudent set
+    for args in ((0.3, 0.5, 3), (0.3, 0.5, 3, True, 1, 0.5)):
+        assert equilibrium_shading("vcg", *args) == equilibrium_shading("nvcg", *args) > 0
+        assert equilibrium_bid("vcg", 0.4, *args) == equilibrium_bid("nvcg", 0.4, *args)
+    args = (0.4, 0.5, 0.5, 0.25, d, 2)
+    assert optimality_residual("vcg", *args) == optimality_residual("nvcg", *args)
     # the truthful profile is a fixed point only when the weights sum to 1
     for weights, message in (([1.0, 0.0], r"each weight must lie in \(0, 1\]"),
                              ([], "weight vector is empty"),

@@ -7,7 +7,7 @@ import pytest
 
 from portauction import pricing, reproduce
 from portauction.batch import Kernel, row_width, rows
-from portauction.equilibrium import ValueDistribution
+from portauction.equilibrium import ValueDistribution, equilibrium_shading
 from portauction.mechanism import (
     BidLedger,
     publish_update,
@@ -19,7 +19,13 @@ from portauction.mechanism import (
 )
 from portauction.model import ConfigurationError, PortfolioSpec
 from portauction.scenario import builtin_scenario
-from portauction.sim import Strategy, StrategyProfile, compare_strategies, strategy_bid
+from portauction.sim import (
+    Strategy,
+    StrategyProfile,
+    compare_strategies,
+    simulate,
+    strategy_bid,
+)
 from portauction.units import to_bps
 
 
@@ -306,8 +312,15 @@ def _powerlaw(**changes):
     return replace(builtin_scenario("powerlaw"), **changes)
 
 
-def _without_l1(profile):
-    return StrategyProfile({b: s for b, s in profile.brokers.items() if b != "L1"})
+def _without_l1():
+    """Powerlaw's profile without L1's strategy."""
+    brokers = _powerlaw().strategies.brokers
+    return StrategyProfile({b: s for b, s in brokers.items() if b != "L1"})
+
+
+def _g_value(u):
+    """Powerlaw's row of 7 uniforms with u as G's value uniform (column 2)."""
+    return [0.5, 0.5, u, 0.5, 0.5, 0.5, 0.5]
 
 
 def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
@@ -325,8 +338,30 @@ def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
     pytest.param(lambda: run_auction(_powerlaw(strategies=None)),
                  ConfigurationError, "no strategy profile", id="run_auction-profile"),
     pytest.param(lambda: compare_strategies(_powerlaw(), _powerlaw().strategies,
-                                            _without_l1(_powerlaw().strategies), 10, 0),
+                                            _without_l1(), 10, 0),
                  ConfigurationError, "same brokers", id="compare_strategies-brokers"),
+    pytest.param(lambda: simulate(_powerlaw(strategies=_without_l1()), n=10, seed=0),
+                 ConfigurationError, "no strategy for broker 'L1'", id="simulate-broker"),
+    pytest.param(lambda: compare_strategies(_powerlaw(), _without_l1(), _without_l1(), 10, 0),
+                 ConfigurationError, "no strategy for broker 'L1'",
+                 id="compare_strategies-broker"),
+    pytest.param(lambda: run_auction(_powerlaw(strategies=_without_l1())),
+                 ConfigurationError, "no strategy for broker 'L1'", id="run_auction-broker"),
+    pytest.param(lambda: settle_row(_powerlaw(strategies=_without_l1()), [0.5] * 7),
+                 ConfigurationError, "no strategy for broker 'L1'", id="settle_row-broker"),
+    pytest.param(lambda: next(Kernel(_powerlaw()).chunks([_without_l1()], 10, 0, "nvcg")),
+                 ConfigurationError, "no strategy for broker 'L1'", id="chunks-broker"),
+    pytest.param(lambda: _powerlaw().strategies.with_strategy("X", round2=Strategy("truthful")),
+                 ConfigurationError, "no strategy for broker 'X'", id="with_strategy-broker"),
+    pytest.param(lambda: settle_row(_powerlaw(), _g_value(1.5)),
+                 ConfigurationError, "row of", id="settle_row-above-1"),
+    pytest.param(lambda: settle_row(_powerlaw(), _g_value(float("nan"))),
+                 ConfigurationError, "row of", id="settle_row-nan"),
+    pytest.param(lambda: settle_row(_powerlaw(), _g_value(-0.5)),
+                 ConfigurationError, "row of", id="settle_row-negative"),
+    pytest.param(lambda: equilibrium_shading("second-price", 1.0, 0.5, 2),
+                 ConfigurationError, "unknown pricing rule 'second-price'",
+                 id="equilibrium_shading-rule"),
     pytest.param(lambda: Kernel(_powerlaw(brokers=_powerlaw().brokers[1:])),
                  ConfigurationError, "package 0 has no local bidder", id="Kernel-package"),
     pytest.param(lambda: pricing.weighted_total((25, 10, 5), WA),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portauction.pricing import (
+    FRONTIER_TOL,
     RULES,
     AllocationError,
     dnvcg_fees,
@@ -204,8 +205,8 @@ def test_frontier_property_random():
         nv = nvcg_fees(bids2, w, g)
         dv = dnvcg_fees(bids1, bids2, w, g)
         assert not dv.fell_back
-        assert abs(weighted_total(nv, w) - g) < 1e-9
-        assert abs(weighted_total(dv.fees, w) - g) < 1e-9
+        assert abs(weighted_total(nv, w) - g) < FRONTIER_TOL
+        assert abs(weighted_total(dv.fees, w) - g) < FRONTIER_TOL
 
 
 def test_unclamped_delta_identity_random():

@@ -24,7 +24,7 @@ from portauction.batch import (
 from portauction.equilibrium import ValueDistribution
 from portauction.mechanism import run_auction, settle_row, transcript_dict
 from portauction.model import ConfigurationError
-from portauction.pricing import RULES, vcg_fees
+from portauction.pricing import FRONTIER_TOL, RULES, vcg_fees
 from portauction.scenario import (
     ScenarioValidationError,
     builtin_scenario,
@@ -172,11 +172,11 @@ def test_zero_sum_on_frontier():
     sc = _scenario(rule="nvcg")
     metrics = simulate(sc, n=2000, seed=8)
     cols = pin_simulate.replications(sc, 2000, 8)
-    assert metrics.frontier_gap_max < 1e-9
+    assert metrics.frontier_gap_max < FRONTIER_TOL
     # conditional on a coalition win the seller pays the global's bid
     for won, cost, g2 in zip(cols["won"], cols["seller_cost"], cols["global_bid2"]):
         if won:
-            assert cost == pytest.approx(g2, abs=1e-9)
+            assert cost == pytest.approx(g2, abs=FRONTIER_TOL)
 
 
 def test_rule_equivalence_for_seller():
