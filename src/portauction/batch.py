@@ -16,8 +16,8 @@ qualifying once per chunk for every group of profiles that share round 1.
 simulate is its K = 1 case and compare_strategies its K = 2 case.
 Kernel.head computes what no pricing rule reads (round 2, the allocation
 and the VCG fees) and Kernel.tail the rule's fees, the core check and the
-payoffs. Kernel.chunks keeps the heads of the last call's chunk 0 in one
-process-wide entry, so a call on the same rows and compiled rounds under
+payoffs. Kernel.chunks keeps the heads of the last call's chunk 0 in a
+memo of one entry, so a call on the same rows and compiled rounds under
 another rule, as a loop over the rules on one seed makes, runs only the
 tails there.
 
@@ -431,14 +431,13 @@ class Kernel:
         call) and valuations drawn once; profiles whose round-1 strategies
         are equal broker by broker share one qualification.
 
-        Chunk 0's heads (Kernel.head, one per profile) are kept in one
-        process-wide entry, and a call with its Kernel, seed and row count
-        and the same compiled rounds (is) runs only each tail there. A
-        compiled round encodes its strategies and, where a bid shades, the
-        rule, and a head is a pure function of what is matched, so a hit
-        repeats a cold call's results to the bit. n and the seed are
-        checked first, as a hit draws nothing."""
-        global _chunk0
+        Chunk 0's heads (Kernel.head, one per profile) are kept by _lru for
+        the last call alone, keyed by the ids of the Kernel and of every
+        compiled round, which the entry holds, the seed and chunk 0's row
+        count; a hit runs only each tail there. A compiled round encodes
+        its strategies and, where a bid shades, the rule, and a head is a
+        pure function of the key, so a hit repeats a cold call's results to
+        the bit. n and the seed are checked first, as a hit draws nothing."""
         n = check_count(n)
         seed = check_seed(seed)
         rounds = [self._strategies(p) for p in profiles]
@@ -446,25 +445,23 @@ class Kernel:
         round1 = [r[0] for r in rounds]
         # The first profile with the same round 1 qualifies for the group.
         leader = [round1.index(r) for r in round1]
-        count = min(CHUNK, n)
-        kept = _chunk0
-        hit = (kept is not None and kept[:3] == (self, seed, count)
-               and len(kept[3]) == len(compiled)
-               and all(a is x and b is y for (a, b), (x, y) in zip(kept[3], compiled)))
+
+        def heads(start):
+            u = rows(seed, start, min(CHUNK, n - start), self.width)
+            vals = self.values(u)
+            qualified = {}
+            out = []
+            for (round1_rules, round2_rules), i in zip(compiled, leader):
+                if i not in qualified:
+                    qualified[i] = self.qualify(u, vals, round1_rules)
+                out.append(self.head(u, vals, qualified[i], round2_rules))
+            return out
+
+        key = (id(self), *(id(r) for both in compiled for r in both), seed, min(CHUNK, n))
         for start in range(0, n, CHUNK):
-            heads = kept[4] if start == 0 and hit else None
-            if heads is None:
-                u = rows(seed, start, min(CHUNK, n - start), self.width)
-                vals = self.values(u)
-                qualified = {}
-                heads = []
-                for (round1_rules, round2_rules), i in zip(compiled, leader):
-                    if i not in qualified:
-                        qualified[i] = self.qualify(u, vals, round1_rules)
-                    heads.append(self.head(u, vals, qualified[i], round2_rules))
-                if start == 0:
-                    _chunk0 = (self, seed, count, compiled, heads)
-            yield [self.tail(h, rule) for h in heads]
+            kept = heads(start) if start else _lru(
+                _chunk0, key, 1, lambda: (self, compiled, heads(0)))[2]
+            yield [self.tail(h, rule) for h in kept]
 
     def qualify(self, u, vals, round1_rules):
         """Round 1 on the rows of u: (bids1, seats), every broker's round-1
@@ -587,10 +584,9 @@ class Kernel:
 
 _kernels = OrderedDict()
 
-# Kernel.chunks' one entry, chunk 0 of the last call: (Kernel, seed, row
-# count, each profile's compiled (round 1, round 2), heads), at most CHUNK
-# rows' heads per profile.
-_chunk0 = None
+# Kernel.chunks' memo of the last call's chunk 0: (Kernel, each profile's
+# compiled (round 1, round 2), heads), at most CHUNK rows' heads a profile.
+_chunk0 = OrderedDict()
 
 
 def kernel(scenario):

@@ -132,7 +132,7 @@ def _cmd_simulate(args, scenario, seed):
         "rule": scenario.rule,
         "replications": metrics.replications,
         "coalition_win_rate": metrics.coalition_win_rate,
-        "mean_seller_cost_bps": metrics.mean_seller_cost * 10_000,
+        "mean_seller_cost_bps": to_bps(metrics.mean_seller_cost),
         "core_violation_count": metrics.core_violation_count,
         "frontier_gap_max": metrics.frontier_gap_max,
         "clamped_round2_count": metrics.clamped_round2_count,
@@ -224,7 +224,7 @@ def _cmd_equilibrium(args, scenario, seed):
 
     # (where, distribution in bps, weights, shape, q, alpha_bps) of each solve
     if not args.sweep:
-        points = [("the scenario", dist.scaled(10_000), [float(w) for w in scenario.weights],
+        points = [("the scenario", dist.scaled(to_bps(1)), [float(w) for w in scenario.weights],
                    dist.shape, scenario.portfolio.q, alphas[0])]
     elif dist.kind != "power-law" and not {"shape", "upper_bps"} <= grid.keys():
         raise ScenarioValidationError(["sweep needs a power-law global distribution or "

@@ -17,6 +17,7 @@ are exact under Fraction inputs and are the oracle for the batch kernel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -206,11 +207,12 @@ def run_round2(
 
 def settle_row(scenario, u) -> AuctionTranscript:
     """Settle one auction of the scenario under its strategies on one
-    row u of uniforms in the batch.row_width layout, each in [0, 1), both
-    checked at once: the row fixes the drawn valuations (sim.resolve_bids),
-    the q+1 round-1 tie coins and the allocation tie coin. Round-2 bids are
-    clamped into [0, round-1 bid]; any clamping is flagged in the outcome
-    diagnostics. rng_seed is left None.
+    row u of uniforms in the batch.row_width layout, each a real number in
+    [0, 1) but no bool, all checked at once: the row fixes the drawn
+    valuations (sim.resolve_bids), the q+1 round-1 tie coins and the
+    allocation tie coin. Round-2 bids are clamped into [0, round-1 bid];
+    any clamping is flagged in the outcome diagnostics. rng_seed is left
+    None.
 
     Payoffs are the batch kernel's: a seated local j on a coalition win
     earns package_values[j] * (fee_j - valuation), the seated global on a
@@ -219,13 +221,15 @@ def settle_row(scenario, u) -> AuctionTranscript:
     profile = scenario.strategies
     if profile is None:
         raise ConfigurationError("no strategy profile supplied")
-    u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
+    u = list(u)
     rule = scenario.rule
     q = scenario.portfolio.q
     weights = scenario.weights
     width = row_width(scenario)
-    if len(u) != width or not all(0 <= x < 1 for x in u):
+    if len(u) != width or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x < 1 for x in u):
         raise ConfigurationError(f"need a row of {width} uniforms in [0, 1), got {len(u)}: {u}")
+    u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
 
     values, round1 = sim.resolve_bids(scenario, u)
     package_bids = [{} for _ in range(q)]

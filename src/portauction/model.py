@@ -159,10 +159,11 @@ class WeightVector:
     def warn_if_above_package_bound(self) -> None:
         """Warn when some weight exceeds 1/(q-1) for q packages.
 
-        Above that bound the NVCG fees can leave the core by individual
-        rationality: the local on that package can be paid less than its
-        own bid. The rules stay defined either way, so this is a lint
-        warning only.
+        Above that bound the NVCG fees leave the core by individual
+        rationality: on every strict coalition win (T < g) the local on
+        that package is paid less than its own bid, since
+        fee_j - b_j = (g - T)(1/w_j - (q-1)). The rules stay defined either
+        way, so this is a lint warning only.
         """
         if self.q < 2:
             return
@@ -171,8 +172,8 @@ class WeightVector:
             if w > bound:
                 warnings.warn(
                     f"weight {j} = {float(w):.4f} exceeds 1/(q-1) = {float(bound):.4f} "
-                    f"for q = {self.q} packages; NVCG can pay that package's local "
-                    f"less than its bid",
+                    f"for q = {self.q} packages; NVCG pays that package's local "
+                    f"less than its bid on every strict coalition win",
                     ModelWarning,
                     stacklevel=2,
                 )

@@ -59,6 +59,10 @@ class Strategy:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "constant" and self.value is None:
             raise ConfigurationError("constant strategy needs a value")
+        for field in ("value", "offset", "sigma", "sum_w_qdown"):
+            x = getattr(self, field)
+            if x is not None and not -math.inf < x < math.inf:
+                raise ConfigurationError(f"a strategy's {field} must be finite, got {x!r}")
         if self.kind == "constant" and self.value < 0:
             raise ConfigurationError(f"a constant bid is a fee, got {self.value} < 0")
 
@@ -119,25 +123,23 @@ def strategy_bid(strategy: Strategy, valuation, round1_bid, weight, rule, q, *, 
 def resolve_bids(scenario, u):
     """(valuations, round-1 bids) by broker id for one row u of uniforms
     in the batch.row_width layout under the scenario's strategies, as the
-    batch kernel maps a row. A broker's fixed valuation is kept when its
-    role has no distribution."""
+    batch kernel maps a row: column k is the k-th broker with the locals
+    first (batch.Kernel.ids), and column 0 every local's when
+    correlated_locals. A broker's fixed valuation is kept when its role
+    has no distribution."""
     rule, q, weights = scenario.rule, scenario.portfolio.q, scenario.weights
-    dist_l = scenario.distributions.get("local")
-    dist_g = scenario.distributions.get("global")
-    n_local = sum(1 for b in scenario.brokers if b.role == "local")
+    dists, correlated = scenario.distributions, scenario.correlated_locals
+    in_ids_order = sorted(scenario.brokers, key=lambda b: b.role == "global")
+    column = {b.id: k for k, b in enumerate(in_ids_order)}
     values, round1 = {}, {}
-    li = gi = 0
     for b in scenario.brokers:
-        if b.role == "local":
-            col = 0 if scenario.correlated_locals else li
-            dist, weight = dist_l, weights[b.package_index]
-            li += 1
-        else:
-            dist, col, weight = dist_g, n_local + gi, None
-            gi += 1
+        local = b.role == "local"
+        dist = dists.get(b.role)
+        col = 0 if local and correlated else column[b.id]
         values[b.id] = b.valuation if dist is None else dist.quantile(u[col])
         round1[b.id] = strategy_bid(scenario.strategies[b.id].round1, values[b.id], None,
-                                    weight, rule, q, broker=b.id)
+                                    weights[b.package_index] if local else None, rule, q,
+                                    broker=b.id)
     return values, round1
 
 

@@ -359,6 +359,19 @@ def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
                  ConfigurationError, "row of", id="settle_row-nan"),
     pytest.param(lambda: settle_row(_powerlaw(), _g_value(-0.5)),
                  ConfigurationError, "row of", id="settle_row-negative"),
+    pytest.param(lambda: settle_row(_powerlaw(), ["0.5"] * 7),
+                 ConfigurationError, "row of", id="settle_row-string"),
+    pytest.param(lambda: settle_row(_powerlaw(), [False] * 7),
+                 ConfigurationError, "row of", id="settle_row-bool"),
+    pytest.param(lambda: Strategy("constant", value=float("nan")),
+                 ConfigurationError, "strategy's value must be finite", id="Strategy-value"),
+    pytest.param(lambda: Strategy("offset", offset=float("nan")),
+                 ConfigurationError, "strategy's offset must be finite", id="Strategy-offset"),
+    pytest.param(lambda: Strategy("equilibrium", sigma=float("inf")),
+                 ConfigurationError, "strategy's sigma must be finite", id="Strategy-sigma"),
+    pytest.param(lambda: Strategy("equilibrium", sum_w_qdown=float("-inf")),
+                 ConfigurationError, "strategy's sum_w_qdown must be finite",
+                 id="Strategy-sum_w_qdown"),
     pytest.param(lambda: equilibrium_shading("second-price", 1.0, 0.5, 2),
                  ConfigurationError, "unknown pricing rule 'second-price'",
                  id="equilibrium_shading-rule"),

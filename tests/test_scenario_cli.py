@@ -189,7 +189,8 @@ def test_every_load_issues_the_model_warnings():
         assert [(w.category, str(w.message)) for w in caught] == [
             (ModelWarning, "portfolio has only 2 securities; the model is stated for 3 or more"),
             (ModelWarning, "weight 0 = 0.6000 exceeds 1/(q-1) = 0.5000 for q = 3 packages; "
-                           "NVCG can pay that package's local less than its bid"),
+                           "NVCG pays that package's local less than its bid on every strict "
+                           "coalition win"),
         ]
         assert [w.filename for w in caught if w.filename.startswith("<")] == []
 

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+from collections import OrderedDict
 from dataclasses import fields, replace
 from fractions import Fraction as F
 from importlib import resources
@@ -520,7 +521,7 @@ def test_calls_on_the_last_call_s_rows_give_cold_results_bit_for_bit(monkeypatch
     a bid shades under it. A seed that is not an int is rejected before the
     entry is read. A hit's arrays are tail(head(...))'s, and its won is
     read-only."""
-    monkeypatch.setattr(batch, "_chunk0", None)
+    monkeypatch.setattr(batch, "_chunk0", OrderedDict())
     powerlaw = builtin_scenario("powerlaw")  # no bid reads the rule
     market = pin_simulate._load(pin_simulate._market())  # equilibrium bids shade by rule
     nvcg, dnvcg = (replace(powerlaw, rule=rule) for rule in ("nvcg", "dnvcg"))
@@ -921,7 +922,26 @@ def _oracle_cases():
     cases.append(("market-reversed/dnvcg", pin_simulate._load(doc), 4))
     mixed = pin_simulate._load(_mixed_market())
     cases += [(f"mixed/{rule}", replace(mixed, rule=rule), 11) for rule in pin_simulate.RULES]
+    cases.append(("interleaved/dnvcg", pin_simulate._load(_interleaved()), 3))
     return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def _interleaved():
+    """Brokers listed out of role order (G1, L2, G0, L1, L3) with
+    independent uniform locals: both engines give column k of a row to the
+    k-th broker of Kernel.ids, locals first, not to the k-th listed."""
+    offsets = {"G1": 2, "L2": 5, "G0": 0, "L1": 3, "L3": 0}
+    return pin_simulate._doc(
+        brokers=[{"id": b, "role": "global"} if b[0] == "G" else
+                 {"id": b, "role": "local", "package_index": int(b == "L2")}
+                 for b in offsets],
+        distributions={"local": {"kind": "uniform", "lower_bps": 10, "upper_bps": 30},
+                       "global": {"kind": "power-law", "upper_bps": 40, "shape": 2.0}},
+        strategies={b: {"round1": {"kind": "offset", "offset_bps": o},
+                        "round2": {"kind": "capped-value" if b[0] == "G" else "truthful"}}
+                    for b, o in offsets.items()},
+        correlated_locals=False,
+    )
 
 
 def _mixed_market():
