@@ -99,6 +99,16 @@ def row_width(scenario):
     return len(scenario.brokers) + scenario.portfolio.q + 2
 
 
+def check_bidders(auctions):
+    """Raise ConfigurationError unless each of the q+1 sealed round-1
+    auctions, packages first and the whole portfolio last, has a bidder."""
+    for j, bidders in enumerate(auctions):
+        if not bidders:
+            raise ConfigurationError(
+                f"package {j} has no local bidder" if j < len(auctions) - 1
+                else "the whole-portfolio auction has no bidders")
+
+
 def check_int(x, lo, hi, what):
     """x as an int once it is an int or a numpy integer in [lo, hi], else
     ConfigurationError(what): a bool, a float or an array is no seed, row
@@ -342,17 +352,14 @@ class Kernel:
         self.fixed_g = fixed(globals_) if self.dist_g is None else None
         self.correlated = scenario.correlated_locals
 
-        # The q+1 sealed round-1 auctions, packages first. Column a of
-        # members lists auction a's bidders in id order (the order its tie
-        # coin counts in), padded to one depth with row L+G of the round-1
-        # bids, which is +inf and never the lowest.
-        auctions = [[] for _ in range(self.q)]
-        for k, j in enumerate(self.local_pkg):
-            auctions[j].append(k)
-        for j, members in enumerate(auctions):
-            if not members:
-                raise ConfigurationError(f"package {j} has no local bidder")
-        auctions.append(list(range(self.L, self.L + self.G)))
+        # The q+1 sealed round-1 auctions: the packages', then the globals'
+        # (auction q). Column a of members lists auction a's bidders in id
+        # order (the order its tie coin counts in), padded to one depth with
+        # row L+G of the round-1 bids, which is +inf and never the lowest.
+        auctions = [[] for _ in range(self.q + 1)]
+        for k, a in enumerate(self.local_pkg + (self.q,) * self.G):
+            auctions[a].append(k)
+        check_bidders(auctions)
         depth = max(map(len, auctions))
         pad = self.L + self.G
         self.members = _frozen(np.array(

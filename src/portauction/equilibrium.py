@@ -12,7 +12,8 @@ Closed-form equilibrium bids:
   D-NVCG, prudent phi = alpha - sigma * w * (ell / W_down + (q - 1))
 
 with ell the number of round-1 overbidders and W_down the prudent set's
-total weight; overbidders shade like NVCG, and alpha <= 0 bids zero.
+total weight; overbidders shade like NVCG, and a valuation at or below
+the shading bids zero.
 With perfectly correlated locals the interior optimum is truthful
 (phi* = alpha): the window collapses, sigma -> 0, and
 solve_symmetric_equilibrium reports that fixed point in closed form.
@@ -191,9 +192,10 @@ def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdo
 
 
 def equilibrium_bid(rule, alpha, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdown=None):
-    """Closed-form round-2 bid of a local; the engines bid it via batch.bid_rule."""
-    shading = equilibrium_shading(rule, sigma, weight, q, in_qdown, ell, sum_w_qdown)
-    return alpha - shading if alpha > 0 else 0
+    """Closed-form round-2 bid of a local, floored at zero as
+    sim.strategy_bid floors it; the engines bid it via batch.bid_rule."""
+    raw = alpha - equilibrium_shading(rule, sigma, weight, q, in_qdown, ell, sum_w_qdown)
+    return raw if raw > 0 else type(raw)(0)
 
 
 def optimality_residual(

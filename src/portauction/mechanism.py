@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import pricing, sim
-from .batch import check_seed, row_width, rows
+from .batch import check_bidders, check_seed, row_width, rows
 from .model import ConfigurationError
 
 
@@ -87,30 +87,23 @@ class InfoUpdate:
 
 
 def run_round1(package_bids: Sequence[Mapping], global_bids: Mapping, coins) -> QualificationResult:
-    """Qualify the lowest bidder of each sealed auction. coins holds one
-    uniform in [0, 1) per auction, packages first and the whole portfolio
-    last; a tie goes to the int(coin * ties)-th tied bidder in id order."""
-    if len(coins) != len(package_bids) + 1:
-        raise ConfigurationError(
-            f"{len(coins)} tie coins for {len(package_bids) + 1} sealed auctions")
+    """Qualify the lowest bidder of each of the q+1 sealed auctions, the
+    packages' then the whole portfolio's. coins holds one uniform in
+    [0, 1) per auction, in that order; a tie goes to the
+    int(coin * ties)-th tied bidder in id order."""
+    auctions = (*package_bids, global_bids)
+    if len(coins) != len(auctions):
+        raise ConfigurationError(f"{len(coins)} tie coins for {len(auctions)} sealed auctions")
     for coin in coins:
         _check_coin(coin)
-    winners = []
-    winning_bids = []
-    for j, (bids, coin) in enumerate(zip(package_bids, coins)):
-        if not bids:
-            raise ConfigurationError(f"package {j} has no bidders")
-        winner = _lowest_bidder(bids, coin)
-        winners.append(winner)
-        winning_bids.append(bids[winner])
-    if not global_bids:
-        raise ConfigurationError("the whole-portfolio auction has no bidders")
-    g_winner = _lowest_bidder(global_bids, coins[-1])
+    check_bidders(auctions)
+    winners = [_lowest_bidder(bids, coin) for bids, coin in zip(auctions, coins)]
+    winning_bids = [bids[w] for bids, w in zip(auctions, winners)]
     return QualificationResult(
-        qualified_locals=tuple(winners),
-        local_bids=tuple(winning_bids),
-        qualified_global=g_winner,
-        global_bid=global_bids[g_winner],
+        qualified_locals=tuple(winners[:-1]),
+        local_bids=tuple(winning_bids[:-1]),
+        qualified_global=winners[-1],
+        global_bid=winning_bids[-1],
     )
 
 
@@ -232,14 +225,10 @@ def settle_row(scenario, u) -> AuctionTranscript:
     u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
 
     values, round1 = sim.resolve_bids(scenario, u)
-    package_bids = [{} for _ in range(q)]
-    global_bids = {}
+    auctions = [{} for _ in range(q + 1)]
     for b in scenario.brokers:
-        if b.role == "local":
-            package_bids[b.package_index][b.id] = round1[b.id]
-        else:
-            global_bids[b.id] = round1[b.id]
-    qualification = run_round1(package_bids, global_bids, u[len(scenario.brokers):-1])
+        auctions[b.package_index if b.role == "local" else q][b.id] = round1[b.id]
+    qualification = run_round1(auctions[:q], auctions[q], u[len(scenario.brokers):-1])
     update = publish_update(qualification)
 
     round2 = {}

@@ -19,6 +19,7 @@ batch.rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -61,8 +62,12 @@ class Strategy:
             raise ConfigurationError("constant strategy needs a value")
         for field in ("value", "offset", "sigma", "sum_w_qdown"):
             x = getattr(self, field)
-            if x is not None and not -math.inf < x < math.inf:
-                raise ConfigurationError(f"a strategy's {field} must be finite, got {x!r}")
+            if x is None and field in ("value", "sum_w_qdown"):
+                continue  # not given
+            if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                           and -math.inf < x < math.inf):
+                raise ConfigurationError(
+                    f"a strategy's {field} must be finite and real (not a bool), got {x!r}")
         if self.kind == "constant" and self.value < 0:
             raise ConfigurationError(f"a constant bid is a fee, got {self.value} < 0")
 

@@ -117,6 +117,7 @@ def test_equilibrium_bid_worked_values():
                                sum_w_qdown=0.5) == want
     assert equilibrium_bid("nvcg", -0.01, 0.001, 0.25, 3) == 0
     assert equilibrium_bid("dnvcg", 0.0, 0.001, 0.25, 3) == 0
+    assert equilibrium_bid("nvcg", 0.0001, 0.001, 0.25, 3) == 0  # below the shading
     # alpha <= 0 bids zero, as does a valuation below the shading.
     eq = Strategy(kind="equilibrium", sigma=0.001)
     assert strategy_bid(eq, -0.01, None, 0.25, "nvcg", 3, broker="L") == 0

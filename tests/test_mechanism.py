@@ -72,11 +72,11 @@ def test_round1_tie_probability():
 
 
 def test_round1_empty_auction_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="package 0 has no local bidder"):
         run_round1([{}], {"g": 20}, coins=(0.0, 0.0))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="the whole-portfolio auction has no bidders"):
         run_round1([{"a": 1}], {}, coins=(0.0, 0.0))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="1 tie coins for 2 sealed auctions"):
         run_round1([{"a": 1}], {"g": 20}, coins=(0.0,))  # one coin per auction
     for coin in (1.0, -0.5):  # each coin is a uniform in [0, 1)
         with pytest.raises(ConfigurationError, match="outside"):
@@ -318,6 +318,11 @@ def _without_l1():
     return StrategyProfile({b: s for b, s in brokers.items() if b != "L1"})
 
 
+def _without_g():
+    """Powerlaw without its global broker G."""
+    return _powerlaw(brokers=tuple(b for b in _powerlaw().brokers if b.role == "local"))
+
+
 def _g_value(u):
     """Powerlaw's row of 7 uniforms with u as G's value uniform (column 2)."""
     return [0.5, 0.5, u, 0.5, 0.5, 0.5, 0.5]
@@ -372,11 +377,33 @@ def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
     pytest.param(lambda: Strategy("equilibrium", sum_w_qdown=float("-inf")),
                  ConfigurationError, "strategy's sum_w_qdown must be finite",
                  id="Strategy-sum_w_qdown"),
+    pytest.param(lambda: Strategy("constant", value=True),
+                 ConfigurationError, "strategy's value must be finite and real",
+                 id="Strategy-bool"),
+    pytest.param(lambda: Strategy("offset", offset="1"),
+                 ConfigurationError, "strategy's offset must be finite and real",
+                 id="Strategy-string"),
+    pytest.param(lambda: Strategy("equilibrium", sigma=None),
+                 ConfigurationError, "strategy's sigma must be finite and real",
+                 id="Strategy-None"),
     pytest.param(lambda: equilibrium_shading("second-price", 1.0, 0.5, 2),
                  ConfigurationError, "unknown pricing rule 'second-price'",
                  id="equilibrium_shading-rule"),
     pytest.param(lambda: Kernel(_powerlaw(brokers=_powerlaw().brokers[1:])),
                  ConfigurationError, "package 0 has no local bidder", id="Kernel-package"),
+    pytest.param(lambda: Kernel(_without_g()),
+                 ConfigurationError, "the whole-portfolio auction has no bidders",
+                 id="Kernel-portfolio"),
+    pytest.param(lambda: simulate(_without_g(), n=10, seed=0),
+                 ConfigurationError, "the whole-portfolio auction has no bidders",
+                 id="simulate-portfolio"),
+    pytest.param(lambda: compare_strategies(_without_g(), _powerlaw().strategies,
+                                            _powerlaw().strategies, 10, 0),
+                 ConfigurationError, "the whole-portfolio auction has no bidders",
+                 id="compare_strategies-portfolio"),
+    pytest.param(lambda: run_auction(_without_g()),
+                 ConfigurationError, "the whole-portfolio auction has no bidders",
+                 id="run_auction-portfolio"),
     pytest.param(lambda: pricing.weighted_total((25, 10, 5), WA),
                  ValueError, "3 bids for 2 weights", id="weighted_total-length"),
     pytest.param(lambda: pricing.validate_core_point((20, 24), (25, 10, 5), WA, 22),
