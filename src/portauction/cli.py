@@ -9,6 +9,9 @@ records document has one envelope: command, engine_version,
 scenario_digest, seed and result. run, simulate and equilibrium fill all
 of them, and run adds replication; reproduce names the scenario digest of
 the two worked examples, null for the figures, and its seed is null.
+--out PATH writes the output to PATH instead of stdout: it overwrites an
+existing file in place and trims it to the new length. The write is not
+atomic; for atomic replacement write to a new path and rename it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -57,12 +62,26 @@ def _load(ref: str):
 
 
 def _emit(text: str, out_path):
+    """Write the output, newline-terminated, to stdout or to out_path. A
+    file is overwritten in place and then trimmed to the new length, which
+    leaves what open(out_path, "w") leaves (links followed; inode, mode and
+    hard links kept; a new file at 0o666 less the umask), but a rewrite
+    does not wait, as a truncate to zero on open does, for the filesystem
+    to flush the old contents."""
     data = text if text.endswith("\n") else text + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-    else:
+    if not out_path:
         sys.stdout.write(data)
+        return
+    buf = data.encode("utf-8")
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < len(buf):
+            written += os.write(fd, buf[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # devices and pipes take no trim
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _records(command, scenario, seed, result, **envelope) -> str:

@@ -17,6 +17,7 @@ are exact under Fraction inputs and are the oracle for the batch kernel.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
@@ -286,11 +287,25 @@ def run_auction(scenario, seed=None, replication=0) -> AuctionTranscript:
     return replace(settle_row(scenario, u), rng_seed=rng_seed)
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(cls):
+    """A dataclass's field names, looked up once per class; None for any
+    other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _jsonable(x):
+    cls = type(x)
+    if cls in _JSON_SCALARS:
+        return x
     if isinstance(x, Fraction):
         return float(x)
-    if is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+    names = _field_names(cls)
+    if names is not None:
+        return {name: _jsonable(getattr(x, name)) for name in names}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

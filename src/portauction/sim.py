@@ -68,6 +68,12 @@ class Strategy:
                                            and -math.inf < x < math.inf):
                 raise ConfigurationError(
                     f"a strategy's {field} must be finite and real (not a bool), got {x!r}")
+        if isinstance(self.ell, bool) or not (isinstance(self.ell, int) and self.ell >= 0):
+            raise ConfigurationError(
+                f"a strategy's ell must be a whole number at least 0 (not a bool), "
+                f"got {self.ell!r}")
+        if not isinstance(self.in_qdown, bool):
+            raise ConfigurationError(f"a strategy's in_qdown must be a bool, got {self.in_qdown!r}")
         if self.kind == "constant" and self.value < 0:
             raise ConfigurationError(f"a constant bid is a fee, got {self.value} < 0")
 

@@ -1006,6 +1006,80 @@ def test_cli_sweep_takes_whole_float_package_counts(capsys):
     assert out.splitlines()[1].split(",")[2] == "3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "powerlaw"],
+    ["run", "powerlaw", "--format", "records"],
+    ["equilibrium", "powerlaw", "--sweep", "shape=1.5,2;q=2,3"],
+    ["reproduce", "example1", "--format", "records"],
+], ids=["run-table", "run-records", "equilibrium-sweep", "reproduce"])
+def test_cli_out_overwrites_a_longer_file_in_place(argv, capsys, tmp_path):
+    """--out leaves exactly the output's bytes, however long the file was,
+    in the same inode and under every hard link to it."""
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    out, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    out.write_bytes(b"x" * 100_000)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert run_cli([*argv, "--out", str(out)], capsys) == (0, "", "")
+    assert out.read_bytes() == link.read_bytes() == stdout.encode()
+    assert out.stat().st_ino == inode
+
+
+def test_cli_out_finishes_a_partial_write(capsys, monkeypatch, tmp_path):
+    """os.write may write only part of what it is given; --out writes the rest."""
+    _, stdout, _ = run_cli(["run", "powerlaw"], capsys)
+    out = tmp_path / "out.txt"
+    write = os.write
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        code = cli.main(["run", "powerlaw", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_cli_out_writes_devices_pipes_and_links_through(capsys, tmp_path):
+    """--out writes a device and a pipe untrimmed, and a symlink's target,
+    leaving the link a link."""
+    argv = ["validate", "table1"]
+    _, stdout, _ = run_cli(argv, capsys)
+    assert run_cli([*argv, "--out", os.devnull], capsys) == (0, "", "")
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    assert run_cli([*argv, "--out", str(link)], capsys) == (0, "", "")
+    assert link.is_symlink()
+    assert target.read_bytes() == stdout.encode()
+    if Path("/dev/fd").is_dir():  # a pipe opened by name
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader, os.fdopen(write_end, "wb") as writer:
+            assert run_cli([*argv, "--out", f"/dev/fd/{write_end}"], capsys) == (0, "", "")
+            writer.close()
+            assert reader.read() == stdout.encode()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX mode bits")
+def test_cli_out_keeps_an_existing_mode_and_makes_new_files_under_the_umask(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("old")
+    out.chmod(0o600)
+    assert run_cli(["validate", "table1", "--out", str(out)], capsys)[0] == 0
+    assert out.stat().st_mode & 0o777 == 0o600
+    fresh = tmp_path / "fresh.txt"
+    umask = os.umask(0o027)
+    try:
+        assert run_cli(["validate", "table1", "--out", str(fresh)], capsys)[0] == 0
+    finally:
+        os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o640
+
+
+def test_cli_out_to_a_directory_is_a_runtime_failure(capsys, tmp_path):
+    code, stdout, err = run_cli(["validate", "table1", "--out", str(tmp_path)], capsys)
+    assert (code, stdout) == (5, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_cli_validate(capsys, tmp_path):
     code, out, _ = run_cli(["validate", "table1"], capsys)
     assert code == 0

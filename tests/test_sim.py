@@ -101,6 +101,31 @@ def test_strategy_validation():
         loads_scenario(json.dumps(data))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"ell": "1"}, "ell must be a whole number at least 0"),
+    ({"ell": -3}, "ell must be a whole number at least 0"),
+    ({"ell": 1.5}, "ell must be a whole number at least 0"),
+    ({"ell": True}, "ell must be a whole number at least 0"),
+    ({"in_qdown": "no"}, "in_qdown must be a bool"),
+    ({"in_qdown": 1}, "in_qdown must be a bool"),
+    ({}, None),
+    ({"ell": 10**100, "in_qdown": True, "sum_w_qdown": 1}, None),
+], ids=["ell-string", "ell-negative", "ell-float", "ell-bool", "in_qdown-string",
+        "in_qdown-int", "defaults", "largest"])
+def test_strategy_checks_ell_and_in_qdown(changes, message):
+    """A count of overbidders that is not a whole number, or a membership
+    flag that is not a bool, fails where the strategy is made; simulate
+    never reads one."""
+    if message is not None:
+        with pytest.raises(ConfigurationError, match=message):
+            Strategy("equilibrium", sigma=0.001, **changes)
+        return
+    sc = _scenario()
+    profile = sc.strategies.with_strategy(
+        "L1", round2=Strategy("equilibrium", sigma=0.001, **changes))
+    assert simulate(replace(sc, strategies=profile), n=10, seed=0).replications == 10
+
+
 def test_simulate_single_replication_matches_transcript():
     sc = builtin_scenario("example1")
     metrics = simulate(sc, n=1, seed=0)
