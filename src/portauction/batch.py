@@ -4,11 +4,12 @@ Kernel settles a chunk of replications at once. Its arrays are
 broker-major, one column per replication, and every stage is a few numpy
 operations over the chunk: value draws, round-1 bids and qualification,
 round-2 bids, the allocation test, the payment rule, the core check and
-the payoffs. bid_rule reduces every strategy to one of three bid rules
-(constant, offset, capped-value), which both this kernel and the scalar
-sim.strategy_bid evaluate. Kernel.compile groups each round's brokers by
-rule, so the bids cost one operation per rule (at most three) on that
-rule's slab of brokers, however many brokers there are, and
+the payoffs. An exact allocation tie pays the bids and is in the core, as
+in mechanism.run_round2. bid_rule reduces every strategy to one of three
+bid rules (constant, offset, capped-value), which both this kernel and
+the scalar sim.strategy_bid evaluate. Kernel.compile groups each round's
+brokers by rule, so the bids cost one operation per rule (at most three)
+on that rule's slab of brokers, however many brokers there are, and
 qualification settles every sealed auction in one pass. Kernel.chunks is
 the one replication loop: it settles K profiles on the same rows,
 drawing each chunk's valuations once (they depend on the rows alone) and
@@ -293,7 +294,7 @@ class Batch:
     seller_cost: np.ndarray
     fees: np.ndarray        # (q, replications); zeros on a global win
     gap: np.ndarray         # weighted fee total minus the global bid
-    violations: np.ndarray  # coalition win outside the core
+    violations: np.ndarray  # priced coalition win outside the core; never a tie
     clamped: int            # round-2 bids clamped, summed over the chunk
     g2: np.ndarray
     payoffs: np.ndarray     # (brokers, replications), in Kernel.ids order
@@ -550,7 +551,8 @@ class Kernel:
             fees = h.cv - (self._weighted(h.cv) - h.g2)
             if rule == "dnvcg":
                 fees = self._dnvcg(fees, h.cv, h.round1)
-        # At an exact tie every rule pays the bids.
+        # At an exact tie every rule pays the bids, which are its VCG fees
+        # and a core point however h.cv rounds, so a tie is no violation.
         fees = np.where(h.won, np.where(h.tie, h.bids2, fees), 0.0)
 
         paid = self._weighted(fees)
@@ -568,7 +570,7 @@ class Kernel:
             seller_cost=seller_cost,
             fees=fees,
             gap=paid - h.g2,
-            violations=h.won & ~in_core,
+            violations=h.won & ~(in_core | h.tie),
             clamped=h.clamped,
             g2=h.g2,
             payoffs=payoffs,

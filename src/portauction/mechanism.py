@@ -13,11 +13,15 @@ transcript is a pure function of (inputs, row). run_auction settles row k
 of the seed's stream (row 0 by default), drawn by batch.rows as
 Kernel.chunks draws it, so it is replication k of simulate. The rules here
 are exact under Fraction inputs and are the oracle for the batch kernel.
+Both engines settle an exact allocation tie by the tie rule alone: the
+coalition, if the coin gives it the tie, is paid its bids, which are its
+VCG fees and a core point.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
@@ -28,9 +32,34 @@ from .batch import check_bidders, check_seed, row_width, rows
 from .model import ConfigurationError
 
 
+def _uniform(x):
+    """x is a real number in [0, 1) and no bool: a tie coin or any entry of
+    a settle_row row. A float (numpy's too), int or Fraction skips the
+    numbers.Real test, which costs ten times as much."""
+    return not isinstance(x, bool) and (
+        isinstance(x, (float, int, Fraction)) or isinstance(x, numbers.Real)) and 0 <= x < 1
+
+
 def _check_coin(coin):
-    if not 0 <= coin < 1:
-        raise ConfigurationError(f"tie coin {coin!r} outside [0, 1)")
+    if not _uniform(coin):
+        raise ConfigurationError(f"tie coin {coin!r} outside [0, 1) or not a real number")
+
+
+def _check_bids(name, bids):
+    """Each bid is a finite real number at least 0 and no bool. A float is
+    the common case and the cheapest test; an int or a Fraction is finite,
+    and its numerator's sign, an int compare, is its own."""
+    for broker, fee in bids.items():
+        if isinstance(fee, float):
+            ok = 0 <= fee < math.inf
+        elif isinstance(fee, (int, Fraction)):
+            ok = fee.numerator >= 0 and not isinstance(fee, bool)
+        else:
+            ok = isinstance(fee, numbers.Real) and 0 <= fee < math.inf
+        if not ok:
+            raise ConfigurationError(
+                f"{name} bid of {broker!r} is negative, not finite or not a real number, "
+                f"got {fee!r}")
 
 
 def _lowest_bidder(bids: Mapping, coin):
@@ -43,9 +72,10 @@ def _lowest_bidder(bids: Mapping, coin):
 
 @dataclass(frozen=True)
 class BidLedger:
-    """Recorded bids per broker id, none negative. Round-2 entries may
-    cover a subset of round-1 entries (only qualified brokers bid again),
-    each at most the broker's round-1 bid."""
+    """Recorded bids per broker id, each a finite real number at least 0
+    and no bool. Round-2 entries may cover a subset of round-1 entries
+    (only qualified brokers bid again), each at most the broker's round-1
+    bid."""
 
     round1: Mapping
     round2: Mapping
@@ -53,10 +83,8 @@ class BidLedger:
     def __post_init__(self):
         object.__setattr__(self, "round1", dict(self.round1))
         object.__setattr__(self, "round2", dict(self.round2))
-        for name, bids in (("round1", self.round1), ("round2", self.round2)):
-            for broker, fee in bids.items():
-                if fee < 0:
-                    raise ConfigurationError(f"{name} bid of {broker!r} is negative")
+        _check_bids("round1", self.round1)
+        _check_bids("round2", self.round2)
         for broker, fee in self.round2.items():
             if broker not in self.round1:
                 raise ConfigurationError(f"{broker!r} has a round-2 bid but no round-1 bid")
@@ -89,15 +117,18 @@ class InfoUpdate:
 
 def run_round1(package_bids: Sequence[Mapping], global_bids: Mapping, coins) -> QualificationResult:
     """Qualify the lowest bidder of each of the q+1 sealed auctions, the
-    packages' then the whole portfolio's. coins holds one uniform in
-    [0, 1) per auction, in that order; a tie goes to the
-    int(coin * ties)-th tied bidder in id order."""
+    packages' then the whole portfolio's. Each bid is a finite real number
+    at least 0 and no bool. coins holds one uniform in [0, 1) per auction,
+    in that order; a tie goes to the int(coin * ties)-th tied bidder in id
+    order."""
     auctions = (*package_bids, global_bids)
     if len(coins) != len(auctions):
         raise ConfigurationError(f"{len(coins)} tie coins for {len(auctions)} sealed auctions")
     for coin in coins:
         _check_coin(coin)
     check_bidders(auctions)
+    for bids in auctions:
+        _check_bids("round1", bids)
     winners = [_lowest_bidder(bids, coin) for bids, coin in zip(auctions, coins)]
     winning_bids = [bids[w] for bids, w in zip(auctions, winners)]
     return QualificationResult(
@@ -154,7 +185,9 @@ def run_round2(
 ) -> FeeOutcome:
     """Settle the second round under the selected pricing rule. coin, a
     uniform in [0, 1), settles an exact allocation tie: the coalition wins
-    it iff coin < 0.5."""
+    it iff coin < 0.5. A tie is not priced: a coalition winning it is paid
+    its bids, which are then its VCG fees and a core point, so no
+    core_violations are listed."""
     pricing.check_rule(rule)
     _check_coin(coin)
     locals_ = qualification.qualified_locals
@@ -177,12 +210,11 @@ def run_round2(
     side = "coalition" if (coin < 0.5 if tie else total < g2) else "global"
 
     zeros = tuple(0 * b for b in bids2)
-    if side == "global":
-        fees, cv, delta, epsilons, fell_back, violations = zeros, zeros, 0, zeros, False, ()
-    elif tie:
-        # At an exact tie every rule degenerates to paying the bids.
-        fees, cv, delta, epsilons, fell_back = bids2, bids2, 0, zeros, False
-        violations = pricing.validate_core_point(bids2, bids2, w, g2).violations()
+    if side == "global" or tie:
+        # Nothing is priced. At an exact tie every rule pays the bids, which
+        # are then the VCG fees too: a core point, as paid == total == g2.
+        fees = zeros if side == "global" else bids2
+        cv, delta, epsilons, fell_back, violations = fees, 0, zeros, False, ()
     else:
         p = pricing.price(rule, bids1, bids2, w, g2)
         fees, cv, delta, epsilons, fell_back = p.fees, p.vcg_fees, p.delta, p.deviations, p.fell_back
@@ -220,8 +252,7 @@ def settle_row(scenario, u) -> AuctionTranscript:
     q = scenario.portfolio.q
     weights = scenario.weights
     width = row_width(scenario)
-    if len(u) != width or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x < 1 for x in u):
+    if len(u) != width or not all(map(_uniform, u)):
         raise ConfigurationError(f"need a row of {width} uniforms in [0, 1), got {len(u)}: {u}")
     u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
 

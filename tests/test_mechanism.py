@@ -30,6 +30,7 @@ from portauction.units import to_bps
 
 
 WA = (F(3, 5), F(2, 5))
+NAN = float("nan")
 
 
 def _ledger_a(**round2):
@@ -200,7 +201,7 @@ def test_run_round2_missing_bid_errors():
 @pytest.mark.parametrize("rule", pricing.RULES)
 @pytest.mark.parametrize("round2, coin, winner, calls", [
     ({}, 0.0, "coalition", 1),                      # strict win: 19 < 22
-    ({"L2": F(35, 2)}, 0.0, "coalition", 1),        # exact tie at 22
+    ({"L2": F(35, 2)}, 0.0, "coalition", 0),        # exact tie at 22: pays the bids
     ({"L2": F(35, 2)}, 0.75, "global", 0),          # the global takes the tie
     ({"L1": 27, "L2": 19}, 0.0, "global", 0),       # strict global win: 23.8 > 22
 ])
@@ -217,6 +218,24 @@ def test_run_round2_prices_each_coalition_win_once(monkeypatch, rule, round2, co
     out = run_round2(_qual_a(), _ledger_a(**round2), WA, rule, coin=coin)
     assert out.winner == winner
     assert len(counted) == calls
+
+
+def test_a_float_tie_is_judged_by_its_own_fees():
+    """At an exact float tie the coalition is paid its bids, which are its
+    VCG fees: no transcript lists a core violation, however a second VCG
+    computation in floats would round."""
+    w = (0.1, 0.2, 0.7)
+    ids = ("L0", "L1", "L2")
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        bids2 = tuple(float(x) for x in rng.uniform(10e-4, 30e-4, 3))
+        g2 = pricing.weighted_total(bids2, w)
+        bids = {**dict(zip(ids, bids2)), "G": g2}
+        qual = run_round1([{b: bids[b]} for b in ids], {"G": g2}, coins=(0.0,) * 4)
+        out = run_round2(qual, BidLedger(round1=bids, round2=bids), w, "nvcg", coin=0.0)
+        assert out.winner == "coalition" and out.diagnostics["tie"]
+        assert out.vcg_fees == out.fees == bids2
+        assert out.diagnostics["core_violations"] == ()
 
 
 def test_allocation_exclusivity_random():
@@ -338,6 +357,49 @@ def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
                  ConfigurationError, "unknown pricing rule 'bogus'", id="run_round2-rule"),
     pytest.param(lambda: run_round2(_qual_a(), _ledger_a(), WA[:1], "nvcg", 0.0),
                  ConfigurationError, "2 qualified locals for 1 weights", id="run_round2-weights"),
+    pytest.param(lambda: run_round1([{"L1": NAN, "L2": 1.0}], {"G": 1.0}, (0.0, 0.0)),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="run_round1-nan-first"),
+    pytest.param(lambda: run_round1([{"L2": 1.0, "L1": NAN}], {"G": 1.0}, (0.0, 0.0)),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="run_round1-nan-last"),
+    pytest.param(lambda: run_round1([{"L1": 1.0}], {"G": "1.0"}, (0.0, 0.0)),
+                 ConfigurationError, "round1 bid of 'G' is negative, not finite",
+                 id="run_round1-string"),
+    pytest.param(lambda: run_round1([{"L1": 1.0}], {"G": True}, (0.0, 0.0)),
+                 ConfigurationError, "round1 bid of 'G' is negative, not finite",
+                 id="run_round1-bool"),
+    pytest.param(lambda: run_round1([{"L1": -1}], {"G": 1.0}, (0.0, 0.0)),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="run_round1-negative"),
+    pytest.param(lambda: BidLedger(round1={"L1": F(-1, 3)}, round2={}),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="BidLedger-negative-Fraction"),
+    pytest.param(lambda: BidLedger(round1={"L1": np.float64("inf")}, round2={}),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="BidLedger-numpy-inf"),
+    pytest.param(lambda: BidLedger(round1={"L1": 1.0}, round2={"L1": NAN}),
+                 ConfigurationError, "round2 bid of 'L1' is negative, not finite",
+                 id="BidLedger-nan"),
+    pytest.param(lambda: BidLedger(round1={"L1": float("inf")}, round2={}),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="BidLedger-inf"),
+    pytest.param(lambda: BidLedger(round1={"L1": 1.0}, round2={"L1": "0.5"}),
+                 ConfigurationError, "round2 bid of 'L1' is negative, not finite",
+                 id="BidLedger-string"),
+    pytest.param(lambda: BidLedger(round1={"L1": False}, round2={}),
+                 ConfigurationError, "round1 bid of 'L1' is negative, not finite",
+                 id="BidLedger-bool"),
+    pytest.param(lambda: run_round1([{"L1": 1.0}], {"G": 1.0}, ("0.3", 0.0)),
+                 ConfigurationError, "tie coin '0.3' outside", id="run_round1-coin-string"),
+    pytest.param(lambda: run_round1([{"L1": 1.0}], {"G": 1.0}, (0.0, None)),
+                 ConfigurationError, "tie coin None outside", id="run_round1-coin-None"),
+    pytest.param(lambda: run_round1([{"L1": 1.0}], {"G": 1.0}, (False, 0.0)),
+                 ConfigurationError, "tie coin False outside", id="run_round1-coin-bool"),
+    pytest.param(lambda: run_round2(_qual_a(), _ledger_a(), WA, "nvcg", NAN),
+                 ConfigurationError, "tie coin nan outside", id="run_round2-coin-nan"),
+    pytest.param(lambda: run_round2(_qual_a(), _ledger_a(), WA, "nvcg", "0.3"),
+                 ConfigurationError, "tie coin '0.3' outside", id="run_round2-coin-string"),
     pytest.param(lambda: settle_row(_powerlaw(strategies=None), [0.5] * 7),
                  ConfigurationError, "no strategy profile", id="settle_row-profile"),
     pytest.param(lambda: run_auction(_powerlaw(strategies=None)),

@@ -948,6 +948,9 @@ def _oracle_cases():
     mixed = pin_simulate._load(_mixed_market())
     cases += [(f"mixed/{rule}", replace(mixed, rule=rule), 11) for rule in pin_simulate.RULES]
     cases.append(("interleaved/dnvcg", pin_simulate._load(_interleaved()), 3))
+    tie = pin_simulate._load(_three_package_tie())
+    cases += [(f"three-package-tie/{rule}", replace(tie, rule=rule), 0)
+              for rule in pin_simulate.RULES]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
@@ -966,6 +969,25 @@ def _interleaved():
                         "round2": {"kind": "capped-value" if b[0] == "G" else "truthful"}}
                     for b, o in offsets.items()},
         correlated_locals=False,
+    )
+
+
+def _three_package_tie():
+    """Weights (0.2, 0.35, 0.45) and every valuation 10 bps: truthful
+    locals and a capped-value global tie exactly in every replication,
+    where VCG fees recomputed in floats round off the bids."""
+    return pin_simulate._doc(
+        portfolio={"securities": ["A", "B", "C"], "quantities": [1, 1, 1],
+                   "agreed_prices": [20, 35, 45], "anticipated_prices": [20, 35, 45],
+                   "packages": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        brokers=[*({"id": f"L{j}", "role": "local", "package_index": j, "valuation_bps": 10}
+                   for j in range(3)),
+                 {"id": "G", "role": "global", "valuation_bps": 10}],
+        distributions={},
+        strategies={**{f"L{j}": {"round1": {"kind": "truthful"}, "round2": {"kind": "truthful"}}
+                       for j in range(3)},
+                    "G": {"round1": {"kind": "constant", "value_bps": 50},
+                          "round2": {"kind": "capped-value"}}},
     )
 
 
@@ -989,7 +1011,8 @@ def test_settle_row_matches_the_kernel(name, config, seed):
     the transcript's slacks (fee over round-2 bid, VCG fee over fee, and
     global bid over the weighted fees) wherever they clear ORACLE_TOL: it
     flags a row with a slack below -ORACLE_TOL and no row whose slacks all
-    exceed it, and never a global win."""
+    exceed it, and never a global win. Neither engine flags a tie, which
+    pays the bids: a core point."""
     ks = list(range(200))
     if name == "powerlaw/dnvcg/long":
         ks += [CHUNK - 1, CHUNK, CHUNK + 1]
@@ -1026,8 +1049,9 @@ def test_settle_row_matches_the_kernel(name, config, seed):
                 assert violations[k], k
             if min(slacks) > ORACLE_TOL:
                 assert not violations[k], k
-        else:
+        if o.winner == "global" or o.diagnostics["tie"]:
             assert not violations[k], k
+            assert o.diagnostics["core_violations"] == (), k
         clamped[k] = len(o.diagnostics.get("clamped_round2_bids", ()))
     # simulate counts clamped bids per run: rows 0..199 together, and each
     # later row as the difference of two prefixes
