@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import equilibrium_shading
-from .model import ConfigurationError
+from .model import ConfigurationError, check_int
 from .pricing import check_rule
 
 # Replications are drawn and settled CHUNK rows at a time, so a chunk's
@@ -108,19 +108,6 @@ def check_bidders(auctions):
             raise ConfigurationError(
                 f"package {j} has no local bidder" if j < len(auctions) - 1
                 else "the whole-portfolio auction has no bidders")
-
-
-def check_int(x, lo, hi, what):
-    """x as an int once it is an int or a numpy integer in [lo, hi], else
-    ConfigurationError(what): a bool, a float or an array is no seed, row
-    or count, though operator.index or Philox would take some of them."""
-    try:
-        i = operator.index(x)
-    except TypeError:  # not an integer
-        i = None
-    if i is None or isinstance(x, (bool, np.ndarray)) or not lo <= i <= hi:
-        raise ConfigurationError(f"{what}, got {x!r}")
-    return i
 
 
 def check_seed(seed):

@@ -32,7 +32,7 @@ from . import __version__, reproduce
 from .batch import check_count, check_row, check_seed, row_width
 from .equilibrium import ValueDistribution, solve_symmetric_equilibrium
 from .mechanism import run_auction, transcript_dict
-from .model import ConfigurationError
+from .model import ConfigurationError, is_number
 from .pricing import RULES
 from .scenario import (
     ScenarioParseError,
@@ -198,7 +198,7 @@ def _parse_sweep(expr: str) -> dict:
             raise ScenarioParseError(f"empty value list in sweep term {part!r}")
         in_domain, wanted = _SWEEP_DOMAINS[key]
         for v in parsed:
-            if not (math.isfinite(v) and in_domain(v)):
+            if not (is_number(v) and in_domain(v)):
                 raise ScenarioParseError(
                     f"bad value {v!r} in sweep term {part!r}: {key} must be {wanted}")
         grid[key] = [int(v) for v in parsed] if key == "q" else parsed

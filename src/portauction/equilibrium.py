@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import WeightVector
+from .model import WeightVector, check_int, is_number
 from .pricing import check_rule
 
 
@@ -54,12 +54,14 @@ class ValueDistribution:
 
     def __post_init__(self):
         if self.kind == "power-law":
+            self._check_finite("upper", "shape")
             if self.upper is None or self.upper <= 0:
                 raise ValueError("power-law needs upper > 0")
             if self.shape is None or self.shape <= 1:
                 raise ValueError("power-law needs shape > 1")
             support = (0.0, self.upper)
         elif self.kind == "uniform":
+            self._check_finite("lower", "upper")
             if self.upper is None or self.upper <= self.lower:
                 raise ValueError("uniform needs upper > lower")
             support = (self.lower, self.upper)
@@ -67,10 +69,19 @@ class ValueDistribution:
             if not self.sample:
                 raise ValueError("empirical needs a nonempty sample")
             object.__setattr__(self, "sample", tuple(sorted(float(x) for x in self.sample)))
+            for x in self.sample:
+                if not is_number(x):
+                    raise ValueError(f"empirical needs finite sample entries, got {x!r}")
             support = (self.sample[0], self.sample[-1])
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         object.__setattr__(self, "support", support)
+
+    def _check_finite(self, *names):
+        for name in names:
+            x = getattr(self, name)
+            if x is not None and not is_number(x):
+                raise ValueError(f"{self.kind} needs a finite {name}, got {x!r}")
 
     @classmethod
     def power_law(cls, upper, shape):
@@ -86,8 +97,8 @@ class ValueDistribution:
 
     def scaled(self, factor) -> "ValueDistribution":
         """The distribution of factor * X (unit changes, e.g. fraction<->bps)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not (is_number(factor, 0) and factor != 0):
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         f = float(factor)
         if self.kind == "power-law":
             return ValueDistribution.power_law(upper=self.upper * f, shape=self.shape)
@@ -177,15 +188,14 @@ def equilibrium_shading(rule, sigma, weight, q, in_qdown=False, ell=0, sum_w_qdo
     alpha > 0. It does not depend on alpha, so the bid is an offset bid:
     alpha minus the shading, floored at zero (batch.bid_rule). VCG shades
     as NVCG: only a prudent local under dnvcg shades differently."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    check_int(q, 1, math.inf, "q must be an integer at least 1")
+    if not (is_number(weight, 0) and weight != 0):
+        raise ValueError(f"weight must be positive and finite, got {weight!r}")
+    if not is_number(sigma, 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
     check_rule(rule)
     if rule == "dnvcg" and in_qdown:
-        if not sum_w_qdown or sum_w_qdown <= 0:
+        if not (is_number(sum_w_qdown, 0) and sum_w_qdown != 0):
             raise ValueError("prudent-set weight must be positive")
         return sigma * weight * (ell / sum_w_qdown + (q - 1))
     return sigma * weight * (q - 1)
@@ -248,6 +258,8 @@ def solve_symmetric_equilibrium(dist: ValueDistribution, alpha, weights: Sequenc
     model.WeightVector: nonempty, each in (0, 1], summing to 1.
     """
     w = WeightVector(tuple(float(x) for x in weights)).weights
+    if not is_number(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if alpha <= 0:
         return EquilibriumSolution(bid=0.0, residual=0.0, at_boundary=False)
     bid = float(min(alpha, dist.support[1]))

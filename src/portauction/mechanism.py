@@ -15,48 +15,31 @@ Kernel.chunks draws it, so it is replication k of simulate. The rules here
 are exact under Fraction inputs and are the oracle for the batch kernel.
 Both engines settle an exact allocation tie by the tie rule alone: the
 coalition, if the coin gives it the tie, is paid its bids, which are its
-VCG fees and a core point.
+VCG fees and a core point. Every bid, tie coin and row entry is a number
+as model.is_number decides, a bid at least 0 and a coin or an entry in
+[0, 1), else ConfigurationError.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import pricing, sim
 from .batch import check_bidders, check_seed, row_width, rows
-from .model import ConfigurationError
-
-
-def _uniform(x):
-    """x is a real number in [0, 1) and no bool: a tie coin or any entry of
-    a settle_row row. A float (numpy's too), int or Fraction skips the
-    numbers.Real test, which costs ten times as much."""
-    return not isinstance(x, bool) and (
-        isinstance(x, (float, int, Fraction)) or isinstance(x, numbers.Real)) and 0 <= x < 1
+from .model import ConfigurationError, is_number
 
 
 def _check_coin(coin):
-    if not _uniform(coin):
+    if not (is_number(coin, 0, 1) and coin != 1):
         raise ConfigurationError(f"tie coin {coin!r} outside [0, 1) or not a real number")
 
 
 def _check_bids(name, bids):
-    """Each bid is a finite real number at least 0 and no bool. A float is
-    the common case and the cheapest test; an int or a Fraction is finite,
-    and its numerator's sign, an int compare, is its own."""
     for broker, fee in bids.items():
-        if isinstance(fee, float):
-            ok = 0 <= fee < math.inf
-        elif isinstance(fee, (int, Fraction)):
-            ok = fee.numerator >= 0 and not isinstance(fee, bool)
-        else:
-            ok = isinstance(fee, numbers.Real) and 0 <= fee < math.inf
-        if not ok:
+        if not is_number(fee, 0):
             raise ConfigurationError(
                 f"{name} bid of {broker!r} is negative, not finite or not a real number, "
                 f"got {fee!r}")
@@ -252,7 +235,7 @@ def settle_row(scenario, u) -> AuctionTranscript:
     q = scenario.portfolio.q
     weights = scenario.weights
     width = row_width(scenario)
-    if len(u) != width or not all(map(_uniform, u)):
+    if len(u) != width or not all(is_number(x, 0, 1) and x != 1 for x in u):
         raise ConfigurationError(f"need a row of {width} uniforms in [0, 1), got {len(u)}: {u}")
     u = [float(x) for x in u]  # float ** is the libm pow of the kernel's np.float_power
 
@@ -314,7 +297,7 @@ def run_auction(scenario, seed=None, replication=0) -> AuctionTranscript:
     rule and the rule equilibrium bids shade under.
     """
     rng_seed = check_seed(scenario.seed if seed is None else seed)
-    u = rows(rng_seed, replication, 1, row_width(scenario))[0]
+    u = rows(rng_seed, replication, 1, row_width(scenario))[0].tolist()
     return replace(settle_row(scenario, u), rng_seed=rng_seed)
 
 

@@ -7,17 +7,28 @@ valuation is its own break-even fee, given directly.
 
 All types are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
+
+is_number is the library's one test of a number: every value it reads
+as a number (bids, valuations, weights, quantities, tie coins, strategy
+and distribution parameters) is a finite real number and no bool, each
+within its own bounds. check_int is its test of an integer.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 Value = Union[int, float, Fraction]
+_INF = math.inf
 
 
 class ConfigurationError(ValueError):
@@ -26,6 +37,46 @@ class ConfigurationError(ValueError):
 
 class ModelWarning(UserWarning):
     """Lint-level validation finding that does not block construction."""
+
+
+def is_number(x, lo=-_INF, hi=_INF):
+    """x is a finite real number in [lo, hi] and no bool; lo and hi are
+    ints or infinities. A float (numpy's float64 too) is tested first; an
+    int is finite, and a Fraction is compared by its integer terms, its
+    floor and ceiling, as Fraction compares cost ten times as much. Any
+    other numbers.Real, such as a numpy float32 or int64, takes the
+    numbers.Real test, itself ten times a float test, and is read as a
+    float: numpy would compare a float32 with a large int bound by
+    casting the bound, with an overflow warning."""
+    if isinstance(x, float):
+        return lo <= x <= hi and -_INF < x < _INF
+    t = type(x)  # isinstance(x, Fraction) would take the slow ABC test on an int
+    if t is Fraction:
+        n, d = x.as_integer_ratio()
+        return lo <= n // d and -(-n // d) <= hi
+    if t is int:
+        return lo <= x <= hi
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and is_number(float(x), lo, hi))
+
+
+def check_int(x, lo, hi, what):
+    """x as an int once it is an int or a numpy integer in [lo, hi], else
+    ConfigurationError(what): a bool, a float or an array is no seed, row
+    or count, though operator.index or Philox would take some of them."""
+    try:
+        i = operator.index(x)
+    except TypeError:  # not an integer
+        i = None
+    if i is None or isinstance(x, (bool, np.ndarray)) or not lo <= i <= hi:
+        raise ConfigurationError(f"{what}, got {x!r}")
+    return i
+
+
+def _check_numbers(name, vec):
+    for k, x in enumerate(vec):
+        if not is_number(x):
+            raise ConfigurationError(f"{name}[{k}] must be a finite real number, got {x!r}")
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -66,6 +117,7 @@ class PortfolioSpec:
         for name, vec in (("quantities", self.quantities), ("agreed_prices", self.agreed_prices)):
             if len(vec) != m:
                 raise ConfigurationError(f"{name} has length {len(vec)}, expected {m}")
+            _check_numbers(name, vec)
         self.warn_if_below_three_securities(stacklevel=4)  # past the dataclass __init__
         if any(q < 0 for q in self.quantities):
             raise ConfigurationError("quantities must be nonnegative")
@@ -77,6 +129,7 @@ class PortfolioSpec:
         for j, pkg in enumerate(self.packages):
             if len(pkg) != m:
                 raise ConfigurationError(f"package {j} has length {len(pkg)}, expected {m}")
+            _check_numbers(f"package {j}", pkg)
             if any(q < 0 for q in pkg):
                 raise ConfigurationError(f"package {j} has a negative quantity")
 
@@ -137,8 +190,9 @@ class WeightVector:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise ConfigurationError("weight vector is empty")
-        if any(not (0 < w <= 1) for w in self.weights):
-            raise ConfigurationError("each weight must lie in (0, 1]")
+        for w in self.weights:
+            if not (is_number(w, 0, 1) and w != 0):
+                raise ConfigurationError(f"each weight must lie in (0, 1], got {w!r}")
         total = sum(self.weights)
         if total != 1 and abs(total - 1) > self._SUM_TOL:  # exact weights skip the float test
             raise ConfigurationError(f"weights sum to {total}, expected 1")
@@ -196,11 +250,17 @@ class BrokerProfile:
     def __post_init__(self):
         if self.role not in ("local", "global"):
             raise ConfigurationError(f"broker {self.id!r}: unknown role {self.role!r}")
+        if not is_number(self.valuation):
+            raise ConfigurationError(
+                f"broker {self.id!r}: valuation must be a finite real number, "
+                f"got {self.valuation!r}")
         if self.role == "local":
-            if self.package_index is None or self.package_index < 0:
+            if self.package_index is None:
                 raise ConfigurationError(
                     f"local broker {self.id!r} must reference exactly one package"
                 )
+            check_int(self.package_index, 0, _INF,
+                      f"local broker {self.id!r}: package_index must be an integer at least 0")
         elif self.package_index is not None:
             raise ConfigurationError(
                 f"global broker {self.id!r} must not reference a package"

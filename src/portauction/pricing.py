@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import ConfigurationError
+from .model import ConfigurationError, is_number
 
 RULES = ("vcg", "nvcg", "dnvcg")
 
@@ -214,8 +214,8 @@ def marginal_fee(rule: str, broker: int, bids1, bids2, weights, global_bid, step
     """
     if rule not in ("nvcg", "dnvcg"):
         raise ValueError(f"marginal_fee takes nvcg or dnvcg, not {rule!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (is_number(step, 0) and step != 0):
+        raise ValueError(f"step must be a finite number above 0, got {step!r}")
     bids2 = list(bids2)
     evals = []
     for shift in (step, -step):

@@ -30,7 +30,8 @@ from typing import Mapping, Optional
 
 from .batch import SEED_LIMIT, _lru, check_weight
 from .equilibrium import ValueDistribution
-from .model import BrokerProfile, ConfigurationError, PortfolioSpec, WeightVector, derive_weights
+from .model import (BrokerProfile, ConfigurationError, PortfolioSpec, WeightVector,
+                    derive_weights, is_number)
 from .pricing import RULES
 from .sim import BrokerStrategy, Strategy, StrategyProfile
 from .units import BPS
@@ -83,18 +84,14 @@ class ScenarioConfig:
         object.__setattr__(self, "distributions", MappingProxyType(dict(self.distributions)))
 
 
-def _real(x):
-    """x is an int, a Fraction or a float (no bool) of magnitude at most LIMIT,
-    compared exactly: a Fraction by its integer terms, which is faster."""
-    if isinstance(x, (int, float)):
-        return not isinstance(x, bool) and -LIMIT <= x <= LIMIT
-    return isinstance(x, Fraction) and abs(x.numerator) <= LIMIT * x.denominator
-
-
 def _exact(x):
     """x as an exact number: an int stays an int, as int arithmetic is
-    exact and much faster than Fraction arithmetic."""
-    return x if type(x) is int else Fraction(x)
+    exact and much faster than Fraction arithmetic. Any other number that
+    is_number takes, such as a numpy float32 in a dict, goes through its
+    float, since Fraction takes no numpy float but float64."""
+    if type(x) is int:
+        return x
+    return Fraction(x if isinstance(x, (float, Fraction)) else float(x))
 
 
 def _show(value):
@@ -206,13 +203,14 @@ def _kinds(kinds, default=None):
 
 _STRING = _leaf(lambda x: isinstance(x, str), "a string")
 _BOOL = _leaf(lambda x: isinstance(x, bool), "true or false")
-_NUMBER = _leaf(_real, "a number in [-1e100, 1e100]")
-_POSITIVE = _leaf(lambda x: _real(x) and x > 0, "a number in (0, 1e100]")
-_NONNEGATIVE = _leaf(lambda x: _real(x) and x >= 0, "a number in [0, 1e100]")
+_NUMBER = _leaf(lambda x: is_number(x, -LIMIT, LIMIT), "a number in [-1e100, 1e100]")
+_POSITIVE = _leaf(lambda x: is_number(x, 0, LIMIT) and x != 0, "a number in (0, 1e100]")
+_NONNEGATIVE = _leaf(lambda x: is_number(x, 0, LIMIT), "a number in [0, 1e100]")
 
 _DISTRIBUTION = _kinds({
     "power-law": {"upper_bps": (_POSITIVE, True),
-                  "shape": (_leaf(lambda x: _real(x) and x > 1, "a number in (1, 1e100]"), True)},
+                  "shape": (_leaf(lambda x: is_number(x, 1, LIMIT) and x != 1,
+                                  "a number in (1, 1e100]"), True)},
     "uniform": {"lower_bps": (_NUMBER, False), "upper_bps": (_NUMBER, True)},
     "empirical": {"sample_bps": (_list(_NUMBER, nonempty=True), True)},
 })
@@ -226,13 +224,13 @@ _STRATEGY_KINDS = {
         "in_qdown": (_BOOL, False),
         "ell": (_integer(0), False),
         # and at least the bidder's own weight: the prudent set includes it
-        "sum_w_qdown": (_leaf(lambda x: _real(x) and 0 < x <= 1, "a number in (0, 1]"),
+        "sum_w_qdown": (_leaf(lambda x: is_number(x, 0, 1) and x != 0, "a number in (0, 1]"),
                         False),
     },
 }
 
 _SCENARIO = _object({
-    "schema_version": (_leaf(lambda x: _real(x) and x == SCHEMA_VERSION,
+    "schema_version": (_leaf(lambda x: is_number(x) and x == SCHEMA_VERSION,
                              f"schema version {SCHEMA_VERSION}"), True),
     "name": (_STRING, False),
     "portfolio": (_object({
@@ -301,7 +299,7 @@ def _brokers(data, q, errors):
                 id=entry["id"],
                 role=entry["role"],
                 package_index=entry.get("package_index"),
-                valuation=Fraction(entry.get("valuation_bps", 0)) * BPS,
+                valuation=_exact(entry.get("valuation_bps", 0)) * BPS,
             )
         except ConfigurationError as e:
             errors.append(f"$.brokers[{i}]: {e}")
@@ -320,7 +318,7 @@ def _brokers(data, q, errors):
 
 def _distribution(data, path, errors):
     def scaled(x_bps):
-        return float(Fraction(x_bps) * BPS)
+        return float(_exact(x_bps) * BPS)
     try:
         if data is None:
             return None

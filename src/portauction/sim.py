@@ -13,13 +13,13 @@ tail there.
 mechanism.settle_row settles any one row with the exact scalar rules
 (resolve_bids and strategy_bid here, which evaluate batch.bid_rule's
 three rules as the kernel does); run_auction settles row k, drawn by
-batch.rows.
+batch.rows. A Strategy's parameters are numbers as model.is_number
+decides and its ell an integer as model.check_int does.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -29,7 +29,7 @@ import numpy as np
 from . import batch
 from .batch import ExactSum, bid_rule
 from .equilibrium import equilibrium_bid  # noqa: F401 (uncalled; bench/tracer.py binds it here)
-from .model import ConfigurationError
+from .model import ConfigurationError, check_int, is_number
 
 ROUND1_KINDS = ("constant", "truthful", "offset", "equilibrium")
 ROUND2_KINDS = ROUND1_KINDS + ("capped-value",)
@@ -64,14 +64,11 @@ class Strategy:
             x = getattr(self, field)
             if x is None and field in ("value", "sum_w_qdown"):
                 continue  # not given
-            if isinstance(x, bool) or not (isinstance(x, numbers.Real)
-                                           and -math.inf < x < math.inf):
+            if not is_number(x):
                 raise ConfigurationError(
                     f"a strategy's {field} must be finite and real (not a bool), got {x!r}")
-        if isinstance(self.ell, bool) or not (isinstance(self.ell, int) and self.ell >= 0):
-            raise ConfigurationError(
-                f"a strategy's ell must be a whole number at least 0 (not a bool), "
-                f"got {self.ell!r}")
+        check_int(self.ell, 0, math.inf,
+                  "a strategy's ell must be a whole number at least 0 (not a bool)")
         if not isinstance(self.in_qdown, bool):
             raise ConfigurationError(f"a strategy's in_qdown must be a bool, got {self.in_qdown!r}")
         if self.kind == "constant" and self.value < 0:

@@ -7,7 +7,11 @@ import pytest
 
 from portauction import pricing, reproduce
 from portauction.batch import Kernel, row_width, rows
-from portauction.equilibrium import ValueDistribution, equilibrium_shading
+from portauction.equilibrium import (
+    ValueDistribution,
+    equilibrium_shading,
+    solve_symmetric_equilibrium,
+)
 from portauction.mechanism import (
     BidLedger,
     publish_update,
@@ -17,7 +21,7 @@ from portauction.mechanism import (
     settle_row,
     transcript_dict,
 )
-from portauction.model import ConfigurationError, PortfolioSpec
+from portauction.model import BrokerProfile, ConfigurationError, PortfolioSpec, WeightVector
 from portauction.scenario import builtin_scenario
 from portauction.sim import (
     Strategy,
@@ -31,6 +35,7 @@ from portauction.units import to_bps
 
 WA = (F(3, 5), F(2, 5))
 NAN = float("nan")
+INF = float("inf")
 
 
 def _ledger_a(**round2):
@@ -492,6 +497,65 @@ def _portfolio(quantities=(1, 1, 1), prices=(1, 1, 1), packages=((1, 1, 1),)):
     pytest.param(lambda: _portfolio(packages=((2, 1, 1), (-1, 0, 0))),
                  ConfigurationError, "package 1 has a negative quantity",
                  id="portfolio-package-quantity"),
+    # model.is_number: a finite real number and no bool, at every constructor
+    pytest.param(lambda: ValueDistribution.power_law(upper=NAN, shape=2),
+                 ValueError, "power-law needs a finite upper, got nan", id="power_law-upper-nan"),
+    pytest.param(lambda: ValueDistribution.power_law(upper=INF, shape=2),
+                 ValueError, "power-law needs a finite upper, got inf", id="power_law-upper-inf"),
+    pytest.param(lambda: ValueDistribution.power_law(upper=1.0, shape=NAN),
+                 ValueError, "power-law needs a finite shape, got nan", id="power_law-shape-nan"),
+    pytest.param(lambda: ValueDistribution.uniform(lower=-INF, upper=1),
+                 ValueError, "uniform needs a finite lower, got -inf", id="uniform-lower-inf"),
+    pytest.param(lambda: ValueDistribution.uniform(lower=NAN, upper=1),
+                 ValueError, "uniform needs a finite lower, got nan", id="uniform-lower-nan"),
+    pytest.param(lambda: ValueDistribution.uniform(lower=0, upper=INF),
+                 ValueError, "uniform needs a finite upper, got inf", id="uniform-upper-inf"),
+    pytest.param(lambda: ValueDistribution.empirical((0.1, NAN, 0.3)),
+                 ValueError, "empirical needs finite sample entries, got nan",
+                 id="empirical-nan"),
+    pytest.param(lambda: ValueDistribution.power_law(upper=1.0, shape=2.0).scaled(NAN),
+                 ValueError, "scale factor must be positive and finite, got nan",
+                 id="scaled-nan"),
+    pytest.param(lambda: equilibrium_shading("nvcg", NAN, 0.5, 2),
+                 ValueError, "sigma must be nonnegative and finite, got nan",
+                 id="equilibrium_shading-sigma-nan"),
+    pytest.param(lambda: equilibrium_shading("nvcg", 1.0, NAN, 2),
+                 ValueError, "weight must be positive and finite, got nan",
+                 id="equilibrium_shading-weight-nan"),
+    pytest.param(lambda: equilibrium_shading("nvcg", 1.0, 0.5, True),
+                 ConfigurationError, "q must be an integer at least 1, got True",
+                 id="equilibrium_shading-q-bool"),
+    pytest.param(lambda: equilibrium_shading("nvcg", 1.0, 0.5, 2.5),
+                 ConfigurationError, "q must be an integer at least 1, got 2.5",
+                 id="equilibrium_shading-q-float"),
+    pytest.param(lambda: solve_symmetric_equilibrium(
+                     ValueDistribution.power_law(upper=1.0, shape=2.0), NAN, [0.5, 0.5]),
+                 ValueError, "alpha must be a finite real number, got nan",
+                 id="solve_symmetric_equilibrium-alpha-nan"),
+    pytest.param(lambda: BrokerProfile("L", "local", "x", 0),
+                 ConfigurationError, "broker 'L': valuation must be a finite real number",
+                 id="BrokerProfile-valuation-string"),
+    pytest.param(lambda: BrokerProfile("G", "global", INF),
+                 ConfigurationError, "broker 'G': valuation must be a finite real number",
+                 id="BrokerProfile-valuation-inf"),
+    pytest.param(lambda: BrokerProfile("L", "local", 0, True),
+                 ConfigurationError, "local broker 'L': package_index must be an integer",
+                 id="BrokerProfile-package_index-bool"),
+    pytest.param(lambda: BrokerProfile("L", "local", 0, 1.0),
+                 ConfigurationError, "local broker 'L': package_index must be an integer",
+                 id="BrokerProfile-package_index-float"),
+    pytest.param(lambda: WeightVector((True,)),
+                 ConfigurationError, r"each weight must lie in \(0, 1\], got True",
+                 id="WeightVector-bool"),
+    pytest.param(lambda: _portfolio(quantities=("1", 1, 1)),
+                 ConfigurationError, r"quantities\[0\] must be a finite real number, got '1'",
+                 id="portfolio-quantity-string"),
+    pytest.param(lambda: _portfolio(quantities=(1, NAN, 1)),
+                 ConfigurationError, r"quantities\[1\] must be a finite real number, got nan",
+                 id="portfolio-quantity-nan"),
+    pytest.param(lambda: pricing.marginal_fee("nvcg", 0, None, (25, 10), WA, 22, NAN),
+                 ValueError, "step must be a finite number above 0, got nan",
+                 id="marginal_fee-step-nan"),
 ])
 def test_entry_points_reject_bad_inputs(call, kind, message):
     """Each public entry point's own input check, by its exact error type:
@@ -500,3 +564,15 @@ def test_entry_points_reject_bad_inputs(call, kind, message):
     with pytest.raises(ValueError, match=message) as exc:
         call()
     assert exc.type is kind
+
+
+@pytest.mark.parametrize("x", [np.float64(0.25), np.float32(0.25), 0, F(1, 4)],
+                         ids=["numpy-float64", "numpy-float32", "int", "Fraction"])
+def test_entry_points_accept_every_number_type(x):
+    """Each type model.is_number has its own path for, or the numbers.Real
+    one, passes as a bid, a tie coin and a settle_row entry."""
+    qual = run_round1([{"L1": x}, {"L2": x}], {"G": x}, (x, x, x))
+    assert qual.local_bids == (x, x) and qual.global_bid == x
+    ledger = BidLedger(round1={"L1": x, "L2": x, "G": x}, round2={"L1": x, "L2": x, "G": x})
+    assert run_round2(qual, ledger, WA, "nvcg", x).diagnostics["tie"]
+    assert settle_row(_powerlaw(), [x] * 7).rng_seed is None

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ from portauction.model import (
     PortfolioSpec,
     WeightVector,
     derive_weights,
+    is_number,
 )
 
 def worked_portfolio():
@@ -126,3 +128,27 @@ def test_broker_profile_validation():
         BrokerProfile(id="G", role="global", package_index=1)
     with pytest.raises(ConfigurationError):
         BrokerProfile(id="X", role="arbiter")
+
+
+def test_is_number_bounds_are_closed_and_exact_for_every_type():
+    """[lo, hi] is closed and compared exactly: a Fraction by its floor
+    and ceiling, so one a hair inside or outside a bound is judged right,
+    and a numpy float32 meets an int bound past its own range without an
+    overflow warning (pytest makes that an error)."""
+    tiny = F(1, 10**200)
+    inside = (0, 1, 0.0, 1.0, F(0), F(1), F(1, 2), tiny, 1 - tiny,
+              np.float64(0.5), np.float32(0.5), np.int64(1))
+    outside = (-tiny, 1 + tiny, F(-1, 2), F(3, 2), -1, 2, -0.5, 1.5,
+               np.float64(2), np.float32(-0.5), np.int64(2))
+    assert all(is_number(x, 0, 1) for x in inside)
+    assert not any(is_number(x, 0, 1) for x in outside)
+    assert is_number(F(-1, 2), -1, 0) and not is_number(F(-3, 2), -1, 0)
+    limit = 10**100
+    assert is_number(limit - tiny, -limit, limit) and not is_number(limit + tiny, -limit, limit)
+    assert is_number(np.float32(1), -limit, limit) and not is_number(np.float32(1), 2, limit)
+    # no bounds: any finite real number
+    assert all(is_number(x) for x in (-1e308, 1e308, 10**400, -F(10**400, 3), np.int64(-5)))
+    not_numbers = (True, False, np.bool_(True), "1", None, Decimal(1), [1], np.array(1.0),
+                   float("nan"), float("inf"), float("-inf"), np.float32("nan"),
+                   np.float64("inf"))
+    assert not any(is_number(x) for x in not_numbers)
